@@ -1,7 +1,7 @@
 """Exact symbolic engine for characteristic-class computations.
 
 Graded-commutative polynomial rings with monomial rewrite relations,
-multiplicative sequences built from symmetric functions, cohomology models
+multiplicative sequences evaluated by Newton's identities, cohomology models
 of spheres and projective spaces, fibre integration for bundle models, and
 the perturbed signature-class construction over S^12 x HP^2.  All
 arithmetic is exact: rationals in characteristic zero, integers mod p

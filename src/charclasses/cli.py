@@ -34,7 +34,7 @@ from .spaces import bso_presentation
 
 __all__ = ["main"]
 
-MAX_TABLE_WEIGHT = 12  # table size guardrail; partitions explode beyond this
+MAX_TABLE_WEIGHT = 12  # largest printed table; K_n has p(n) terms (77 at n = 12)
 
 
 class _InputError(Exception):

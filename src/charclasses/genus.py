@@ -1,17 +1,28 @@
 """Multiplicative sequences and genus computation.
 
 A multiplicative sequence is determined by a one-variable power series
-Q(z) = 1 + q_1 z + q_2 z^2 + ... over the rationals.  Its weight-n
-polynomial K_n in p_1..p_n is obtained by expanding the product of Q over
-formal roots: writing the total class as prod_i Q(x_i) with p_j the j-th
-elementary symmetric function of the x_i, the weight-n part is
+Q(z) = 1 + q_1 z + q_2 z^2 + ... over the rationals.  Its total class is
+the product of Q over formal roots x_i, with p_j the j-th elementary
+symmetric function of the x_i.  Taking logarithms turns that product into
+sum_k a_k P_k, where log Q(z) = sum_k a_k z^k and P_k = sum_i x_i^k is the
+k-th power sum.  So three recurrences compute everything (Hirzebruch,
+Topological Methods in Algebraic Geometry, 1; Milnor-Stasheff,
+Characteristic Classes, 16):
 
-    sum over partitions lam of n  of  (prod_j q_{lam_j}) m_lam,
+    k a_k = k q_k - sum_{j<k} j a_j q_{k-j}                (Q' = Q (log Q)')
+    P_k   = sum_{j<k} (-1)^{j-1} p_j P_{k-j} + (-1)^{k-1} k p_k   (Newton)
+    m E_m = sum_{k<=m} k a_k P_k E_{m-k},   E_0 = 1       (exp, degree by degree)
 
-and each monomial symmetric function m_lam is rewritten in the elementary
-basis, renaming e_j to p_j.  Weights are internal: p_i has weight i, and a
-class of weight n lives in cohomological degree 4n, so the weight ring
-declares p_i with degree 4i and weight-n parts are degree-4n components.
+E_n is the weight-n polynomial K_n.  The recurrences only add and multiply
+the p_j, so they run in whatever ring holds them: on the generators of the
+free weight ring they give K_n itself, and on a space's Pontryagin classes,
+in the space's own ring and truncated by its relations, they give the
+genus, the total class and the Pontryagin solve without forming K_n.  Only
+P_n contains p_n, so the coefficient of p_n in K_n is (-1)^{n-1} n a_n.
+
+Weights are internal: p_i has weight i, and a class of weight n lives in
+cohomological degree 4n, so the weight ring declares p_i with degree 4i and
+weight-n parts are degree-4n components.
 
 Built in: the signature series sqrt(z)/tanh(sqrt(z)) whose genus is the
 signature, and the series (sqrt(z)/2)/sinh(sqrt(z)/2) of the A-hat genus.
@@ -26,7 +37,6 @@ from math import comb, factorial
 from typing import Sequence
 
 from .rings import GradedPoly, Ring
-from .symfun import monomial_to_elementary, partitions
 
 __all__ = [
     "MultiplicativeSequence",
@@ -99,49 +109,72 @@ def weight_ring(n: int) -> Ring:
 
 
 class MultiplicativeSequence:
-    """A multiplicative sequence with cached weight polynomials.
+    """A multiplicative sequence, evaluated by the Newton recurrences.
 
-    The cache is filled on first use of each weight and shared by every
-    caller of this instance afterwards.
+    Holds the series coefficients q_k and the logarithmic coefficients
+    k a_k.  Weight parts are recomputed in whichever ring they are asked
+    for; nothing is cached.
     """
 
     def __init__(self, q_coeffs: Sequence[Fraction | int]) -> None:
         self.q_coeffs: tuple[Fraction, ...] = tuple(
             Fraction(q) for q in q_coeffs
         )
-        self._k_cache: dict[int, GradedPoly] = {}
+        log_coeffs: list[Fraction] = []  # k a_k at index k - 1
+        for k, q in enumerate(self.q_coeffs, start=1):
+            lower = sum(
+                (log_coeffs[j - 1] * self.q_coeffs[k - j - 1] for j in range(1, k)),
+                Fraction(0),
+            )
+            log_coeffs.append(k * q - lower)
+        self.log_coeffs: tuple[Fraction, ...] = tuple(log_coeffs)
 
     @property
     def max_weight(self) -> int:
         return len(self.q_coeffs)
 
-    def _q(self, j: int) -> Fraction:
-        return self.q_coeffs[j - 1]
-
-    def k_polynomial(self, n: int) -> GradedPoly:
-        """The weight-n polynomial K_n in p_1..p_n."""
-        if n < 1:
-            raise ValueError("weight polynomials start at n = 1")
+    def _check_weight(self, n: int) -> None:
         if n > len(self.q_coeffs):
             raise ValueError(
                 f"series carries {len(self.q_coeffs)} coefficients, "
                 f"cannot form weight {n}"
             )
-        if n not in self._k_cache:
-            ring = weight_ring(n)
-            total = ring.zero()
-            for lam in partitions(n):
-                coeff = Fraction(1)
-                for part in lam:
-                    coeff *= self._q(part)
-                if not coeff:
-                    continue
-                epoly = monomial_to_elementary(lam, n)
-                # e_j and p_j occupy the same slot: both rings declare
-                # their generators from index n down to 1
-                total = total + ring.poly(dict(epoly.terms)) * coeff
-            self._k_cache[n] = total
-        return self._k_cache[n]
+
+    def weight_parts(
+        self, p_classes: Sequence[GradedPoly], ring: Ring
+    ) -> list[GradedPoly]:
+        """[E_0, ..., E_n] of the total class at p_1..p_n, computed in ring.
+
+        p_classes[i - 1] stands for p_i; any element of ring will do, and
+        E_m is K_m evaluated at those elements.
+        """
+        n = len(p_classes)
+        self._check_weight(n)
+        scaled_sums: list[GradedPoly] = []  # k a_k P_k at index k - 1
+        power_sums: list[GradedPoly] = []
+        for k in range(1, n + 1):
+            acc = p_classes[k - 1] * (k if k % 2 else -k)
+            for j in range(1, k):
+                term = p_classes[j - 1] * power_sums[k - j - 1]
+                acc = acc + term if j % 2 else acc - term
+            power_sums.append(acc)
+            scaled_sums.append(acc * self.log_coeffs[k - 1])
+        parts = [ring.one()]
+        for m in range(1, n + 1):
+            acc = ring.zero()
+            for k in range(1, m + 1):
+                acc = acc + scaled_sums[k - 1] * parts[m - k]
+            parts.append(acc * Fraction(1, m))
+        return parts
+
+    def k_polynomial(self, n: int) -> GradedPoly:
+        """The weight-n polynomial K_n in p_1..p_n."""
+        if n < 1:
+            raise ValueError("weight polynomials start at n = 1")
+        self._check_weight(n)
+        ring = weight_ring(n)
+        gens = [ring.gen(f"p{i}") for i in range(1, n + 1)]
+        return self.weight_parts(gens, ring)[n]
 
     def k_polynomials(self, max_weight: int) -> list[GradedPoly]:
         return [self.k_polynomial(n) for n in range(1, max_weight + 1)]
@@ -157,15 +190,12 @@ class MultiplicativeSequence:
             raise ValueError("genus computations need characteristic 0")
         if total_p.constant_term() != 1:
             raise ValueError("total Pontryagin class must have constant term 1")
-        components = {
-            f"p{i}": total_p.graded_component(4 * i)
-            for i in range(1, max_weight + 1)
-        }
-        result = ring.one()
-        for n in range(1, max_weight + 1):
-            kpoly = self.k_polynomial(n)
-            images = {name: components[name] for name in kpoly.ring.names}
-            result = result + kpoly.substitute(images, ring)
+        p_classes = [
+            total_p.graded_component(4 * i) for i in range(1, max_weight + 1)
+        ]
+        result = ring.zero()
+        for part in self.weight_parts(p_classes, ring):
+            result = result + part
         return result
 
 
@@ -196,11 +226,11 @@ def evaluate_genus(space, seq: MultiplicativeSequence) -> Fraction:
             f"sequence carries {seq.max_weight} coefficients, "
             f"dimension {space.dimension} needs {n}"
         )
-    components = {
-        f"p{i}": space.total_p.graded_component(4 * i) for i in range(1, n + 1)
-    }
-    value = seq.k_polynomial(n).substitute(components, space.ring)
-    return value.coefficient(space.fundamental)
+    p_classes = [
+        space.total_p.graded_component(4 * i) for i in range(1, n + 1)
+    ]
+    top = seq.weight_parts(p_classes, space.ring)[n]
+    return top.coefficient(space.fundamental)
 
 
 def solve_pontryagin(
@@ -213,9 +243,12 @@ def solve_pontryagin(
     """Solve K_n(p_1..p_n) = weight-n part of total_l for p_n.
 
     ``known`` supplies p_1..p_{n-1} (homogeneous of degree 4i, zero allowed).
-    K_n is linear in p_n with the scalar leading coefficient s_n, so
+    K_n is linear in p_n with the scalar leading coefficient
+    s_n = (-1)^{n-1} n a_n, so
 
-        p_n = (target - K_n with p_n := 0) / s_n.
+        p_n = (target - K_n with p_n := 0) / s_n,
+
+    where K_n with p_n := 0 is the weight-n part computed in ring.
     """
     if len(known) != n - 1:
         raise ValueError(f"need p_1..p_{n-1}, got {len(known)} classes")
@@ -224,14 +257,9 @@ def solve_pontryagin(
             raise ValueError(
                 f"supplied p_{i} is not homogeneous of degree {4 * i}"
             )
-    k_poly = seq.k_polynomial(n)
-    leading = k_poly.coefficient(f"p{n}")
+    lower = seq.weight_parts([*known, ring.zero()], ring)[n]
+    leading = seq.log_coeffs[n - 1] * (-1) ** (n - 1)
     if not leading:
         raise ValueError(f"weight polynomial K_{n} has no p_{n} term")
-    mapping: dict[str, object] = {
-        f"p{i}": cls for i, cls in enumerate(known, start=1)
-    }
-    mapping[f"p{n}"] = ring.zero()
-    lower = k_poly.substitute(mapping, ring)
     target = total_l.graded_component(4 * n)
     return (target - lower) * (Fraction(1) / leading)

@@ -9,7 +9,10 @@ The conversion from the monomial basis m_lambda to polynomials in the
 elementary symmetric functions e_1, ..., e_w works at weight w in exactly w
 variables (the stability range), by exact linear elimination against the
 expansions of the products e_mu in the monomial basis.  The table for each
-weight is computed once and memoized.
+weight is computed once and memoized.  ``genus`` does not use it: it
+evaluates multiplicative sequences by Newton's identities, and this
+conversion is the independent oracle that ``verify`` and the tests hold
+that route against.
 
 ``symfun_eval`` evaluates m_lambda by direct summation over the distinct
 permutations of the exponent vector; it is deliberately independent of the
@@ -19,7 +22,7 @@ basis-conversion path so the two can check each other.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from typing import Iterator, Mapping, Sequence
 
 from .rings import GradedPoly, Ring
@@ -216,17 +219,22 @@ def monomial_to_elementary(lam: Sequence[int], nvars: int) -> GradedPoly:
 # direct evaluation
 
 
-def _distinct_permutations(items: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    if not items:
-        yield ()
-        return
-    previous: int | None = None
-    for i, value in enumerate(items):
-        if value == previous:
-            continue
-        previous = value
-        for rest in _distinct_permutations(items[:i] + items[i + 1 :]):
-            yield (value,) + rest
+def _distinct_permutations(items: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """Distinct permutations in lexicographic order, by next-permutation."""
+    perm = sorted(items)
+    last = len(perm) - 1
+    while True:
+        yield tuple(perm)
+        i = last - 1
+        while i >= 0 and perm[i] >= perm[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = last
+        while perm[j] <= perm[i]:
+            j -= 1
+        perm[i], perm[j] = perm[j], perm[i]
+        perm[i + 1 :] = perm[:i:-1]
 
 
 def symfun_eval(
@@ -237,25 +245,33 @@ def symfun_eval(
 
     Each m_lambda is summed directly over the distinct permutations of its
     padded exponent vector.  The point must have at least weight-many
-    coordinates so results agree with the elementary-basis picture.
+    coordinates so results agree with the elementary-basis picture.  The
+    coordinates are written as a_i / D over a common denominator D, so each
+    summand is a product of precomputed integer powers a_i^e and the sum
+    for a weight-w lambda is divided by D^w once.
     """
+    coords = [Fraction(x) for x in point]
+    scale = lcm(*(x.denominator for x in coords))
+    numerators = [x.numerator * (scale // x.denominator) for x in coords]
+    checked = [(_check_partition(lam), coeff) for lam, coeff in expr.items()]
+    top = max((lam[0] for lam, _ in checked if lam), default=0)
+    powers = [[a**e for e in range(top + 1)] for a in numerators]
     total = Fraction(0)
-    for lam, coeff in expr.items():
-        lam = _check_partition(lam)
+    for lam, coeff in checked:
         weight = sum(lam)
         if len(point) < weight:
             raise ValueError(
                 f"point has {len(point)} coordinates, below weight {weight}"
             )
-        padded = tuple(lam) + (0,) * (len(point) - len(lam))
-        value = Fraction(0)
-        for exponents in _distinct_permutations(tuple(sorted(padded, reverse=True))):
-            product = Fraction(1)
-            for x, e in zip(point, exponents):
+        padded = lam + (0,) * (len(point) - len(lam))
+        value = 0
+        for exponents in _distinct_permutations(padded):
+            product = 1
+            for row, e in zip(powers, exponents):
                 if e:
-                    product *= Fraction(x) ** e
+                    product *= row[e]
             value += product
-        total += Fraction(coeff) * value
+        total += Fraction(coeff) * Fraction(value, scale**weight)
     return total
 
 

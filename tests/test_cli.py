@@ -7,7 +7,7 @@ import pytest
 
 from charclasses.cli import main
 from charclasses.documents import space_to_document
-from charclasses.spaces import hp, sphere
+from charclasses.spaces import cp, hp, product_space, sphere
 
 
 def run_cli(capsys, *argv):
@@ -96,6 +96,23 @@ def test_signature_missing_file(capsys):
     code, _, err = run_cli(capsys, "signature", "/no/such/file.json")
     assert code == 2
     assert "cannot read" in err
+
+
+@pytest.mark.parametrize(
+    "make, expected",
+    [
+        (lambda: cp(40), "1"),
+        (lambda: product_space(cp(20), cp(20, gen="g")), "1"),
+        (lambda: product_space(sphere(72), hp(2)), "0"),
+    ],
+    ids=["CP40", "CP20xCP20", "S72xHP2"],
+)
+def test_signature_at_dimension_eighty(capsys, tmp_path, make, expected):
+    # weight 20: far past the genus table guardrail, evaluated in the space
+    path = write_json(tmp_path, "space.json", space_to_document(make()))
+    code, out, _ = run_cli(capsys, "signature", path)
+    assert code == 0
+    assert out == f"signature = {expected}\n"
 
 
 # ----------------------------------------------------------------------

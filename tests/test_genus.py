@@ -16,6 +16,7 @@ from charclasses.genus import (
     weight_ring,
 )
 from charclasses.spaces import cp, hp, product_space, sphere
+from charclasses.symfun import monomial_to_elementary, partitions
 
 
 def bernoulli_akiyama_tanigawa(n):
@@ -217,3 +218,89 @@ def test_custom_sequence_without_linear_term():
     assert seq.k_polynomial(1).is_zero()
     with pytest.raises(ValueError):
         solve_pontryagin(seq, ring.poly("y"), [], ring, 1)
+
+
+# ----------------------------------------------------------------------
+# Newton recurrence against the partition route
+
+
+def partition_route_k_polynomial(seq, n):
+    """K_n as sum over partitions lam of n of (prod_j q_{lam_j}) m_lam,
+    each m_lam rewritten in the elementary basis, e_j renamed to p_j."""
+    ring = weight_ring(n)
+    total = ring.zero()
+    for lam in partitions(n):
+        coeff = Fraction(1)
+        for part in lam:
+            coeff *= seq.q_coeffs[part - 1]
+        if coeff:
+            epoly = monomial_to_elementary(lam, n)
+            # elementary_ring(n) and weight_ring(n) both declare their
+            # generators from index n down to 1, so exponent vectors agree
+            total = total + ring.poly(dict(epoly.terms)) * coeff
+    return total
+
+
+@pytest.mark.parametrize("make", [l_sequence, ahat_sequence], ids=["L", "Ahat"])
+def test_newton_k_polynomials_equal_partition_route(make):
+    seq = make(12)
+    for n in range(1, 13):
+        newton = seq.k_polynomial(n)
+        oracle = partition_route_k_polynomial(seq, n)
+        assert newton == oracle, f"K_{n}"
+        assert str(newton) == str(oracle), f"K_{n}"
+
+
+def substituted(kpoly, p_classes, ring):
+    """K_n(p_1..p_n) formed by substitution into the space's ring."""
+    mapping = {f"p{i}": cls for i, cls in enumerate(p_classes, start=1)}
+    return kpoly.substitute(mapping, ring)
+
+
+IN_SPACE_WEIGHT = 6
+IN_SPACE_MODELS = (
+    [cp(2 * k) for k in range(1, IN_SPACE_WEIGHT + 1)]
+    + [hp(2)]
+    + [product_space(sphere(k), hp(2)) for k in (2, 4, 8, 12, 16)]
+    + [
+        product_space(cp(a), cp(b, gen="g"))
+        for a, b in (
+            (1, 1), (1, 2), (2, 2), (1, 3), (3, 3), (2, 4), (4, 4), (1, 7), (5, 5), (6, 6)
+        )
+    ]
+)
+
+
+@pytest.mark.parametrize("make", [l_sequence, ahat_sequence], ids=["L", "Ahat"])
+def test_in_space_evaluation_equals_substitution(make):
+    seq = make(IN_SPACE_WEIGHT)
+    for space in IN_SPACE_MODELS:
+        ring = space.ring
+        p_classes = [
+            space.total_p.graded_component(4 * i)
+            for i in range(1, IN_SPACE_WEIGHT + 1)
+        ]
+        label = f"{ring.names} dim {space.dimension}"
+
+        expected_total = ring.one()
+        for n in range(1, IN_SPACE_WEIGHT + 1):
+            expected_total = expected_total + substituted(
+                seq.k_polynomial(n), p_classes[:n], ring
+            )
+        total = seq.total_class(space.total_p, ring, IN_SPACE_WEIGHT)
+        assert total == expected_total, label
+
+        n_top = space.dimension // 4
+        if space.dimension % 4 == 0 and n_top <= IN_SPACE_WEIGHT:
+            top = substituted(seq.k_polynomial(n_top), p_classes[:n_top], ring)
+            assert evaluate_genus(space, seq) == top.coefficient(space.fundamental), label
+
+        for n in range(1, IN_SPACE_WEIGHT + 1):
+            kpoly = seq.k_polynomial(n)
+            lower = substituted(kpoly, p_classes[: n - 1] + [ring.zero()], ring)
+            expected = (total.graded_component(4 * n) - lower) * (
+                Fraction(1) / kpoly.coefficient(f"p{n}")
+            )
+            solved = solve_pontryagin(seq, total, p_classes[: n - 1], ring, n)
+            assert solved == expected, f"{label} weight {n}"
+            assert solved == p_classes[n - 1], f"{label} weight {n}"

@@ -1,0 +1,102 @@
+"""Alternating parent/change pairs of benchmark runs, summarised as JSON.
+
+    python3 tools/ab_pairs.py --parent DIR --change DIR --workload W \
+        --seeds 11,12,13 [--trace 0|1] --out BENCH_label.json
+
+DIR is a source checkout with ``perfbench/run.py``.  For each seed and
+workload the two checkouts run ``python3 perfbench/run.py --workload W
+--seed N --seconds S --trace T`` one after the other, the parent first on
+even pair indices and the change first on odd ones.  S is ``run_seconds``
+from BENCHMARK.json, so both sides run as long as the benchmark does.  Runs are appended to
+``--out`` if it exists, and the summary is rebuilt over all its runs: for
+each (workload, trace) group and metric, each side's median and quartiles,
+and how many pairs the change won ("better" is read from BENCHMARK.json;
+ties count for neither side).  Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", str(trace)]
+    done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
+    lines = done.stdout.strip().splitlines()
+    return {"result": json.loads(lines[-1]), "unscaled": lines[-2] if len(lines) > 1 else None}
+
+
+def quartiles(values: list[float]) -> dict[str, float]:
+    if len(values) < 2:
+        return {"median": values[0], "q1": values[0], "q3": values[0]}
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def summarise(runs: list[dict], spec: dict) -> list[dict]:
+    better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    groups: dict[tuple[str, int], dict[int, dict[str, dict]]] = {}
+    for run in runs:
+        pairs = groups.setdefault((run["workload"], run["trace"]), {})
+        pairs.setdefault(run["pair"], {})[run["side"]] = run["result"]["metrics"]
+    summary = []
+    for (workload, trace), pairs in sorted(groups.items()):
+        complete = [p for _, p in sorted(pairs.items()) if len(p) == 2]
+        metrics = {}
+        for name in complete[0]["parent"] if complete else ():
+            parent = [p["parent"][name]["value"] for p in complete]
+            change = [p["change"][name]["value"] for p in complete]
+            sign = 1 if better.get(name, "lower") == "lower" else -1
+            wins = sum(sign * (a - b) > 0 for a, b in zip(parent, change))
+            losses = sum(sign * (a - b) < 0 for a, b in zip(parent, change))
+            metrics[name] = {"unit": complete[0]["parent"][name]["unit"],
+                             "better": better.get(name), "parent": quartiles(parent),
+                             "change": quartiles(change), "change_wins": wins,
+                             "change_losses": losses}
+        summary.append({"workload": workload, "trace": trace, "pairs": len(complete),
+                        "metrics": metrics})
+    return summary
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", type=Path, required=True)
+    parser.add_argument("--change", type=Path, required=True)
+    parser.add_argument("--workload", action="append", required=True)
+    parser.add_argument("--seeds", required=True, help="comma-separated")
+    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args(argv)
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = spec["run_seconds"]
+    doc = json.loads(args.out.read_text()) if args.out.exists() else {
+        "python": platform.python_version(), "machine": platform.machine(),
+        "runs": []}
+    sides = {"parent": args.parent, "change": args.change}
+    for seed in (int(s) for s in args.seeds.split(",")):
+        for workload in args.workload:
+            pair = sum(1 for r in doc["runs"] if r["workload"] == workload
+                       and r["trace"] == args.trace and r["side"] == "parent")
+            order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+            for side in order:
+                out = run_once(sides[side], workload, seed, seconds, args.trace)
+                doc["runs"].append(dict(out, workload=workload, trace=args.trace, seed=seed,
+                                        seconds=seconds, pair=pair, side=side))
+                print(workload, seed, side, json.dumps(out["result"]["metrics"].get("wall_s")),
+                      flush=True)
+            doc["summary"] = summarise(doc["runs"], spec)
+            args.out.write_text(json.dumps(doc, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
