@@ -58,7 +58,8 @@ def _read_document(path: str) -> Any:
         raise _InputError(f"cannot read {path!r}: {exc}") from exc
     try:
         return json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # JSONDecodeError, or an integer past CPython's int-digit limit
         raise _InputError(f"invalid JSON in {path!r}: {exc}") from exc
 
 

@@ -35,6 +35,7 @@ from typing import Any, Mapping
 
 from .bundles import BundleModel, product_bundle, projectivize
 from .rings import GradedPoly, Ring
+from .scalars import validate_modulus
 from .spaces import SpaceModel
 
 __all__ = [
@@ -135,6 +136,11 @@ def _characteristic_field(doc: Mapping[str, Any], path: str) -> int:
     value = _field(doc, "characteristic", path)
     if not isinstance(value, int) or isinstance(value, bool) or value < 0:
         raise DocumentError(f"{path}/characteristic", "expected 0 or a prime")
+    if value:
+        try:
+            validate_modulus(value)
+        except ValueError as exc:
+            raise DocumentError(f"{path}/characteristic", str(exc)) from exc
     return value
 
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
-from .scalars import PrimeScalar, is_prime, scalar_from_int
+from .scalars import PrimeScalar, _unchecked, validate_modulus
 
 __all__ = [
     "Generator",
@@ -44,8 +44,6 @@ __all__ = [
 
 Scalar = Union[Fraction, PrimeScalar]
 Monomial = tuple[int, ...]
-
-_PRIMALITY_BOUND = 10**6
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<number>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^]))"
@@ -69,7 +67,9 @@ class Ring:
     Parameters
     ----------
     characteristic:
-        0 for rational coefficients, or a prime p.
+        0 for rational coefficients, or a prime p below
+        ``scalars.MAX_MODULUS``, validated here once for every scalar of
+        the ring.
     generators:
         ordered iterable of Generator or (name, degree) pairs.
     rules:
@@ -86,11 +86,8 @@ class Ring:
         generators: Iterable[Generator | tuple[str, int]],
         rules: Iterable[tuple[str | tuple[str, int], object]] = (),
     ) -> None:
-        if characteristic < 0:
-            raise ValueError(f"bad characteristic {characteristic}")
-        if characteristic > 0:
-            if characteristic <= _PRIMALITY_BOUND and not is_prime(characteristic):
-                raise ValueError(f"characteristic {characteristic} is not prime")
+        if characteristic != 0:
+            validate_modulus(characteristic)
         gens = tuple(
             g if isinstance(g, Generator) else Generator(g[0], g[1])
             for g in generators
@@ -176,20 +173,20 @@ class Ring:
                     raise ValueError(f"bad exponent vector {mon}")
                 c = self.coerce_scalar(coeff)
                 if c:
-                    out[mon] = out.get(mon, self.zero_scalar()) + c
+                    out[mon] = out.get(mon, self.coerce_scalar(0)) + c
             return {m: c for m, c in out.items() if c}
         raise TypeError(f"cannot build a polynomial from {source!r}")
 
     # ------------------------------------------------------------------
     # scalars
 
-    def zero_scalar(self) -> Scalar:
-        return scalar_from_int(0, self.characteristic)
-
-    def one_scalar(self) -> Scalar:
-        return scalar_from_int(1, self.characteristic)
-
     def coerce_scalar(self, value: object) -> Scalar:
+        """The image of an int, or a scalar of this field, in the field.
+
+        The one int-to-scalar path of the package.  In characteristic p it
+        builds the scalar without checking the modulus again, because the
+        ring validated it.
+        """
         if isinstance(value, bool):
             raise TypeError("booleans are not scalars")
         if self.characteristic == 0:
@@ -208,7 +205,7 @@ class Ring:
                 )
             return value
         if isinstance(value, int):
-            return PrimeScalar(value, self.characteristic)
+            return _unchecked(value, self.characteristic)
         raise TypeError(
             f"cannot use {value!r} as a characteristic {self.characteristic} coefficient"
         )
@@ -303,7 +300,7 @@ class Ring:
         if len(terms) != 1:
             raise ValueError(f"{source!r} is not a single monomial")
         ((mon, coeff),) = terms.items()
-        if coeff != self.one_scalar():
+        if coeff != self.coerce_scalar(1):
             raise ValueError(f"{source!r} has a coefficient, expected a bare monomial")
         return mon
 
@@ -466,13 +463,13 @@ class GradedPoly:
         return GradedPoly(self.ring, picked, _normalized=True)
 
     def constant_term(self) -> Scalar:
-        return self.terms.get(self.ring.unit_monomial(), self.ring.zero_scalar())
+        return self.terms.get(self.ring.unit_monomial(), self.ring.coerce_scalar(0))
 
     def coefficient(self, mon: Monomial | str) -> Scalar:
         """Coefficient of a monomial (given as exponent vector or text)."""
         if isinstance(mon, str):
             mon = self.ring.monomial(mon)
-        return self.terms.get(tuple(mon), self.ring.zero_scalar())
+        return self.terms.get(tuple(mon), self.ring.coerce_scalar(0))
 
     def inverse_unit(self, max_degree: int) -> "GradedPoly":
         """Multiplicative inverse through the stated degree.
@@ -485,7 +482,7 @@ class GradedPoly:
         if not c:
             raise ValueError("polynomial has no unit constant term")
         one = self.ring.one()
-        tail = (one - self * (one.ring.one_scalar() / c)).truncate(max_degree)
+        tail = (one - self * (1 / c)).truncate(max_degree)
         acc = one
         power = one
         while True:
@@ -493,7 +490,7 @@ class GradedPoly:
             if power.is_zero():
                 break
             acc = acc + power
-        return acc * (one.ring.one_scalar() / c)
+        return acc * (1 / c)
 
     def substitute(
         self,
@@ -513,7 +510,7 @@ class GradedPoly:
             images[idx] = value if isinstance(value, GradedPoly) else target.poly(value)
         result = target.zero()
         for mon, coeff in self.terms.items():
-            piece = target.poly(_scalar_transport(coeff, target))
+            piece = target.poly(coeff)
             for idx, e in enumerate(mon):
                 if e == 0:
                     continue
@@ -527,7 +524,7 @@ class GradedPoly:
 
     def evaluate_scalars(self, values: Mapping[str, Scalar]) -> Scalar:
         """Evaluate at scalar values for the generators."""
-        total = self.ring.zero_scalar()
+        total = self.ring.coerce_scalar(0)
         for mon, coeff in self.terms.items():
             piece = coeff
             for idx, e in enumerate(mon):
@@ -682,10 +679,6 @@ def _term_str(ring: Ring, mon: Monomial, coeff: Scalar) -> tuple[str, bool]:
     if is_one:
         return monomial, negative
     return f"{mag}*{monomial}", negative
-
-
-def _scalar_transport(coeff: Scalar, target: Ring) -> Scalar:
-    return target.coerce_scalar(coeff)
 
 
 # ----------------------------------------------------------------------

@@ -7,6 +7,13 @@ coefficients are :class:`PrimeScalar` values.  The two kinds never mix: any
 binary operation across characteristics raises ``TypeError``, and operations
 between prime-field scalars with different moduli raise ``ValueError``.
 
+A modulus is validated once, where it enters: by :func:`validate_modulus`
+when a ``PrimeScalar`` is constructed and when a ``Ring`` of characteristic
+p is built.  It must be a prime below ``MAX_MODULUS`` (about 3.3e24), the
+bound below which :func:`is_prime` decides primality exactly.  Arithmetic
+results live on a modulus that was already validated, so they skip the
+check.
+
 Canonical text forms:
 
 * rational input: ``"a/b"`` or ``"a"`` (optional sign, no decimals);
@@ -22,6 +29,7 @@ from fractions import Fraction
 
 __all__ = [
     "Fraction",
+    "MAX_MODULUS",
     "PrimeScalar",
     "format_rational",
     "is_prime",
@@ -29,44 +37,84 @@ __all__ = [
     "scalar_from_int",
     "scalar_one",
     "scalar_zero",
+    "validate_modulus",
 ]
 
-_PRIMALITY_BOUND = 10**6
+# The k-th entry is the smallest composite that is a strong pseudoprime to
+# each of the first k prime bases 2, 3, 5, ..., 41 (OEIS A014233; Jaeschke,
+# Math. Comp. 61 (1993); Sorenson and Webster, Math. Comp. 86 (2017)), so
+# below it Miller-Rabin with those k bases decides primality exactly.
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSEUDOPRIMES = (
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 341550071728321, 3825123056546413051,
+    3825123056546413051, 3825123056546413051, 318665857834031151167461,
+    3317044064679887385961981,
+)
+MAX_MODULUS = _PSEUDOPRIMES[-1]
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality test (intended for n <= 10^6)."""
+    """Deterministic Miller-Rabin primality test for n < MAX_MODULUS.
+
+    It tries the prime bases 2, 3, 5, ... in turn and stops as soon as the
+    bases tried decide primality for n, so small n need only a few.
+
+    Raises ValueError at or above MAX_MODULUS, where the fixed bases no
+    longer decide primality.
+    """
+    if n >= MAX_MODULUS:
+        raise ValueError(
+            f"{n} is not below MAX_MODULUS = {MAX_MODULUS}, the limit of "
+            "exact primality testing"
+        )
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
+    for a in _BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a, pseudoprime in zip(_BASES, _PSEUDOPRIMES):
+        x = pow(a, d, n)
+        if x != 1 and x != n - 1:
+            for _ in range(s - 1):
+                x = x * x % n
+                if x == n - 1:
+                    break
+            else:
+                return False
+        if n < pseudoprime:
+            break
     return True
+
+
+def validate_modulus(p: int) -> int:
+    """Return p if it is a prime below MAX_MODULUS; raise ValueError if not."""
+    if not is_prime(p):
+        raise ValueError(f"modulus {p} is not prime")
+    return p
 
 
 @dataclass(frozen=True, slots=True)
 class PrimeScalar:
     """An element of the field with ``modulus`` elements.
 
-    ``value`` is stored reduced to the range 0..modulus-1.  The modulus is
-    validated to be prime when it is at most 10^6; above that, primality is a
-    documented precondition of the caller.
+    ``value`` is stored reduced to the range 0..modulus-1.  Construction
+    validates the modulus: a prime below MAX_MODULUS.  Arithmetic results
+    and int operands are built on the operand's modulus without a second
+    check.
     """
 
     value: int
     modulus: int
 
     def __post_init__(self) -> None:
-        if self.modulus < 2:
-            raise ValueError(f"modulus must be at least 2, got {self.modulus}")
-        if self.modulus <= _PRIMALITY_BOUND and not is_prime(self.modulus):
-            raise ValueError(f"modulus {self.modulus} is not prime")
+        validate_modulus(self.modulus)
         object.__setattr__(self, "value", self.value % self.modulus)
 
     def _coerce(self, other: object) -> "PrimeScalar":
@@ -77,7 +125,7 @@ class PrimeScalar:
                 )
             return other
         if isinstance(other, int):
-            return PrimeScalar(other, self.modulus)
+            return _unchecked(other, self.modulus)
         if isinstance(other, Fraction):
             raise TypeError(
                 "cannot mix characteristic 0 and prime-field scalars"
@@ -86,20 +134,20 @@ class PrimeScalar:
 
     def __add__(self, other: object) -> "PrimeScalar":
         other = self._coerce(other)
-        return PrimeScalar(self.value + other.value, self.modulus)
+        return _unchecked(self.value + other.value, self.modulus)
 
     __radd__ = __add__
 
     def __sub__(self, other: object) -> "PrimeScalar":
         other = self._coerce(other)
-        return PrimeScalar(self.value - other.value, self.modulus)
+        return _unchecked(self.value - other.value, self.modulus)
 
     def __rsub__(self, other: object) -> "PrimeScalar":
         return self._coerce(other).__sub__(self)
 
     def __mul__(self, other: object) -> "PrimeScalar":
         other = self._coerce(other)
-        return PrimeScalar(self.value * other.value, self.modulus)
+        return _unchecked(self.value * other.value, self.modulus)
 
     __rmul__ = __mul__
 
@@ -108,19 +156,34 @@ class PrimeScalar:
         if other.value == 0:
             raise ZeroDivisionError(f"division by zero in field mod {self.modulus}")
         inverse = pow(other.value, -1, self.modulus)
-        return PrimeScalar(self.value * inverse, self.modulus)
+        return _unchecked(self.value * inverse, self.modulus)
 
     def __rtruediv__(self, other: object) -> "PrimeScalar":
         return self._coerce(other).__truediv__(self)
 
     def __neg__(self) -> "PrimeScalar":
-        return PrimeScalar(-self.value, self.modulus)
+        return _unchecked(-self.value, self.modulus)
 
     def __bool__(self) -> bool:
         return self.value != 0
 
     def __str__(self) -> str:
         return f"{self.value} mod {self.modulus}"
+
+
+# the slot descriptors' setters skip the frozen dataclass's __setattr__ and
+# __init__, which would re-run validation
+_new = object.__new__
+_set_value = PrimeScalar.value.__set__
+_set_modulus = PrimeScalar.modulus.__set__
+
+
+def _unchecked(value: int, modulus: int) -> PrimeScalar:
+    """``PrimeScalar(value, modulus)`` for a modulus already validated."""
+    scalar = _new(PrimeScalar)
+    _set_value(scalar, value % modulus)
+    _set_modulus(scalar, modulus)
+    return scalar
 
 
 def parse_rational(text: str) -> Fraction:
@@ -142,16 +205,12 @@ def format_rational(q: Fraction) -> str:
 
 def scalar_zero(characteristic: int) -> Fraction | PrimeScalar:
     """The additive identity of the coefficient field."""
-    if characteristic == 0:
-        return Fraction(0)
-    return PrimeScalar(0, characteristic)
+    return scalar_from_int(0, characteristic)
 
 
 def scalar_one(characteristic: int) -> Fraction | PrimeScalar:
     """The multiplicative identity of the coefficient field."""
-    if characteristic == 0:
-        return Fraction(1)
-    return PrimeScalar(1, characteristic)
+    return scalar_from_int(1, characteristic)
 
 
 def scalar_from_int(n: int, characteristic: int) -> Fraction | PrimeScalar:

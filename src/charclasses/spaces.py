@@ -62,7 +62,7 @@ class SpaceModel:
                 f"{self.ring.monomial_degree(self.fundamental)}, expected "
                 f"{self.dimension}"
             )
-        if self.total_p.constant_term() != self.ring.one_scalar():
+        if self.total_p.constant_term() != self.ring.coerce_scalar(1):
             raise ValueError("total Pontryagin class must have constant term 1")
         if not self.euler.is_zero() and not self.euler.is_homogeneous(self.dimension):
             raise ValueError(
@@ -71,7 +71,7 @@ class SpaceModel:
         if self.total_w is not None:
             if self.ring.characteristic != 2:
                 raise ValueError("total_w only makes sense in characteristic 2")
-            if self.total_w.constant_term() != self.ring.one_scalar():
+            if self.total_w.constant_term() != self.ring.coerce_scalar(1):
                 raise ValueError("total Stiefel-Whitney class must start with 1")
 
 

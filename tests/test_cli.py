@@ -6,7 +6,8 @@ import json
 import pytest
 
 from charclasses.cli import main
-from charclasses.documents import space_to_document
+from charclasses.documents import space_from_document, space_to_document
+from charclasses.scalars import MAX_MODULUS
 from charclasses.spaces import cp, hp, product_space, sphere
 
 
@@ -96,6 +97,50 @@ def test_signature_missing_file(capsys):
     code, _, err = run_cli(capsys, "signature", "/no/such/file.json")
     assert code == 2
     assert "cannot read" in err
+
+
+def test_signature_rejects_integer_past_the_digit_limit(capsys, monkeypatch):
+    # 5001 digits: json.loads raises a plain ValueError, not JSONDecodeError
+    payload = '{"characteristic": 1' + "0" * 5000 + "}"
+    monkeypatch.setattr("sys.stdin", io.StringIO(payload))
+    code, out, err = run_cli(capsys, "signature", "-")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: invalid JSON in '-': ")
+
+
+def char_p_document(characteristic):
+    return {
+        "characteristic": characteristic,
+        "ring": {
+            "generators": [{"name": "y", "degree": 4}],
+            "relations": [{"lhs": "y^3", "rhs": "0"}],
+        },
+        "dimension": 8,
+        "fundamental": "y^2",
+        "total_p": "1",
+        "euler": "3*y^2",
+    }
+
+
+@pytest.mark.parametrize(
+    "characteristic", [6, 1000001, MAX_MODULUS], ids=["6", "1000001", "MAX_MODULUS"]
+)
+def test_signature_reports_bad_characteristic_at_its_pointer(
+    capsys, tmp_path, characteristic
+):
+    path = write_json(tmp_path, "space.json", char_p_document(characteristic))
+    code, out, err = run_cli(capsys, "signature", path)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: /characteristic: ")
+    if characteristic == MAX_MODULUS:
+        assert "MAX_MODULUS" in err
+
+
+def test_large_prime_characteristic_decodes():
+    space = space_from_document(char_p_document(2**61 - 1))
+    assert space.ring.characteristic == 2**61 - 1
 
 
 @pytest.mark.parametrize(

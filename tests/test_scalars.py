@@ -5,7 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+from charclasses import rings, scalars
+from charclasses.rings import Ring
 from charclasses.scalars import (
+    _BASES,
+    _PSEUDOPRIMES,
+    MAX_MODULUS,
     PrimeScalar,
     format_rational,
     is_prime,
@@ -13,6 +18,7 @@ from charclasses.scalars import (
     scalar_from_int,
     scalar_one,
     scalar_zero,
+    validate_modulus,
 )
 
 
@@ -138,3 +144,129 @@ def test_scalar_factories():
     assert scalar_zero(5) == PrimeScalar(0, 5)
     assert scalar_one(5) == PrimeScalar(1, 5)
     assert scalar_from_int(12, 5) == PrimeScalar(2, 5)
+
+
+# ----------------------------------------------------------------------
+# the modulus validator
+
+
+def trial_division_is_prime(n):
+    if n < 2 or n % 2 == 0:
+        return n == 2
+    d = 3
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 2
+    return True
+
+
+def test_is_prime_agrees_with_trial_division_below_1e5():
+    assert [n for n in range(10**5) if is_prime(n)] == [
+        n for n in range(10**5) if trial_division_is_prime(n)
+    ]
+
+
+def strong_probable_prime(n, a):
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def test_pseudoprime_table_entries_fool_their_bases_but_not_is_prime():
+    # the k-th entry passes the first k bases; is_prime must still see it
+    # is composite (the last entry is MAX_MODULUS and out of range)
+    for k, n in enumerate(_PSEUDOPRIMES, start=1):
+        assert all(strong_probable_prime(n, a) for a in _BASES[:k])
+        if n < MAX_MODULUS:
+            assert not is_prime(n)
+    assert MAX_MODULUS == 3317044064679887385961981
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        3215031751,  # strong pseudoprime to bases 2, 3, 5, 7
+        3825123056546413051,  # to bases 2..31
+        318665857834031151167461,  # to bases 2..37; only 41 catches it
+    ],
+)
+def test_is_prime_rejects_strong_pseudoprimes(n):
+    assert not is_prime(n)
+    with pytest.raises(ValueError):
+        validate_modulus(n)
+
+
+@pytest.mark.parametrize("p", [2**61 - 1, 2**64 - 59])
+def test_large_primes_are_accepted(p):
+    assert is_prime(p)
+    assert validate_modulus(p) == p
+    assert PrimeScalar(-1, p).value == p - 1
+
+
+@pytest.mark.parametrize("p", [MAX_MODULUS, MAX_MODULUS + 2, 2**89 - 1])
+def test_moduli_at_or_above_the_bound_are_rejected_by_name(p):
+    # MAX_MODULUS passes all 13 bases and 2^89 - 1 is prime: only the bound
+    # can reject them, and the message says so
+    with pytest.raises(ValueError, match="MAX_MODULUS"):
+        validate_modulus(p)
+    with pytest.raises(ValueError, match="MAX_MODULUS"):
+        PrimeScalar(1, p)
+    with pytest.raises(ValueError, match="MAX_MODULUS"):
+        Ring(p, [("x", 2)])
+
+
+def test_composite_1000001_is_rejected():
+    # 1000001 = 101 * 9901
+    with pytest.raises(ValueError):
+        Ring(1000001, [("x", 2)])
+    with pytest.raises(ValueError):
+        PrimeScalar(1, 1000001)
+
+
+def test_arithmetic_never_revalidates_the_modulus(monkeypatch):
+    p = 999983
+    a, b = PrimeScalar(3, p), PrimeScalar(5, p)
+    ring = Ring(p, [("x", 2), ("y", 2)], [("x^3", "y^3")])
+    f = ring.poly("3*x + 2*y")
+    g = ring.poly("x - 4*y")
+    expected = {
+        "sum": PrimeScalar(8, p),
+        "difference": PrimeScalar(-2, p),
+        "product": PrimeScalar(15, p),
+        "quotient": PrimeScalar(3 * pow(5, -1, p), p),
+        "negation": PrimeScalar(-3, p),
+        "int operands": PrimeScalar(2 + 3 * 7 - 1, p),
+        "int divided": PrimeScalar(pow(3, -1, p), p),
+        "poly product": ring.poly("3*x^2 - 10*x*y - 8*y^2"),
+        "normal form": ring.poly("54*x^2*y + 36*x*y^2 + 35*y^3"),
+        "scaled coefficient": PrimeScalar(6, p),
+    }
+
+    def refuse(modulus):
+        raise AssertionError(f"modulus {modulus} validated again")
+
+    monkeypatch.setattr(scalars, "validate_modulus", refuse)
+    monkeypatch.setattr(scalars, "is_prime", refuse)
+    monkeypatch.setattr(rings, "validate_modulus", refuse)
+
+    assert a + b == expected["sum"]
+    assert a - b == expected["difference"]
+    assert a * b == expected["product"]
+    assert a / b == expected["quotient"]
+    assert -a == expected["negation"]
+    assert 2 + a * 7 - 1 == expected["int operands"]
+    assert 1 / a == expected["int divided"]
+    assert f * g == expected["poly product"]
+    assert f ** 3 == expected["normal form"]
+    assert ring.poly("x^3") == ring.poly("y^3")
+    assert (f * 2).coefficient("x") == expected["scaled coefficient"]
