@@ -53,13 +53,18 @@ def _emit_json(payload: Any) -> None:
 
 def _read_document(path: str) -> Any:
     try:
-        raw = sys.stdin.read() if path == "-" else open(path, encoding="utf-8").read()
-    except OSError as exc:
+        if path == "-":
+            raw = sys.stdin.read()
+        else:
+            with open(path, encoding="utf-8") as handle:
+                raw = handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise _InputError(f"cannot read {path!r}: {exc}") from exc
     try:
         return json.loads(raw)
-    except ValueError as exc:
-        # JSONDecodeError, or an integer past CPython's int-digit limit
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, an integer past CPython's int-digit limit, or
+        # nesting deeper than the interpreter's recursion limit
         raise _InputError(f"invalid JSON in {path!r}: {exc}") from exc
 
 

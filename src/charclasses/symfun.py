@@ -7,8 +7,12 @@ order, which keeps all downstream output deterministic.
 
 The conversion from the monomial basis m_lambda to polynomials in the
 elementary symmetric functions e_1, ..., e_w works at weight w in exactly w
-variables (the stability range), by exact linear elimination against the
-expansions of the products e_mu in the monomial basis.  The table for each
+variables (the stability range).  The matrix of the e_{lambda'} (lambda'
+the conjugate partition) in the monomial basis is unitriangular with
+non-negative integer entries under the dominance order (Macdonald,
+Symmetric Functions and Hall Polynomials, I (2.3)), which the
+reverse-lexicographic order extends; so each m_lambda is solved by integer
+back-substitution along ``partitions(w)`` reversed.  The table for each
 weight is computed once and memoized.  ``genus`` does not use it: it
 evaluates multiplicative sequences by Newton's identities, and this
 conversion is the independent oracle that ``verify`` and the tests hold
@@ -128,65 +132,53 @@ def _elementary_in_monomial_basis(mu: Partition) -> dict[Partition, int]:
     return expr
 
 
-_ELEMENTARY_RINGS: dict[tuple[int, int], Ring] = {}
-_M_TO_E_TABLES: dict[int, dict[Partition, dict[Partition, Fraction]]] = {}
+_ELEMENTARY_RINGS: dict[int, Ring] = {}
+_M_TO_E_TABLES: dict[int, dict[Partition, dict[Partition, int]]] = {}
 
 
-def elementary_ring(weight: int, characteristic: int = 0) -> Ring:
-    """Free ring on e_1..e_weight; e_j carries internal degree 2j.
+def elementary_ring(weight: int) -> Ring:
+    """Free ring over Q on e_1..e_weight; e_j carries internal degree 2j.
 
     Generators are declared largest index first, which makes printed terms
     come out leading-generator first.
     """
-    key = (weight, characteristic)
-    if key not in _ELEMENTARY_RINGS:
+    if weight not in _ELEMENTARY_RINGS:
         gens = [(f"e{j}", 2 * j) for j in range(weight, 0, -1)]
-        _ELEMENTARY_RINGS[key] = Ring(characteristic, gens)
-    return _ELEMENTARY_RINGS[key]
+        _ELEMENTARY_RINGS[weight] = Ring(0, gens)
+    return _ELEMENTARY_RINGS[weight]
 
 
-def _m_to_e_table(n: int) -> dict[Partition, dict[Partition, Fraction]]:
-    """For each lam of weight n, the e_mu coefficients expressing m_lam."""
+def _conjugate(lam: Partition) -> Partition:
+    """The conjugate partition: its i-th part counts the parts of lam >= i."""
+    return tuple(sum(p >= i for p in lam) for i in range(1, lam[0] + 1))
+
+
+def _m_to_e_table(n: int) -> dict[Partition, dict[Partition, int]]:
+    """For each lam of weight n, the e_mu coefficients expressing m_lam.
+
+    By Macdonald, Symmetric Functions and Hall Polynomials, I (2.3),
+    e_{lam'} = m_lam + sum of a_{lam,mu} m_mu over the mu strictly dominated
+    by lam, where lam' is the conjugate of lam and the a_{lam,mu} are
+    non-negative integers.  Reverse-lexicographic order extends dominance,
+    so walking ``partitions(n)`` backwards finds every such m_mu already
+    solved, and m_lam = e_{lam'} - sum a_{lam,mu} m_mu has integer
+    coefficients.
+    """
     if n in _M_TO_E_TABLES:
         return _M_TO_E_TABLES[n]
-    parts = partitions(n)
-    index = {lam: i for i, lam in enumerate(parts)}
-    size = len(parts)
-    # rows: e_mu in the m basis; solve B A = I for B, giving m in the e basis
-    matrix = [[Fraction(0)] * size for _ in range(size)]
-    for i, mu in enumerate(parts):
-        for lam, coeff in _elementary_in_monomial_basis(mu).items():
-            matrix[i][index[lam]] = Fraction(coeff)
-    inverse = _invert_matrix(matrix)
-    table: dict[Partition, dict[Partition, Fraction]] = {}
-    for j, lam in enumerate(parts):
-        row = {
-            parts[i]: inverse[j][i] for i in range(size) if inverse[j][i]
-        }
-        table[lam] = row
+    table: dict[Partition, dict[Partition, int]] = {}
+    for lam in reversed(partitions(n)):
+        conjugate = _conjugate(lam)
+        row = _elementary_in_monomial_basis(conjugate)
+        if row.pop(lam, 0) != 1:
+            raise ArithmeticError(f"e_{conjugate} does not lead with m_{lam}")
+        solved = {conjugate: 1}
+        for mu, a in row.items():
+            for nu, c in table[mu].items():
+                solved[nu] = solved.get(nu, 0) - a * c
+        table[lam] = {nu: c for nu, c in solved.items() if c}
     _M_TO_E_TABLES[n] = table
     return table
-
-
-def _invert_matrix(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Exact inverse by Gauss-Jordan elimination with first-nonzero pivoting."""
-    size = len(matrix)
-    work = [row[:] + [Fraction(int(i == j)) for j in range(size)]
-            for i, row in enumerate(matrix)]
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if work[r][col]), None)
-        if pivot is None:
-            raise ValueError("elementary-basis expansion matrix is singular")
-        work[col], work[pivot] = work[pivot], work[col]
-        scale = work[col][col]
-        work[col] = [v / scale for v in work[col]]
-        for r in range(size):
-            if r != col and work[r][col]:
-                factor = work[r][col]
-                work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
-    # columns of the inverse times rows: B with B A = I means B = A^{-1};
-    # Gauss-Jordan on [A | I] leaves [I | A^{-1}]
-    return [row[size:] for row in work]
 
 
 def monomial_to_elementary(lam: Sequence[int], nvars: int) -> GradedPoly:

@@ -109,6 +109,27 @@ def test_signature_rejects_integer_past_the_digit_limit(capsys, monkeypatch):
     assert err.startswith("error: invalid JSON in '-': ")
 
 
+def test_signature_rejects_nesting_past_the_recursion_limit(capsys, monkeypatch):
+    # json.loads raises RecursionError, which is not a ValueError
+    monkeypatch.setattr("sys.stdin", io.StringIO("[" * 100000))
+    code, out, err = run_cli(capsys, "signature", "-")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: invalid JSON in '-': ")
+
+
+@pytest.mark.parametrize(
+    "argv", [("signature",), ("kappa", "--class", "e", "--bundle")]
+)
+def test_document_file_that_is_not_utf8(capsys, tmp_path, argv):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"a": "\xff"}')
+    code, out, err = run_cli(capsys, *argv, str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot read {str(path)!r}: ")
+
+
 def char_p_document(characteristic):
     return {
         "characteristic": characteristic,

@@ -8,6 +8,8 @@ from math import comb, prod
 import pytest
 
 from charclasses.symfun import (
+    _elementary_in_monomial_basis,
+    _m_to_e_table,
     elementary_ring,
     elementary_values,
     monomial_to_elementary,
@@ -91,6 +93,21 @@ def test_conversion_validates_input():
         monomial_to_elementary((3, 1), 3)
     with pytest.raises(ValueError):
         monomial_to_elementary((), 1)
+
+
+def test_m_to_e_table_inverts_the_elementary_expansion():
+    # substituting m_lam -> table[lam] into e_mu = sum a_{mu,lam} m_lam
+    # must give back e_mu, in integers, for every mu of weight up to 12
+    for n in range(1, 13):
+        table = _m_to_e_table(n)
+        for row in table.values():
+            assert all(type(c) is int for c in row.values())
+        for mu in partitions(n):
+            product = {}
+            for lam, a in _elementary_in_monomial_basis(mu).items():
+                for nu, c in table[lam].items():
+                    product[nu] = product.get(nu, 0) + a * c
+            assert {nu: c for nu, c in product.items() if c} == {mu: 1}
 
 
 def test_symfun_eval_hand_values():

@@ -11,6 +11,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
+from charclasses import symfun
+
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
@@ -32,3 +34,17 @@ def test_every_tracer_target_resolves(monkeypatch):
         for part in path:
             owner = getattr(owner, part)
         assert attr in owner.__dict__, f"{target.module}.{target.attr}"
+
+
+def test_tracer_hooks_read_the_package(monkeypatch):
+    # the hooks read package state too: the table hook looks up
+    # symfun._M_TO_E_TABLES before each call of symfun._m_to_e_table
+    tracer = load_tracer(monkeypatch)
+    t = tracer.Tracer()
+    restore = tracer.install(t)
+    try:
+        symfun.monomial_to_elementary((2, 1), 3)
+        symfun.monomial_to_elementary((3,), 3)
+    finally:
+        tracer.uninstall(restore)
+    assert t.counts["symfun.table_lookups"] == 2
