@@ -30,6 +30,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .scalars import PrimeScalar, _unchecked, validate_modulus
@@ -241,37 +242,59 @@ class Ring:
         terms: Mapping[Monomial, Scalar],
         choose: Callable[[list[int]], int] | None = None,
     ) -> dict[Monomial, Scalar]:
-        """Reduce a term dict modulo the rules.
+        """Reduce a term dict modulo the rules, in rounds.
+
+        Each round rewrites every pending term once.  An irreducible term is
+        added into the result.  A reducible one is replaced by its image
+        under one rule, and the images of the whole round are summed into
+        the next round's pending dict, so like terms merge, and cancelled
+        ones drop out, before they are rewritten again.  A rule
+        g^k -> c*m with a single monomial on the right fires as often as
+        it applies in one step: q = (e - k) // (k - m_g) + 1 times for g at
+        exponent e, giving coefficient c^q.
 
         ``choose`` picks which applicable rule to fire (given the list of
-        applicable generator indices); it exists so tests can randomize the
-        reduction order and confirm confluence.  Rules preserve degree, and
-        each application strictly lowers the exponent of its generator, so
-        the worklist empties.
+        applicable generator indices; the first by default).  It exists so
+        tests can randomize the reduction order and confirm confluence.
+
+        Termination: each round applies to each pending term rewrites that
+        one-term-at-a-time reduction could apply too, so the rounds end
+        whenever every rewrite chain from the input ends.  That holds for
+        the presentations this package builds; rules that can cycle, such
+        as ``x^2 -> x*y`` with ``y^2 -> x*y``, have no normal form.
         """
-        if choose is None:
-            choose = lambda applicable: 0
         rules = self.rules
         out: dict[Monomial, Scalar] = {}
-        work = [(mon, coeff) for mon, coeff in terms.items() if coeff]
-        while work:
-            mon, coeff = work.pop()
-            applicable = [i for i, (k, _) in rules.items() if mon[i] >= k]
-            if not applicable:
-                acc = out.get(mon)
-                acc = coeff if acc is None else acc + coeff
-                if acc:
-                    out[mon] = acc
-                elif mon in out:
-                    del out[mon]
-                continue
-            i = applicable[choose(applicable)]
-            k, rhs = rules[i]
-            lowered = list(mon)
-            lowered[i] -= k
-            for rmon, rcoeff in rhs.items():
-                pushed = tuple(a + b for a, b in zip(lowered, rmon))
-                work.append((pushed, coeff * rcoeff))
+        pending: Mapping[Monomial, Scalar] = terms
+        while pending:
+            images: dict[Monomial, Scalar] = {}
+            for mon, coeff in pending.items():
+                if not coeff:
+                    continue
+                applicable = [i for i, (k, _) in rules.items() if mon[i] >= k]
+                if not applicable:
+                    acc = out.get(mon)
+                    acc = coeff if acc is None else acc + coeff
+                    if acc:
+                        out[mon] = acc
+                    elif mon in out:
+                        del out[mon]
+                    continue
+                i = applicable[choose(applicable) if choose else 0]
+                k, rhs = rules[i]
+                q = 1
+                if len(rhs) == 1:
+                    ((rmon, rcoeff),) = rhs.items()
+                    q = (mon[i] - k) // (k - rmon[i]) + 1
+                    rhs = {tuple(q * e for e in rmon): rcoeff ** q}
+                lowered = list(mon)
+                lowered[i] -= q * k
+                for rmon, rcoeff in rhs.items():
+                    pushed = tuple(map(add, lowered, rmon))
+                    c = coeff * rcoeff
+                    acc = images.get(pushed)
+                    images[pushed] = c if acc is None else acc + c
+            pending = images
         return out
 
     # ------------------------------------------------------------------
@@ -410,8 +433,13 @@ class GradedPoly:
         if not isinstance(n, int) or n < 0:
             raise ValueError(f"polynomial powers must be nonnegative integers, got {n}")
         result = self.ring.one()
-        for _ in range(n):
-            result = result * self
+        square = self
+        while n:
+            if n & 1:
+                result = result * square
+            n >>= 1
+            if n:
+                square = square * square
         return result
 
     def __eq__(self, other: object) -> bool:
@@ -582,10 +610,7 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
                 raise ValueError(f"bad character {text[pos:].strip()[0]!r} in polynomial")
             break
         pos = m.end()
-        for kind in ("number", "name", "op"):
-            if m.group(kind) is not None:
-                tokens.append((kind, m.group(kind)))
-                break
+        tokens.append((m.lastgroup, m.group(m.lastgroup)))
     return tokens
 
 

@@ -2,9 +2,11 @@
 
 import io
 import json
+from pathlib import Path
 
 import pytest
 
+from charclasses import cli
 from charclasses.cli import main
 from charclasses.documents import space_from_document, space_to_document
 from charclasses.scalars import MAX_MODULUS
@@ -130,6 +132,27 @@ def test_document_file_that_is_not_utf8(capsys, tmp_path, argv):
     assert err.startswith(f"error: cannot read {str(path)!r}: ")
 
 
+def test_document_past_the_size_bound_on_stdin(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_DOCUMENT_BYTES", 16)
+    monkeypatch.setattr("sys.stdin", io.StringIO(" " * 16 + "{}"))
+    code, out, err = run_cli(capsys, "signature", "-")
+    assert code == 2
+    assert out == ""
+    assert err == "error: cannot read '-': document exceeds 16 bytes\n"
+
+
+def test_document_past_the_size_bound_in_a_file(capsys, monkeypatch, tmp_path):
+    path = write_json(tmp_path, "hp2.json", space_to_document(hp(2)))
+    size = len(Path(path).read_text(encoding="utf-8"))
+    monkeypatch.setattr(cli, "MAX_DOCUMENT_BYTES", size)
+    assert run_cli(capsys, "signature", path) == (0, "signature = 1\n", "")
+    monkeypatch.setattr(cli, "MAX_DOCUMENT_BYTES", size - 1)
+    code, out, err = run_cli(capsys, "signature", path)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: cannot read {path!r}: document exceeds {size - 1} bytes\n"
+
+
 def char_p_document(characteristic):
     return {
         "characteristic": characteristic,
@@ -242,6 +265,25 @@ def test_kappa_bad_document(capsys, tmp_path):
     code, _, err = run_cli(capsys, "kappa", "--bundle", path, "--class", "e")
     assert code == 2
     assert "/kind" in err
+
+
+@pytest.mark.parametrize(
+    "document, cls, expected",
+    [
+        ("kappa_rank6_free.json", "e^7", "kappa_rank6_free_e7.txt"),
+        ("kappa_rank5_free.json", "e^6", "kappa_rank5_free_e6.txt"),
+    ],
+)
+def test_kappa_of_euler_powers_is_byte_identical_to_golden(
+    capsys, document, cls, expected
+):
+    # rank 6 over free Q[c1,c2,c3] (degrees 2, 4, 6) and rank 5 over
+    # degrees 2..10: the heaviest kappa-rational benchmark ops
+    golden = Path(__file__).parent / "golden"
+    code, out, err = run_cli(capsys, "kappa", "--bundle", str(golden / document),
+                             "--class", cls)
+    assert (code, err) == (0, "")
+    assert out.encode() == (golden / expected).read_bytes()
 
 
 # ----------------------------------------------------------------------

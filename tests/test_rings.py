@@ -1,6 +1,7 @@
 """Ring presentations, normal forms, arithmetic laws, parse/print."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -148,6 +149,32 @@ def test_confluence_under_randomized_rule_choice():
         assert scrambled == default, f"trial {trial} diverged"
 
 
+def test_monomial_rule_fires_in_one_step():
+    ring = Ring(0, [("y", 2), ("z", 6)], [("y^3", "z")])
+    start = time.perf_counter()
+    value = ring.poly({(3000001, 0): 1})
+    elapsed = time.perf_counter() - start
+    assert str(value) == "y*z^1000000"
+    assert elapsed < 0.1
+
+
+def test_monomial_rule_that_keeps_part_of_its_generator():
+    # each firing of g^3 -> -3*g^2*h lowers the exponent of g by one only
+    ring = Ring(0, [("g", 2), ("h", 2)], [("g^3", "-3*g^2*h")])
+    expected = ["g^2*h"] + [
+        f"{(-3) ** q}*g^2*h^{q + 1}" for q in range(1, 7)
+    ]
+    assert [str(ring.poly(f"g^{e}*h")) for e in range(2, 9)] == expected
+
+
+def test_monomial_rules_in_characteristic_two():
+    ring = Ring(2, [("a", 1), ("b", 3)], [("a^3", "b"), ("b^2", "0")])
+    a = ring.gen("a")
+    assert [str(a ** n) for n in range(2, 8)] == [
+        "a^2", "b", "a*b", "a^2*b", "0", "0"
+    ]
+
+
 # ----------------------------------------------------------------------
 # arithmetic laws
 
@@ -191,6 +218,22 @@ def test_char_two_arithmetic():
     assert (w2 + w2).is_zero()
     assert (w2 + w3) ** 2 == w2 ** 2 + w3 ** 2
     assert str(w3 * w2 + w3) == "w2*w3 + w3"
+
+
+def test_pow_equals_repeated_product():
+    rng = random.Random(9)
+    char_two = Ring(2, [("w1", 1), ("w2", 2), ("w3", 3)], [("w1^3", "w3")])
+    for ring in (free_ring(), quotient_ring(), char_two):
+        for _ in range(5):
+            terms = {
+                tuple(rng.randint(0, 2) for _ in ring.names): rng.randint(-4, 4)
+                for _ in range(rng.randint(1, 3))
+            }
+            f = ring.poly(terms)
+            product = ring.one()
+            for n in range(10):
+                assert f ** n == product, (str(f), n)
+                product = product * f
 
 
 def test_pow_validation():
