@@ -35,9 +35,9 @@ from .spaces import bso_presentation
 __all__ = ["main"]
 
 MAX_TABLE_WEIGHT = 12  # largest printed table; K_n has p(n) terms (77 at n = 12)
-# Largest document read, about 60 times the largest benchmark document.
-# Counted in characters, each at least one UTF-8 byte.
-MAX_DOCUMENT_BYTES = 64 * 1024 * 1024
+# Longest document read, in characters: about 60 times the largest
+# benchmark document, which is ASCII.
+MAX_DOCUMENT_CHARS = 64 * 1024 * 1024
 
 
 class _InputError(Exception):
@@ -57,15 +57,16 @@ def _emit_json(payload: Any) -> None:
 def _read_document(path: str) -> Any:
     try:
         if path == "-":
-            raw = sys.stdin.read(MAX_DOCUMENT_BYTES + 1)
+            raw = sys.stdin.read(MAX_DOCUMENT_CHARS + 1)
         else:
             with open(path, encoding="utf-8") as handle:
-                raw = handle.read(MAX_DOCUMENT_BYTES + 1)
+                raw = handle.read(MAX_DOCUMENT_CHARS + 1)
     except (OSError, UnicodeDecodeError) as exc:
         raise _InputError(f"cannot read {path!r}: {exc}") from exc
-    if len(raw) > MAX_DOCUMENT_BYTES:
+    if len(raw) > MAX_DOCUMENT_CHARS:
         raise _InputError(
-            f"cannot read {path!r}: document exceeds {MAX_DOCUMENT_BYTES} bytes"
+            f"cannot read {path!r}: document exceeds "
+            f"{MAX_DOCUMENT_CHARS} characters"
         )
     try:
         return json.loads(raw)

@@ -248,10 +248,7 @@ class Ring:
         added into the result.  A reducible one is replaced by its image
         under one rule, and the images of the whole round are summed into
         the next round's pending dict, so like terms merge, and cancelled
-        ones drop out, before they are rewritten again.  A rule
-        g^k -> c*m with a single monomial on the right fires as often as
-        it applies in one step: q = (e - k) // (k - m_g) + 1 times for g at
-        exponent e, giving coefficient c^q.
+        ones drop out, before they are rewritten again.
 
         ``choose`` picks which applicable rule to fire (given the list of
         applicable generator indices; the first by default).  It exists so
@@ -282,13 +279,8 @@ class Ring:
                     continue
                 i = applicable[choose(applicable) if choose else 0]
                 k, rhs = rules[i]
-                q = 1
-                if len(rhs) == 1:
-                    ((rmon, rcoeff),) = rhs.items()
-                    q = (mon[i] - k) // (k - rmon[i]) + 1
-                    rhs = {tuple(q * e for e in rmon): rcoeff ** q}
                 lowered = list(mon)
-                lowered[i] -= q * k
+                lowered[i] -= k
                 for rmon, rcoeff in rhs.items():
                     pushed = tuple(map(add, lowered, rmon))
                     c = coeff * rcoeff

@@ -161,9 +161,6 @@ class PrimeScalar:
     def __rtruediv__(self, other: object) -> "PrimeScalar":
         return self._coerce(other).__truediv__(self)
 
-    def __pow__(self, n: int) -> "PrimeScalar":
-        return _unchecked(pow(self.value, n, self.modulus), self.modulus)
-
     def __neg__(self) -> "PrimeScalar":
         return _unchecked(-self.value, self.modulus)
 

@@ -133,24 +133,24 @@ def test_document_file_that_is_not_utf8(capsys, tmp_path, argv):
 
 
 def test_document_past_the_size_bound_on_stdin(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "MAX_DOCUMENT_BYTES", 16)
+    monkeypatch.setattr(cli, "MAX_DOCUMENT_CHARS", 16)
     monkeypatch.setattr("sys.stdin", io.StringIO(" " * 16 + "{}"))
     code, out, err = run_cli(capsys, "signature", "-")
     assert code == 2
     assert out == ""
-    assert err == "error: cannot read '-': document exceeds 16 bytes\n"
+    assert err == "error: cannot read '-': document exceeds 16 characters\n"
 
 
 def test_document_past_the_size_bound_in_a_file(capsys, monkeypatch, tmp_path):
     path = write_json(tmp_path, "hp2.json", space_to_document(hp(2)))
     size = len(Path(path).read_text(encoding="utf-8"))
-    monkeypatch.setattr(cli, "MAX_DOCUMENT_BYTES", size)
+    monkeypatch.setattr(cli, "MAX_DOCUMENT_CHARS", size)
     assert run_cli(capsys, "signature", path) == (0, "signature = 1\n", "")
-    monkeypatch.setattr(cli, "MAX_DOCUMENT_BYTES", size - 1)
+    monkeypatch.setattr(cli, "MAX_DOCUMENT_CHARS", size - 1)
     code, out, err = run_cli(capsys, "signature", path)
     assert code == 2
     assert out == ""
-    assert err == f"error: cannot read {path!r}: document exceeds {size - 1} bytes\n"
+    assert err == f"error: cannot read {path!r}: document exceeds {size - 1} characters\n"
 
 
 def char_p_document(characteristic):

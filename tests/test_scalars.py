@@ -108,15 +108,6 @@ def test_prime_scalar_division():
         1 / PrimeScalar(7, 7)
 
 
-def test_prime_scalar_powers():
-    a = PrimeScalar(3, 7)
-    product = PrimeScalar(1, 7)
-    for n in range(10):
-        assert a ** n == product
-        product = product * a
-    assert PrimeScalar(0, 7) ** 0 == PrimeScalar(1, 7)
-
-
 def test_prime_scalar_int_operands_coerce():
     a = PrimeScalar(3, 7)
     assert 2 + a == PrimeScalar(5, 7)
