@@ -8,8 +8,15 @@ optional set of rewrite rules.  Every rule has the restricted shape
 
 with g a single generator, k >= 2, and rhs a homogeneous polynomial of the
 same degree that no rule left-hand side divides.  One rule per generator at
-most.  This class of rules needs no completion step: reducing the exponent of
-g strictly in each application, in any order, lands on the same normal form.
+most, and no cycle of rules: a rule on g may not raise the exponent of
+another ruled generator h whose rules lead, in turn, back to g.  Order the
+ruled generators so that each comes before those its right-hand side raises,
+and put the unruled ones last.  Lexicographic order in that sequence is then
+a monomial order in which every g^k leads its rule.  The leading monomials
+are powers of distinct generators, hence pairwise coprime, so the rules are
+already a Groebner basis: rewriting ends, and any order of rewrites lands on
+the same normal form.  A self-reference such as
+t^k -> -(c_1*t^(k-1) + ... + c_k) is legal.
 
 Multiplication is strictly commutative, so generators of odd degree are only
 accepted over fields of characteristic 2 (in characteristic 0 an odd class
@@ -19,9 +26,11 @@ Monomials are compared in graded-lexicographic order: total degree first,
 then exponent vectors in declared generator order, earlier generators more
 significant.  Printing lists terms in descending order.
 
-Text syntax for polynomials: terms joined by ``+``/``-``; a term is
-``[coeff*]gen[^exp][*gen[^exp]...]``.  Coefficients are exact rationals
-(``-71/14175``) in characteristic 0 and bare integers in characteristic p.
+Text syntax for polynomials: terms joined by ``+``/``-``; a term is factors
+joined by ``*``, each an integer, a fraction ``n/d``, a generator ``g`` or a
+power ``g^k``, e.g. ``-71/14175*p1^2*p2``.  Fractions are accepted in
+characteristic 0 only.  Whitespace is allowed around every operator and at
+both ends; factors written side by side (``2 x``, ``a b``) are rejected.
 ``parse(print(f)) == f`` holds for every polynomial.
 """
 
@@ -31,7 +40,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, Union
 
 from .scalars import PrimeScalar, _unchecked, validate_modulus
 
@@ -46,8 +55,12 @@ __all__ = [
 Scalar = Union[Fraction, PrimeScalar]
 Monomial = tuple[int, ...]
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<number>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^]))"
+# A sign and the whitespace around it; a run of signs leaves empty pieces.
+_SIGN_RE = re.compile(r"\s*([-+])\s*")
+# One factor: an integer, a fraction, a generator, or a generator power.
+_FACTOR_RE = re.compile(
+    r"\s*(?:(?P<numer>\d+)(?:\s*/\s*(?P<denom>\d+))?"
+    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)(?:\s*\^\s*(?P<power>\d+))?)\s*"
 )
 
 
@@ -153,6 +166,29 @@ class Ring:
                             f"right-hand side of rule on {self.names[idx]!r} contains "
                             f"a monomial divisible by {self.names[j]}^{k}"
                         )
+        # i -> j when rewriting by i's rule can raise the exponent of another
+        # ruled generator j; peel off rules with no edge left, and a cycle
+        # is what remains
+        edges = {
+            i: {j for mon in rhs for j, e in enumerate(mon) if e and j != i and j in table}
+            for i, (_, rhs) in table.items()
+        }
+        while True:
+            done = [i for i, out in edges.items() if not out & edges.keys()]
+            if not done:
+                break
+            for i in done:
+                del edges[i]
+        if edges:
+            # every rule left has an edge to another one left: walk until a
+            # rule repeats, and the last edge lies on a cycle
+            walk = [min(edges)]
+            while (step := min(edges[walk[-1]] & edges.keys())) not in walk:
+                walk.append(step)
+            raise ValueError(
+                f"rules on {self.names[walk[-1]]!r} and {self.names[step]!r} "
+                "lie on a cycle of rewrites, so rewriting need not end"
+            )
         return table
 
     def _raw_terms(self, source: object) -> dict[Monomial, Scalar]:
@@ -256,9 +292,8 @@ class Ring:
 
         Termination: each round applies to each pending term rewrites that
         one-term-at-a-time reduction could apply too, so the rounds end
-        whenever every rewrite chain from the input ends.  That holds for
-        the presentations this package builds; rules that can cycle, such
-        as ``x^2 -> x*y`` with ``y^2 -> x*y``, have no normal form.
+        because every rewrite chain ends (see the module docstring; the
+        ring rejects rule sets that cycle).
         """
         rules = self.rules
         out: dict[Monomial, Scalar] = {}
@@ -473,15 +508,6 @@ class GradedPoly:
         }
         return GradedPoly(self.ring, picked, _normalized=True)
 
-    def truncate(self, max_degree: int) -> "GradedPoly":
-        """Drop all terms of degree above max_degree."""
-        picked = {
-            m: c
-            for m, c in self.terms.items()
-            if self.ring.monomial_degree(m) <= max_degree
-        }
-        return GradedPoly(self.ring, picked, _normalized=True)
-
     def constant_term(self) -> Scalar:
         return self.terms.get(self.ring.unit_monomial(), self.ring.coerce_scalar(0))
 
@@ -490,27 +516,6 @@ class GradedPoly:
         if isinstance(mon, str):
             mon = self.ring.monomial(mon)
         return self.terms.get(tuple(mon), self.ring.coerce_scalar(0))
-
-    def inverse_unit(self, max_degree: int) -> "GradedPoly":
-        """Multiplicative inverse through the stated degree.
-
-        The constant term must be nonzero.  In a ring whose relations kill
-        everything above max_degree the result is the exact inverse; in a
-        free ring it is the geometric-series inverse truncated at max_degree.
-        """
-        c = self.constant_term()
-        if not c:
-            raise ValueError("polynomial has no unit constant term")
-        one = self.ring.one()
-        tail = (one - self * (1 / c)).truncate(max_degree)
-        acc = one
-        power = one
-        while True:
-            power = (power * tail).truncate(max_degree)
-            if power.is_zero():
-                break
-            acc = acc + power
-        return acc * (1 / c)
 
     def substitute(
         self,
@@ -586,88 +591,70 @@ class GradedPoly:
 
 
 def _parse_rule_lhs(text: str) -> tuple[str, int]:
-    m = re.match(r"^\s*([A-Za-z_][A-Za-z_0-9]*)\s*\^\s*(\d+)\s*$", text)
-    if not m:
+    m = _FACTOR_RE.fullmatch(text)
+    if not m or m["power"] is None:
         raise ValueError(f"rule left-hand side must look like 'g^k', got {text!r}")
-    return m.group(1), int(m.group(2))
-
-
-def _tokenize(text: str) -> list[tuple[str, str]]:
-    tokens: list[tuple[str, str]] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise ValueError(f"bad character {text[pos:].strip()[0]!r} in polynomial")
-            break
-        pos = m.end()
-        tokens.append((m.lastgroup, m.group(m.lastgroup)))
-    return tokens
+    return m["name"], int(m["power"])
 
 
 def _parse_terms(ring: Ring, text: str) -> dict[Monomial, Scalar]:
-    """Parse the text syntax into an unreduced term dict."""
-    tokens = _tokenize(text)
-    if not tokens:
-        raise ValueError("empty polynomial text")
-    out: dict[Monomial, Scalar] = {}
-    pos = 0
-    nvars = len(ring.names)
+    """Parse the text syntax into an unreduced term dict.
 
-    def take_factor(coeff: Scalar, exps: list[int], pos: int) -> tuple[Scalar, int]:
-        kind, value = tokens[pos]
-        if kind == "number":
-            pos += 1
-            numer = int(value)
-            if pos + 1 < len(tokens) and tokens[pos] == ("op", "/"):
-                dkind, dvalue = tokens[pos + 1]
-                if dkind != "number":
-                    raise ValueError("expected an integer denominator")
-                if int(dvalue) == 0:
+    The text is split once on signs and each term on ``*``; each
+    distinct factor text is matched once and its parse memoized for the call.
+    """
+    if not text.strip():
+        raise ValueError("empty polynomial text")
+    parts = _SIGN_RE.split(text)
+    if not parts[-1]:
+        raise ValueError("dangling sign in polynomial")
+    one = ring.coerce_scalar(1)
+    minus_one = -one
+    nvars = len(ring.names)
+    # factor text -> (generator index, power), or (None, scalar)
+    memo: dict[str, tuple[int | None, int | Scalar]] = {}
+    out: dict[Monomial, Scalar] = {}
+    negative = False
+    for i, piece in enumerate(parts):
+        if i & 1:
+            negative ^= piece == "-"
+            continue
+        if not piece:
+            continue
+        coeff = minus_one if negative else one
+        negative = False
+        exps = [0] * nvars
+        for factor in piece.split("*"):
+            parsed = memo.get(factor)
+            if parsed is None:
+                m = _FACTOR_RE.fullmatch(factor)
+                if m is None:
+                    if not factor.strip():
+                        raise ValueError("dangling '*' in polynomial")
+                    raise ValueError(f"bad factor {factor.strip()!r} in polynomial")
+                if m["name"] is not None:
+                    idx = ring._index.get(m["name"])
+                    if idx is None:
+                        raise ValueError(f"unknown generator {m['name']!r}")
+                    parsed = (idx, int(m["power"] or 1))
+                elif m["denom"] is None:
+                    parsed = (None, ring.coerce_scalar(int(m["numer"])))
+                elif not int(m["denom"]):
                     raise ZeroDivisionError("zero denominator in coefficient")
-                if ring.characteristic != 0:
+                elif ring.characteristic:
                     # prime-field coefficients are written as bare integers
                     raise ValueError(
                         "fractional coefficients are not accepted in "
                         f"characteristic {ring.characteristic}"
                     )
-                pos += 2
-                return coeff * Fraction(numer, int(dvalue)), pos
-            return coeff * ring.coerce_scalar(numer), pos
-        if kind == "name":
-            idx = ring._index.get(value)
+                else:
+                    parsed = (None, Fraction(int(m["numer"]), int(m["denom"])))
+                memo[factor] = parsed
+            idx, value = parsed
             if idx is None:
-                raise ValueError(f"unknown generator {value!r}")
-            pos += 1
-            power = 1
-            if pos < len(tokens) and tokens[pos] == ("op", "^"):
-                if pos + 1 >= len(tokens) or tokens[pos + 1][0] != "number":
-                    raise ValueError(f"expected an integer exponent after {value}^")
-                power = int(tokens[pos + 1][1])
-                pos += 2
-            exps[idx] += power
-            return coeff, pos
-        raise ValueError(f"unexpected {value!r} in polynomial")
-
-    while pos < len(tokens):
-        sign = 1
-        while pos < len(tokens) and tokens[pos][0] == "op" and tokens[pos][1] in "+-":
-            if tokens[pos][1] == "-":
-                sign = -sign
-            pos += 1
-        if pos >= len(tokens):
-            raise ValueError("dangling sign in polynomial")
-        coeff: Scalar = ring.coerce_scalar(sign)
-        exps = [0] * nvars
-        coeff, pos = take_factor(coeff, exps, pos)
-        while pos < len(tokens) and tokens[pos] == ("op", "*"):
-            pos += 1
-            if pos >= len(tokens):
-                raise ValueError("dangling '*' in polynomial")
-            coeff, pos = take_factor(coeff, exps, pos)
-        if pos < len(tokens) and tokens[pos][0] == "op" and tokens[pos][1] not in "+-":
-            raise ValueError(f"unexpected {tokens[pos][1]!r} in polynomial")
+                coeff = coeff * value
+            else:
+                exps[idx] += value
         mon = tuple(exps)
         acc = out.get(mon)
         acc = coeff if acc is None else acc + coeff

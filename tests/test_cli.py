@@ -87,6 +87,40 @@ def test_signature_rejects_bad_document(capsys, tmp_path):
     assert "/fundamental" in err
 
 
+def test_signature_rejects_factors_side_by_side(capsys, tmp_path):
+    # read as the sum 7*y + y, "7*y y" would give signature -20/9
+    doc = space_to_document(hp(2))
+    doc["total_p"] = "1 + 2*y + 7*y y"
+    path = write_json(tmp_path, "bad.json", doc)
+    code, out, err = run_cli(capsys, "signature", path)
+    assert code == 2
+    assert out == ""
+    assert err == "error: /total_p: bad factor 'y y' in polynomial\n"
+
+
+def test_signature_rejects_cycling_relations(capsys, tmp_path):
+    # x^2*y -> x*y^2 -> x^2*y -> ... has no normal form
+    doc = {
+        "characteristic": 0,
+        "ring": {
+            "generators": [{"name": "x", "degree": 2}, {"name": "y", "degree": 2}],
+            "relations": [{"lhs": "x^2", "rhs": "x*y"}, {"lhs": "y^2", "rhs": "x*y"}],
+        },
+        "dimension": 6,
+        "fundamental": "x^2*y",
+        "total_p": "1",
+        "euler": "x^2*y",
+    }
+    path = write_json(tmp_path, "cycle.json", doc)
+    code, out, err = run_cli(capsys, "signature", path)
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: /ring: rules on 'y' and 'x' lie on a cycle of rewrites, "
+        "so rewriting need not end\n"
+    )
+
+
 def test_signature_rejects_invalid_json(capsys, tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json", encoding="utf-8")
