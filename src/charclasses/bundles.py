@@ -2,35 +2,32 @@
 
 A :class:`BundleModel` holds the total-space ring, the pullback embedding
 of the base, the vertical tangent data (Euler class, total Pontryagin
-class, and in characteristic 2 the total Stiefel-Whitney class), and a
-fibre-integration map ``gysin`` lowering degree by the fibre dimension.
+class, and in characteristic 2 the total Stiefel-Whitney class), and the
+fibre's fundamental monomial on the generators that follow the base ones.
+Fibre integration ``gysin`` reads off its coefficient, for either kind of
+bundle, lowering degree by the fibre dimension.
 
-Two constructions are provided.
-
-* ``product_bundle(base, fibre)``: the trivial bundle.  Fibre integration
-  reads off the coefficient of the fibre's fundamental monomial.
+* ``product_bundle(base, fibre)``: the trivial bundle on the Kunneth ring.
 * ``projectivize(base, chern)``: the complex projectivization of a rank-k
-  bundle with the given Chern classes.  The total ring appends a degree-2
+  bundle with Chern classes c_1..c_k.  The total ring appends a degree-2
   generator t with the defining relation
   t^k = -(c_1 t^{k-1} + ... + c_k), the vertical tangent Chern class is
-  sum_i c_i (1+t)^{k-i}, and fibre integration extracts the t^{k-1}
-  coefficient.
+  sum_i c_i (1+t)^{k-i}, and the fibre's fundamental monomial is t^{k-1}.
 
-``kappa(bundle, c)`` pushes a characteristic-class monomial of the vertical
-tangent bundle down to the base: kappa_c = gysin(c evaluated on the
-vertical data).  The transfer identity gysin(e(T_v) * pullback(a) * q) is a
-special case, and kappa of the Euler class alone is the fibre's Euler
-characteristic.
+``kappa(bundle, c)`` pushes a characteristic class of the vertical tangent
+bundle down to the base: kappa_c = gysin(c evaluated on the vertical data).
+The class c is any polynomial in e and p_1..p_{d/2} (characteristic 0) or
+in w_1..w_d (characteristic 2), for fibre dimension d.  The transfer
+identity gysin(e(T_v) * pullback(a) * q) is a special case, and kappa of
+the Euler class alone is the fibre's Euler characteristic.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
-from .rings import GradedPoly, Monomial, Ring, tensor_ring, transport
+from .rings import _NAME_RE, GradedPoly, Monomial, Ring, tensor_ring, transport
 from .spaces import SpaceModel, chern_to_pontryagin
 
 __all__ = [
@@ -40,54 +37,53 @@ __all__ = [
     "projectivize",
 ]
 
-_KAPPA_FACTOR_RE = re.compile(
-    r"^\s*([A-Za-z_][A-Za-z_0-9]*)\s*(?:\^\s*(\d+))?\s*$"
-)
-
 
 @dataclass(frozen=True)
 class BundleModel:
-    """A fibre bundle with enough structure to integrate along fibres."""
+    """A fibre bundle with enough structure to integrate along fibres.
+
+    ``fibre_fundamental`` holds the exponents of the fibre's fundamental
+    monomial on the generators of ``total_ring`` after the base ones.  No
+    ``slots``: ``perfbench/tracer.py`` wraps ``gysin`` per instance.
+    """
 
     base_ring: Ring
     total_ring: Ring
     fibre_dimension: int
+    fibre_fundamental: Monomial
     vertical_euler: GradedPoly
     vertical_total_p: GradedPoly
-    gysin: Callable[[GradedPoly], GradedPoly]
     vertical_total_w: Optional[GradedPoly] = None
 
     def pullback(self, cls: GradedPoly) -> GradedPoly:
         """Image of a base class in the total ring."""
         return transport(cls, self.total_ring)
 
+    def gysin(self, cls: GradedPoly) -> GradedPoly:
+        """Fibre integration: the coefficient of the fibre's fundamental monomial."""
+        if cls.ring is not self.total_ring and cls.ring != self.total_ring:
+            raise ValueError("class does not live in the total ring")
+        n_base = len(self.base_ring.names)
+        return self.base_ring.poly({
+            mon[:n_base]: coeff
+            for mon, coeff in cls.terms.items()
+            if mon[n_base:] == self.fibre_fundamental
+        })
+
 
 def product_bundle(base: SpaceModel, fibre: SpaceModel) -> BundleModel:
     """The trivial bundle base x fibre -> base."""
     total = tensor_ring(base.ring, fibre.ring)
-    n_base = len(base.ring.names)
-    fibre_fundamental = fibre.fundamental
-    base_ring = base.ring
-
-    def fibre_integrate(cls: GradedPoly) -> GradedPoly:
-        if cls.ring is not total and cls.ring != total:
-            raise ValueError("class does not live in the total ring")
-        picked = {}
-        for mon, coeff in cls.terms.items():
-            if mon[n_base:] == fibre_fundamental:
-                picked[mon[:n_base]] = coeff
-        return base_ring.poly(picked)
-
     return BundleModel(
         base_ring=base.ring,
         total_ring=total,
         fibre_dimension=fibre.dimension,
+        fibre_fundamental=fibre.fundamental,
         vertical_euler=transport(fibre.euler, total),
         vertical_total_p=transport(fibre.total_p, total),
         vertical_total_w=(
             transport(fibre.total_w, total) if fibre.total_w is not None else None
         ),
-        gysin=fibre_integrate,
     )
 
 
@@ -139,23 +135,13 @@ def projectivize(
         c_i = one if i == 0 else transport(classes[i - 1], total)
         vertical_chern = vertical_chern + c_i * (one + t) ** (k - i)
     fibre_dim = 2 * (k - 1)
-
-    def fibre_integrate(cls: GradedPoly) -> GradedPoly:
-        if cls.ring is not total and cls.ring != total:
-            raise ValueError("class does not live in the total ring")
-        picked = {}
-        for mon, coeff in cls.terms.items():
-            if mon[-1] == k - 1:
-                picked[mon[:-1]] = coeff
-        return base_ring.poly(picked)
-
     return BundleModel(
         base_ring=base_ring,
         total_ring=total,
         fibre_dimension=fibre_dim,
+        fibre_fundamental=(k - 1,),
         vertical_euler=vertical_chern.graded_component(fibre_dim),
         vertical_total_p=chern_to_pontryagin(vertical_chern),
-        gysin=fibre_integrate,
     )
 
 
@@ -165,54 +151,49 @@ def _pad_rule_terms(rhs: Mapping[Monomial, object], extra: int) -> dict[Monomial
     return {mon + pad: coeff for mon, coeff in rhs.items()}
 
 
-def _parse_kappa_monomial(text: str) -> dict[str, int]:
-    exponents: dict[str, int] = {}
-    for factor in text.split("*"):
-        m = _KAPPA_FACTOR_RE.match(factor)
-        if not m:
-            raise ValueError(f"bad factor {factor!r} in class monomial {text!r}")
-        name = m.group(1)
-        power = int(m.group(2) or 1)
-        exponents[name] = exponents.get(name, 0) + power
-    return exponents
+def kappa(bundle: BundleModel, cls: str) -> GradedPoly:
+    """The kappa class of a vertical characteristic class.
 
-
-def kappa(bundle: BundleModel, cls: str | Mapping[str, int]) -> GradedPoly:
-    """The kappa class of a vertical characteristic-class monomial.
-
-    ``cls`` is a monomial in e and p_1, p_2, ... (characteristic 0) or in
-    w_1..w_d (characteristic 2), e.g. ``"e^3"`` or ``"p1*p2^2"``.  The
-    monomial is evaluated on the vertical tangent data and pushed down.
+    ``cls`` is a polynomial, in the text syntax of :mod:`charclasses.rings`,
+    in the vertical classes of a fibre of dimension d: e and p1..p(d/2) in
+    characteristic 0, w1..wd in characteristic 2, e.g. ``"e^3 + 2*e*p1"``.
+    It is parsed in the free ring on the vertical classes it names (any
+    other name is an unknown generator), evaluated on the vertical tangent
+    data and pushed down.
     """
-    exponents = _parse_kappa_monomial(cls) if isinstance(cls, str) else dict(cls)
+    d = bundle.fibre_dimension
     characteristic = bundle.total_ring.characteristic
-    value = bundle.total_ring.one()
-    for name, power in exponents.items():
-        if power < 0:
-            raise ValueError(f"negative exponent on {name}")
-        if power == 0:
-            continue
-        if characteristic == 0:
-            if name == "e":
-                factor = bundle.vertical_euler
-            elif name.startswith("p") and name[1:].isdigit() and int(name[1:]) >= 1:
-                factor = bundle.vertical_total_p.graded_component(4 * int(name[1:]))
-            else:
-                raise ValueError(
-                    f"unknown class generator {name!r}; expected e or p1, p2, ..."
-                )
-        else:
-            if not (name.startswith("w") and name[1:].isdigit() and int(name[1:]) >= 1):
-                raise ValueError(
-                    f"unknown class generator {name!r}; expected w1, w2, ..."
-                )
-            index = int(name[1:])
-            if index > bundle.fibre_dimension:
-                raise ValueError(
-                    f"w{index} exceeds the fibre dimension {bundle.fibre_dimension}"
-                )
-            if bundle.vertical_total_w is None:
-                raise ValueError("bundle carries no Stiefel-Whitney data")
-            factor = bundle.vertical_total_w.graded_component(index)
-        value = value * factor ** power
-    return bundle.gysin(value)
+    # name -> (vertical total class, degree of the component it names), for
+    # the names in the text only: d may be far larger than the text
+    named = set(_NAME_RE.findall(cls))
+    if characteristic == 0:
+        sources = {"e": (bundle.vertical_euler, d)} if "e" in named else {}
+        for i in _indices(named, "p", d // 2):
+            sources[f"p{i}"] = (bundle.vertical_total_p, 4 * i)
+    elif characteristic == 2:
+        w = bundle.vertical_total_w
+        sources = {f"w{i}": (w, i) for i in _indices(named, "w", d)}
+    else:
+        raise ValueError(
+            f"no kappa classes in characteristic {characteristic}; use 0 or 2"
+        )
+    # ring degrees must be positive, and a point fibre has e = 1 in degree
+    # 0; the class ring is free, so its grading is never read
+    class_ring = Ring(
+        characteristic, [(name, deg or 2) for name, (_, deg) in sources.items()]
+    )
+    polynomial = class_ring.poly(cls)
+    images = {}
+    for name, (total, deg) in sources.items():
+        if total is None:
+            raise ValueError("bundle carries no Stiefel-Whitney data")
+        images[name] = total.graded_component(deg)
+    return bundle.gysin(polynomial.substitute(images, bundle.total_ring))
+
+
+def _indices(names: set[str], letter: str, top: int) -> list[int]:
+    """Each i in 1..top, ascending, for which the name letter<i> is given."""
+    return sorted({
+        int(name[1:]) for name in names
+        if name[0] == letter and name[1:].isdigit() and 1 <= int(name[1:]) <= top
+    })

@@ -121,9 +121,12 @@ def _cmd_kappa(args: argparse.Namespace) -> int:
     doc = _read_document(args.bundle)
     try:
         bundle = bundle_from_document(doc)
-        value = kappa(bundle, args.cls)
-    except (DocumentError, ValueError) as exc:
+    except ValueError as exc:
         raise _InputError(str(exc)) from exc
+    try:
+        value = kappa(bundle, args.cls)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise _InputError(f"--class: {exc}") from exc
     if args.format == "json":
         _emit_json({"class": args.cls, "kappa": str(value)})
     else:
@@ -250,7 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--class",
         dest="cls",
         required=True,
-        help="monomial in e and p1, p2, ... (or w1..wd in characteristic 2)",
+        help="polynomial in e and p1..p(d/2) for fibre dimension d, or in "
+        "w1..wd in characteristic 2, e.g. 'e^3 + 2*e*p1'",
     )
     _add_format(kappa_cmd)
     kappa_cmd.set_defaults(handler=_cmd_kappa)

@@ -1,8 +1,9 @@
 """Graded polynomial rings with monomial rewrite relations.
 
-A ring is presented by an ordered list of generators, each with a positive
-integer degree, a coefficient field (the rationals, or a prime field), and an
-optional set of rewrite rules.  Every rule has the restricted shape
+A ring is presented by an ordered list of generators, each with a name of
+the form ``[A-Za-z_][A-Za-z_0-9]*`` and a positive integer degree, a
+coefficient field (the rationals, or a prime field), and an optional set of
+rewrite rules.  Every rule has the restricted shape
 
     g^k  ->  rhs
 
@@ -57,10 +58,12 @@ Monomial = tuple[int, ...]
 
 # A sign and the whitespace around it; a run of signs leaves empty pieces.
 _SIGN_RE = re.compile(r"\s*([-+])\s*")
+# A generator name; Ring rejects every other name, so printed text parses.
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 # One factor: an integer, a fraction, a generator, or a generator power.
 _FACTOR_RE = re.compile(
     r"\s*(?:(?P<numer>\d+)(?:\s*/\s*(?P<denom>\d+))?"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)(?:\s*\^\s*(?P<power>\d+))?)\s*"
+    rf"|(?P<name>{_NAME_RE.pattern})(?:\s*\^\s*(?P<power>\d+))?)\s*"
 )
 
 
@@ -108,6 +111,11 @@ class Ring:
         )
         seen: set[str] = set()
         for g in gens:
+            if not isinstance(g.name, str) or not _NAME_RE.fullmatch(g.name):
+                raise ValueError(
+                    f"bad generator name {g.name!r}; expected a letter or _ "
+                    "followed by letters, digits or _"
+                )
             if not isinstance(g.degree, int) or g.degree < 1:
                 raise ValueError(f"generator {g.name!r} needs a positive integer degree")
             if g.degree % 2 == 1 and characteristic != 2:

@@ -5,9 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+from charclasses import bundles
 from charclasses.bundles import kappa, product_bundle, projectivize
+from charclasses.documents import space_from_document, space_to_document
+from charclasses.genus import ahat_sequence, l_sequence
 from charclasses.rings import Ring
-from charclasses.spaces import cp, hp, point, sphere
+from charclasses.spaces import SpaceModel, cp, hp, point, sphere
 
 
 def random_poly(rng, ring, max_exp=2, n_terms=3):
@@ -217,32 +220,105 @@ def test_kappa_of_product_bundles_vanishes_in_positive_degree():
     assert kappa(bundle, "e^2") .is_zero()
 
 
-def test_kappa_accepts_mapping_form():
-    base = Ring(0, [("c1", 2), ("c2", 4)])
-    bundle = projectivize(base, ["c1", "c2"])
-    assert kappa(bundle, {"e": 3}) == kappa(bundle, "e^3")
-    assert kappa(bundle, {"e": 1, "p1": 1}) == kappa(bundle, "e*p1")
-
-
 def test_kappa_rejects_bad_monomials():
     bundle = product_bundle(sphere(12), hp(2))
     with pytest.raises(ValueError):
         kappa(bundle, "q3")
-    with pytest.raises(ValueError):
-        kappa(bundle, "e + p1")
+    assert kappa(bundle, "e + p1") == kappa(bundle, "e") + kappa(bundle, "p1")
     with pytest.raises(ValueError):
         kappa(bundle, "w2")
     with pytest.raises(ValueError):
-        kappa(bundle, {"e": -1})
-    with pytest.raises(ValueError):
         kappa(bundle, "p0")
+    # p_i needs 2i <= d = 8
+    with pytest.raises(ValueError):
+        kappa(bundle, "p5")
+
+
+def test_kappa_is_linear_in_the_class():
+    base = Ring(0, [("c1", 2), ("c2", 4), ("c3", 6)])
+    bundle = projectivize(base, ["c1", "c2", "c3"])
+    assert kappa(bundle, "e^3 + 2*e*p1") == (
+        kappa(bundle, "e^3") + kappa(bundle, "e*p1") * 2
+    )
+    assert kappa(bundle, "-1/3*p1^2 + p2") == (
+        kappa(bundle, "p2") - kappa(bundle, "p1^2") * Fraction(1, 3)
+    )
+    assert kappa(bundle, "e^2 - e^2").is_zero()
+
+
+def test_kappa_over_a_point_fibre():
+    # e of a zero-dimensional fibre sits in degree 0, where no ring
+    # generator may; gysin of 1 is then 1
+    bundle = product_bundle(hp(2), point())
+    assert kappa(bundle, "e") == bundle.base_ring.one()
+    assert kappa(bundle, "3*e^2") == bundle.base_ring.one() * 3
+    with pytest.raises(ValueError):
+        kappa(bundle, "p1")
+
+
+def test_kappa_rejects_odd_characteristic():
+    doc = space_to_document(point(2))
+    doc["characteristic"] = 3
+    del doc["total_w"]
+    base = space_from_document(doc)
+    bundle = product_bundle(base, base)
+    for cls in ("e", "w1", "1"):
+        with pytest.raises(ValueError, match="characteristic 3"):
+            kappa(bundle, cls)
+
+
+def test_kappa_class_ring_holds_only_the_named_classes(monkeypatch):
+    # a fibre of dimension 10^6 has 10^6 Stiefel-Whitney classes; a class
+    # that names one of them must not build a ring on all of them
+    d = 10**6
+    ring = Ring(2, [("a", 1)], [(("a", d + 1), 0)])
+    a = ring.gen("a")
+    fibre = SpaceModel(ring=ring, dimension=d, fundamental=(d,),
+                       total_p=ring.one(), euler=a ** d, total_w=ring.one() + a)
+    bundle = product_bundle(point(2), fibre)
+    built = []
+
+    def spy(characteristic, generators, *rest):
+        built.append(list(generators))
+        return Ring(characteristic, built[-1], *rest)
+
+    monkeypatch.setattr(bundles, "Ring", spy)
+    assert kappa(bundle, f"w1^{d}") == bundle.base_ring.one()
+    assert kappa(bundle, f"w{d} + w1 - w1").is_zero()
+    with pytest.raises(ValueError, match=f"unknown generator 'w{d + 1}'"):
+        kappa(bundle, f"w{d + 1}")
+    assert built == [[("w1", 1)], [("w1", 1), (f"w{d}", d)], []]
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4, 5])
+def test_kappa_of_l_classes_is_the_fibre_signature(rank):
+    # family signature theorem: on a bundle whose fibre cohomology is a
+    # trivial local system, kappa of L_i is sign(F) for 4i = d and 0 above
+    base = Ring(0, [(f"c{i}", 2 * i) for i in range(1, rank + 1)])
+    bundle = projectivize(base, [f"c{i}" for i in range(1, rank + 1)])
+    d = bundle.fibre_dimension
+    signature = 1 if rank % 2 == 1 else 0  # sign(CP^(rank-1))
+    for i in range(1, d // 2 + 1):
+        value = kappa(bundle, str(l_sequence(i).k_polynomial(i)))
+        assert value == base.one() * (signature if 4 * i == d else 0), i
+
+
+def test_kappa_of_l_class_on_a_product_bundle():
+    bundle = product_bundle(sphere(12), hp(2))
+    assert kappa(bundle, str(l_sequence(2).k_polynomial(2))) == bundle.base_ring.one()
+
+
+def test_kappa_of_ahat_class_is_not_a_signature():
+    # CP^2 is not spin: its Ahat genus -1/8 is no integer, let alone 0
+    base = Ring(0, [("c1", 2), ("c2", 4), ("c3", 6)])
+    bundle = projectivize(base, ["c1", "c2", "c3"])
+    value = kappa(bundle, str(ahat_sequence(1).k_polynomial(1)))
+    assert value == base.one() * Fraction(-1, 8)
 
 
 def test_kappa_stiefel_whitney_in_characteristic_two():
     base = point(2)
     fibre_ring = Ring(2, [("a", 1)], [(("a", 3), 0)])
-    from charclasses.spaces import SpaceModel
-
     a = fibre_ring.gen("a")
     fibre = SpaceModel(
         ring=fibre_ring,
@@ -258,6 +334,22 @@ def test_kappa_stiefel_whitney_in_characteristic_two():
     assert kappa(bundle, "w1").is_zero()
     with pytest.raises(ValueError):
         kappa(bundle, "w3")
+
+
+def test_kappa_stiefel_whitney_polynomials():
+    # RP^2 fibre: w = 1 + a + a^2, so w2 + w1^2 = 2*a^2 = 0 mod 2
+    ring = Ring(2, [("a", 1)], [(("a", 3), 0)])
+    a = ring.gen("a")
+    data = dict(ring=ring, dimension=2, fundamental=ring.monomial("a^2"),
+                total_p=ring.one(), euler=a * a)
+    fibre = SpaceModel(**data, total_w=ring.poly("1 + a + a^2"))
+    bundle = product_bundle(point(2), fibre)
+    assert kappa(bundle, "w2 + w1^2").is_zero()
+    assert kappa(bundle, "w2 + w1") == bundle.base_ring.one()
+    # a fibre without Stiefel-Whitney data has none to evaluate
+    bare = product_bundle(point(2), SpaceModel(**data))
+    with pytest.raises(ValueError, match="no Stiefel-Whitney data"):
+        kappa(bare, "w2")
 
 
 def test_kappa_vertical_chern_top_component_vanishes_above_fibre():

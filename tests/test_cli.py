@@ -98,6 +98,16 @@ def test_signature_rejects_factors_side_by_side(capsys, tmp_path):
     assert err == "error: /total_p: bad factor 'y y' in polynomial\n"
 
 
+def test_signature_rejects_generator_names_the_parser_cannot_read(capsys, tmp_path):
+    doc = space_to_document(hp(2))
+    doc["ring"]["generators"][0]["name"] = "y y"
+    path = write_json(tmp_path, "bad.json", doc)
+    code, out, err = run_cli(capsys, "signature", path)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: /ring: bad generator name 'y y'")
+
+
 def test_signature_rejects_cycling_relations(capsys, tmp_path):
     # x^2*y -> x*y^2 -> x^2*y -> ... has no normal form
     doc = {
@@ -291,7 +301,32 @@ def test_kappa_bad_class_monomial(capsys, tmp_path):
     path = write_json(tmp_path, "proj.json", projectivization_doc())
     code, _, err = run_cli(capsys, "kappa", "--bundle", path, "--class", "q7")
     assert code == 2
-    assert "q7" in err
+    assert err.startswith("error: --class: unknown generator 'q7'")
+
+
+@pytest.mark.parametrize("cls", ["p2", "1/0", "e^", "e +", "2 e"])
+def test_kappa_rejects_bad_class_text(capsys, tmp_path, cls):
+    # p2 lies above d/2 = 1 on the rank-2 projectivization
+    path = write_json(tmp_path, "proj.json", projectivization_doc())
+    code, out, err = run_cli(capsys, "kappa", "--bundle", path, "--class", cls)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --class: ")
+
+
+def test_kappa_of_a_class_polynomial(capsys, tmp_path):
+    path = write_json(tmp_path, "proj.json", projectivization_doc())
+    code, out, _ = run_cli(capsys, "kappa", "--bundle", path, "--class", "e^3 - 2*e^2")
+    assert code == 0
+    assert out == "kappa(e^3 - 2*e^2) = 2*c1^2 - 8*c2\n"
+
+
+def test_kappa_rejects_twist_names_the_parser_cannot_read(capsys, tmp_path):
+    doc = projectivization_doc()
+    doc["twist"] = "t t"
+    path = write_json(tmp_path, "proj.json", doc)
+    code, out, err = run_cli(capsys, "kappa", "--bundle", path, "--class", "e")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: /: bad generator name 't t'")
 
 
 def test_kappa_bad_document(capsys, tmp_path):
@@ -306,13 +341,18 @@ def test_kappa_bad_document(capsys, tmp_path):
     [
         ("kappa_rank6_free.json", "e^7", "kappa_rank6_free_e7.txt"),
         ("kappa_rank5_free.json", "e^6", "kappa_rank5_free_e6.txt"),
+        ("kappa_rank6_free.json", "p1^3*p3", "kappa_rank6_free_p1_3_p3.txt"),
+        # RP^2 x (RP^2 x RP^6 x RP^14) over F_2, a 315-term total_w
+        ("kappa_mod2_rp2_rp6_rp14.json", "w1*w3*w7*w11",
+         "kappa_mod2_rp2_rp6_rp14_w1_w3_w7_w11.txt"),
     ],
 )
 def test_kappa_of_euler_powers_is_byte_identical_to_golden(
     capsys, document, cls, expected
 ):
     # rank 6 over free Q[c1,c2,c3] (degrees 2, 4, 6) and rank 5 over
-    # degrees 2..10: the heaviest kappa-rational benchmark ops
+    # degrees 2..10: the heaviest kappa-rational benchmark ops; then one
+    # Pontryagin and one Stiefel-Whitney monomial
     golden = Path(__file__).parent / "golden"
     code, out, err = run_cli(capsys, "kappa", "--bundle", str(golden / document),
                              "--class", cls)

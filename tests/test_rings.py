@@ -60,6 +60,19 @@ def test_generator_validation():
         Ring(0, [("x", 2), ("x", 4)])
 
 
+@pytest.mark.parametrize("name", ["p-1", "y y", "", "1a", " y", "y^2", "ß"])
+def test_generator_names_follow_the_parser(name):
+    # "p-1" squared would print as "p-1^2", which parses as p - 1^2
+    with pytest.raises(ValueError, match="bad generator name"):
+        Ring(0, [(name, 4)])
+
+
+def test_generator_names_accepted():
+    ring = Ring(0, [("_", 2), ("p_1", 4), ("Ab9", 2)])
+    f = ring.poly("_^2*p_1 - 3*Ab9")
+    assert ring.poly(str(f)) == f
+
+
 def test_rule_validation():
     with pytest.raises(ValueError):
         Ring(0, [("x", 2)], [("x^1", "0")])

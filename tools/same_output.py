@@ -1,0 +1,75 @@
+"""Check that two source trees give the same bytes on every benchmark call.
+
+    python3 tools/same_output.py PARENT_TREE CHANGE_TREE
+
+The calls are every op of ``perfbench/workloads.catalog()``, the ops of
+seeds 1-3 of all four workloads, ``verify`` and ``section5`` (text and
+json) and ``genus --max-weight 12`` for L and Ahat (text and json), each
+distinct call once.  Each runs as one ``python -m charclasses`` process with
+``PYTHONPATH=<tree>/src`` and its document on stdin, one call at a time,
+first in PARENT_TREE and then in CHANGE_TREE.  Exit code, stdout bytes and
+stderr bytes must be equal.  Prints the number of calls; exits 1 and names
+the first call that differs.  The ops come from this checkout's
+``perfbench/``, which is only read.  Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import workloads  # noqa: E402
+from workloads import Op  # noqa: E402
+
+SEEDS = (1, 2, 3)
+
+
+def calls() -> list[Op]:
+    """The distinct calls, in a fixed order."""
+    ops = list(workloads.catalog())
+    for name, seed in itertools.product(workloads.WORKLOADS, SEEDS):
+        ops += workloads.generate(name, seed)
+    for fmt in ("text", "json"):
+        ops.append(workloads.verify_op(fmt))
+        ops.append(Op(f"section5 {fmt}", ("section5",) + workloads._fmt_args(fmt)))
+        for series in ("L", "Ahat"):
+            ops.append(workloads.genus_op(series, 12, fmt))
+    unique: dict[str, Op] = {}
+    for op in ops:
+        unique.setdefault(op.key, op)
+    return list(unique.values())
+
+
+def run(tree: Path, op: Op) -> tuple[int, bytes, bytes]:
+    done = subprocess.run([sys.executable, "-m", "charclasses", *op.args], input=op.stdin,
+                          capture_output=True, cwd=tree,
+                          env=dict(os.environ, PYTHONPATH=str(tree / "src")))
+    return done.returncode, done.stdout, done.stderr
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    args = parser.parse_args(argv)
+    ops = calls()
+    for op in ops:
+        before, after = run(args.parent.resolve(), op), run(args.change.resolve(), op)
+        if before != after:
+            what = ", ".join(part for part, a, b in zip(("exit code", "stdout", "stderr"),
+                                                      before, after) if a != b)
+            print(f"{len(ops)} calls; {op.label!r} differs in {what}: {' '.join(op.args)}")
+            return 1
+    print(f"{len(ops)} calls; exit code, stdout and stderr are the same")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
