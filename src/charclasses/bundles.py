@@ -25,7 +25,7 @@ the Euler class alone is the fibre's Euler characteristic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 from .rings import _NAME_RE, GradedPoly, Monomial, Ring, tensor_ring, transport
 from .spaces import SpaceModel, chern_to_pontryagin
@@ -114,26 +114,26 @@ def projectivize(
         if not c.is_homogeneous(2 * i):
             raise ValueError(f"c_{i} must be homogeneous of degree {2 * i}")
 
-    # same generators plus t, with base rules kept; build the defining
-    # relation in the rule-free extension first
-    gens = list(base_ring.generators) + [(twist, 2)]
-    base_rules = [
-        ((base_ring.names[idx], power), _pad_rule_terms(rhs, 1))
+    # same generators plus t, with base rules kept, and the defining
+    # relation t^k = -(c_1 t^{k-1} + ... + c_k) written on exponent vectors
+    # (each c_i is in base normal form, so no product needs reducing)
+    relation = {
+        mon + (k - i,): -coeff
+        for i, c in enumerate(classes, start=1)
+        for mon, coeff in c.terms.items()
+    }
+    rules = [
+        ((base_ring.names[idx], power), {mon + (0,): c for mon, c in rhs.items()})
         for idx, (power, rhs) in base_ring.rules.items()
     ]
-    staging = Ring(0, gens, base_rules)
-    t = staging.gen(twist)
-    relation = staging.zero()
-    for i, c in enumerate(classes, start=1):
-        relation = relation - transport(c, staging) * t ** (k - i)
-    total = Ring(0, gens, base_rules + [((twist, k), dict(relation.terms))])
-    t = total.gen(twist)
+    total = Ring(0, list(base_ring.generators) + [(twist, 2)],
+                 rules + [((twist, k), relation)])
 
-    vertical_chern = total.zero()
-    one = total.one()
-    for i in range(0, k + 1):
-        c_i = one if i == 0 else transport(classes[i - 1], total)
-        vertical_chern = vertical_chern + c_i * (one + t) ** (k - i)
+    # vertical Chern class sum_i c_i (1+t)^{k-i} by Horner's rule
+    one_plus_t = total.one() + total.gen(twist)
+    vertical_chern = total.one()
+    for c in classes:
+        vertical_chern = vertical_chern * one_plus_t + transport(c, total)
     fibre_dim = 2 * (k - 1)
     return BundleModel(
         base_ring=base_ring,
@@ -143,12 +143,6 @@ def projectivize(
         vertical_euler=vertical_chern.graded_component(fibre_dim),
         vertical_total_p=chern_to_pontryagin(vertical_chern),
     )
-
-
-def _pad_rule_terms(rhs: Mapping[Monomial, object], extra: int) -> dict[Monomial, object]:
-    """Extend rule exponent vectors by zero slots for appended generators."""
-    pad = (0,) * extra
-    return {mon + pad: coeff for mon, coeff in rhs.items()}
 
 
 def kappa(bundle: BundleModel, cls: str) -> GradedPoly:

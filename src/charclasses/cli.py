@@ -10,6 +10,14 @@ Exit codes: 0 on success, 1 when a mathematical check fails (verify
 failures, or a section5 run whose acceptance condition does not hold),
 2 on usage or input parse errors.  Documents are read from a file path or
 from stdin when the path is ``-``.
+
+Each subcommand handler ``_cmd_*`` computes and returns
+``(exit_code, payload, text)``: ``payload`` is the object printed under
+``--format json`` and ``text`` the text-format output.  Handlers never
+read ``--format`` or write stdout.  ``main`` alone picks one of the two,
+writes it with a final newline after the handler has returned, and turns
+an input error (``_InputError`` or ``DocumentError``) into one
+``error: ...`` line on stderr, exit 2 and an empty stdout.
 """
 
 from __future__ import annotations
@@ -44,16 +52,6 @@ class _InputError(Exception):
     """User input could not be used; maps to exit code 2."""
 
 
-def _emit(text: str) -> None:
-    sys.stdout.write(text)
-    if not text.endswith("\n"):
-        sys.stdout.write("\n")
-
-
-def _emit_json(payload: Any) -> None:
-    _emit(json.dumps(payload, indent=2))
-
-
 def _read_document(path: str) -> Any:
     try:
         if path == "-":
@@ -76,65 +74,47 @@ def _read_document(path: str) -> Any:
         raise _InputError(f"invalid JSON in {path!r}: {exc}") from exc
 
 
-def _cmd_genus(args: argparse.Namespace) -> int:
+Result = tuple[int, Any, str]  # (exit code, json payload, text)
+
+
+def _cmd_genus(args: argparse.Namespace) -> Result:
     if not 1 <= args.max_weight <= MAX_TABLE_WEIGHT:
         raise _InputError(
             f"--max-weight must lie in 1..{MAX_TABLE_WEIGHT}, got {args.max_weight}"
         )
     seq = (l_sequence if args.series == "L" else ahat_sequence)(args.max_weight)
-    polys = seq.k_polynomials(args.max_weight)
-    if args.format == "json":
-        _emit_json(
-            {
-                "series": args.series,
-                "max_weight": args.max_weight,
-                "polynomials": [
-                    {"weight": n, "polynomial": str(poly)}
-                    for n, poly in enumerate(polys, start=1)
-                ],
-            }
-        )
-    else:
-        _emit("\n".join(f"K{n} = {poly}" for n, poly in enumerate(polys, start=1)))
-    return 0
+    polys = [str(poly) for poly in seq.k_polynomials(args.max_weight)]
+    payload = {
+        "series": args.series,
+        "max_weight": args.max_weight,
+        "polynomials": [
+            {"weight": n, "polynomial": poly} for n, poly in enumerate(polys, start=1)
+        ],
+    }
+    text = "\n".join(f"K{n} = {poly}" for n, poly in enumerate(polys, start=1))
+    return 0, payload, text
 
 
-def _cmd_signature(args: argparse.Namespace) -> int:
-    doc = _read_document(args.document)
-    try:
-        space = space_from_document(doc)
-    except DocumentError as exc:
-        raise _InputError(str(exc)) from exc
+def _cmd_signature(args: argparse.Namespace) -> Result:
+    space = space_from_document(_read_document(args.document))
     weight = max(space.dimension // 4, 1)
     try:
         value = evaluate_genus(space, l_sequence(weight))
     except ValueError as exc:
         raise _InputError(str(exc)) from exc
-    if args.format == "json":
-        _emit_json({"signature": format_rational(value)})
-    else:
-        _emit(f"signature = {value}")
-    return 0
+    return 0, {"signature": format_rational(value)}, f"signature = {value}"
 
 
-def _cmd_kappa(args: argparse.Namespace) -> int:
-    doc = _read_document(args.bundle)
+def _cmd_kappa(args: argparse.Namespace) -> Result:
+    bundle = bundle_from_document(_read_document(args.bundle))
     try:
-        bundle = bundle_from_document(doc)
-    except ValueError as exc:
-        raise _InputError(str(exc)) from exc
-    try:
-        value = kappa(bundle, args.cls)
+        value = str(kappa(bundle, args.cls))
     except (ValueError, ZeroDivisionError) as exc:
         raise _InputError(f"--class: {exc}") from exc
-    if args.format == "json":
-        _emit_json({"class": args.cls, "kappa": str(value)})
-    else:
-        _emit(f"kappa({args.cls}) = {value}")
-    return 0
+    return 0, {"class": args.cls, "kappa": value}, f"kappa({args.cls}) = {value}"
 
 
-def _cmd_bso(args: argparse.Namespace) -> int:
+def _cmd_bso(args: argparse.Namespace) -> Result:
     try:
         ring = bso_presentation(
             args.dimension,
@@ -144,67 +124,50 @@ def _cmd_bso(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise _InputError(str(exc)) from exc
     doc = ring_to_document(ring)
-    if args.format == "json":
-        _emit_json({"characteristic": args.characteristic, **doc})
-    else:
-        lines = [f"characteristic {args.characteristic}"]
-        lines.extend(
-            f"generator {g['name']} degree {g['degree']}" for g in doc["generators"]
-        )
-        lines.extend(f"relation {r['lhs']} = {r['rhs']}" for r in doc["relations"])
-        _emit("\n".join(lines))
-    return 0
+    lines = [f"characteristic {args.characteristic}"]
+    lines.extend(
+        f"generator {g['name']} degree {g['degree']}" for g in doc["generators"]
+    )
+    lines.extend(f"relation {r['lhs']} = {r['rhs']}" for r in doc["relations"])
+    return 0, {"characteristic": args.characteristic, **doc}, "\n".join(lines)
 
 
-def _cmd_section5(args: argparse.Namespace) -> int:
+def _cmd_section5(args: argparse.Namespace) -> Result:
     try:
         r_value = parse_rational(args.R)
     except (ValueError, ZeroDivisionError) as exc:
         raise _InputError(f"--R: {exc}") from exc
     report = counterexample.run(r_value)
-    if args.format == "json":
-        _emit_json(counterexample.report_document(report))
-    else:
-        unchanged = " ".join(
-            "yes" if flag else "no" for flag in report.p_low_unchanged
-        )
-        _emit(
-            "\n".join(
-                [
-                    f"R = {report.R}",
-                    f"p1 p2 p3 unchanged: {unchanged}",
-                    f"p4 = {report.p4}",
-                    f"p5 = {report.p5}",
-                    f"sign(F) = {report.sign_fibre}",
-                    f"casson obstruction = {report.casson}",
-                    f"p5 integral = {report.kappa_p5_integral}",
-                ]
-            )
-        )
-    return 0 if counterexample.succeeded(report) else 1
+    unchanged = " ".join("yes" if flag else "no" for flag in report.p_low_unchanged)
+    text = "\n".join(
+        [
+            f"R = {report.R}",
+            f"p1 p2 p3 unchanged: {unchanged}",
+            f"p4 = {report.p4}",
+            f"p5 = {report.p5}",
+            f"sign(F) = {report.sign_fibre}",
+            f"casson obstruction = {report.casson}",
+            f"p5 integral = {report.kappa_p5_integral}",
+        ]
+    )
+    code = 0 if counterexample.succeeded(report) else 1
+    return code, counterexample.report_document(report), text
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> Result:
     results = run_checks()
     all_passed = all(r.passed for r in results)
-    if args.format == "json":
-        _emit_json(
-            {
-                "passed": all_passed,
-                "checks": [
-                    {"id": r.check_id, "passed": r.passed, "detail": r.detail}
-                    for r in results
-                ],
-            }
-        )
-    else:
-        _emit(
-            "\n".join(
-                f"{'PASS' if r.passed else 'FAIL'} {r.check_id}: {r.detail}"
-                for r in results
-            )
-        )
-    return 0 if all_passed else 1
+    payload = {
+        "passed": all_passed,
+        "checks": [
+            {"id": r.check_id, "passed": r.passed, "detail": r.detail}
+            for r in results
+        ],
+    }
+    text = "\n".join(
+        f"{'PASS' if r.passed else 'FAIL'} {r.check_id}: {r.detail}" for r in results
+    )
+    return 0 if all_passed else 1, payload, text
 
 
 def _add_format(parser: argparse.ArgumentParser) -> None:
@@ -298,10 +261,14 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.handler(args)
-    except _InputError as exc:
+        code, payload, text = args.handler(args)
+    except (_InputError, DocumentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if args.format == "json":
+        text = json.dumps(payload, indent=2)
+    sys.stdout.write(text + "\n")
+    return code
 
 
 if __name__ == "__main__":

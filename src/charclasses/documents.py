@@ -34,7 +34,7 @@ from __future__ import annotations
 from typing import Any, Mapping
 
 from .bundles import BundleModel, product_bundle, projectivize
-from .rings import GradedPoly, Ring
+from .rings import GradedPoly, Ring, validate_name
 from .scalars import validate_modulus
 from .spaces import SpaceModel
 
@@ -99,6 +99,10 @@ def ring_from_document(
     for i, gen_doc in enumerate(gen_docs):
         gen_path = f"{path}/generators/{i}"
         name = _str_field(gen_doc, "name", gen_path)
+        try:
+            validate_name(name)
+        except ValueError as exc:
+            raise DocumentError(f"{gen_path}/name", str(exc)) from exc
         degree = _int_field(gen_doc, "degree", gen_path, minimum=1)
         generators.append((name, degree))
     relation_docs = doc.get("relations", [])
@@ -226,6 +230,10 @@ def bundle_from_document(doc: Mapping[str, Any], path: str = "") -> BundleModel:
         twist = doc.get("twist", "t")
         if not isinstance(twist, str) or not twist:
             raise DocumentError(f"{path}/twist", "expected a generator name")
+        try:
+            validate_name(twist)
+        except ValueError as exc:
+            raise DocumentError(f"{path}/twist", str(exc)) from exc
         try:
             return projectivize(base, classes, twist=twist)
         except ValueError as exc:

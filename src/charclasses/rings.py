@@ -51,6 +51,7 @@ __all__ = [
     "Ring",
     "tensor_ring",
     "transport",
+    "validate_name",
 ]
 
 Scalar = Union[Fraction, PrimeScalar]
@@ -65,6 +66,15 @@ _FACTOR_RE = re.compile(
     r"\s*(?:(?P<numer>\d+)(?:\s*/\s*(?P<denom>\d+))?"
     rf"|(?P<name>{_NAME_RE.pattern})(?:\s*\^\s*(?P<power>\d+))?)\s*"
 )
+
+
+def validate_name(name: object) -> None:
+    """Reject a generator name that the text syntax cannot read back."""
+    if not isinstance(name, str) or not _NAME_RE.fullmatch(name):
+        raise ValueError(
+            f"bad generator name {name!r}; expected a letter or _ "
+            "followed by letters, digits or _"
+        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -111,11 +121,7 @@ class Ring:
         )
         seen: set[str] = set()
         for g in gens:
-            if not isinstance(g.name, str) or not _NAME_RE.fullmatch(g.name):
-                raise ValueError(
-                    f"bad generator name {g.name!r}; expected a letter or _ "
-                    "followed by letters, digits or _"
-                )
+            validate_name(g.name)
             if not isinstance(g.degree, int) or g.degree < 1:
                 raise ValueError(f"generator {g.name!r} needs a positive integer degree")
             if g.degree % 2 == 1 and characteristic != 2:
@@ -314,11 +320,7 @@ class Ring:
                 applicable = [i for i, (k, _) in rules.items() if mon[i] >= k]
                 if not applicable:
                     acc = out.get(mon)
-                    acc = coeff if acc is None else acc + coeff
-                    if acc:
-                        out[mon] = acc
-                    elif mon in out:
-                        del out[mon]
+                    out[mon] = coeff if acc is None else acc + coeff
                     continue
                 i = applicable[choose(applicable) if choose else 0]
                 k, rhs = rules[i]
@@ -330,7 +332,7 @@ class Ring:
                     acc = images.get(pushed)
                     images[pushed] = c if acc is None else acc + c
             pending = images
-        return out
+        return _nonzero(out)
 
     # ------------------------------------------------------------------
     # polynomial factories
@@ -414,12 +416,8 @@ class GradedPoly:
         out = dict(self.terms)
         for mon, coeff in other.terms.items():
             acc = out.get(mon)
-            acc = coeff if acc is None else acc + coeff
-            if acc:
-                out[mon] = acc
-            elif mon in out:
-                del out[mon]
-        return GradedPoly(self.ring, out, _normalized=True)
+            out[mon] = coeff if acc is None else acc + coeff
+        return GradedPoly(self.ring, _nonzero(out), _normalized=True)
 
     def __radd__(self, other: object) -> "GradedPoly":
         return self.__add__(other)
@@ -454,11 +452,7 @@ class GradedPoly:
                 mon = tuple(a + b for a, b in zip(m1, m2))
                 c = c1 * c2
                 acc = out.get(mon)
-                acc = c if acc is None else acc + c
-                if acc:
-                    out[mon] = acc
-                elif mon in out:
-                    del out[mon]
+                out[mon] = c if acc is None else acc + c
         return GradedPoly(self.ring, out)
 
     def __rmul__(self, other: object) -> "GradedPoly":
@@ -598,6 +592,16 @@ class GradedPoly:
 # parsing and printing internals
 
 
+def _nonzero(terms: dict[Monomial, Scalar]) -> dict[Monomial, Scalar]:
+    """Delete the zero coefficients of ``terms`` in place, and return it.
+
+    The one place where each sum builder drops the terms that cancelled.
+    """
+    for mon in [mon for mon, coeff in terms.items() if not coeff]:
+        del terms[mon]
+    return terms
+
+
 def _parse_rule_lhs(text: str) -> tuple[str, int]:
     m = _FACTOR_RE.fullmatch(text)
     if not m or m["power"] is None:
@@ -665,12 +669,8 @@ def _parse_terms(ring: Ring, text: str) -> dict[Monomial, Scalar]:
                 exps[idx] += value
         mon = tuple(exps)
         acc = out.get(mon)
-        acc = coeff if acc is None else acc + coeff
-        if acc:
-            out[mon] = acc
-        elif mon in out:
-            del out[mon]
-    return out
+        out[mon] = coeff if acc is None else acc + coeff
+    return _nonzero(out)
 
 
 def _coeff_magnitude(ring: Ring, coeff: Scalar) -> tuple[str, bool, bool]:

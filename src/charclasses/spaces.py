@@ -187,8 +187,9 @@ def chern_to_pontryagin(total_c: GradedPoly) -> GradedPoly:
 
     With c-bar the total Chern class with odd classes negated,
     sum_i (-1)^i p_i = c-bar * c, so p_i is (-1)^i times the degree-4i
-    component of that product.  Components of degree 2 mod 4 cancel
-    identically and are not inspected.
+    component of that product.  Both signs are twists of terms by degree:
+    c-bar negates degrees 2 mod 4, the result degrees 4 mod 8.  Components
+    of degree 2 mod 4 of the product cancel identically.
     """
     ring = total_c.ring
     if ring.characteristic != 0:
@@ -198,25 +199,19 @@ def chern_to_pontryagin(total_c: GradedPoly) -> GradedPoly:
         )
     if total_c.constant_term() != 1:
         raise ValueError("total Chern class must have constant term 1")
-    top = total_c.degree()
-    conjugate = ring.zero()
-    for deg in range(0, (top or 0) + 1, 2):
-        component = total_c.graded_component(deg)
-        if deg % 4 == 2:
-            component = -component
-        conjugate = conjugate + component
+    degree = ring.monomial_degree
     for mon in total_c.terms:
-        if ring.monomial_degree(mon) % 2 == 1:
+        if degree(mon) % 2 == 1:
             raise ValueError("total Chern class has an odd-degree term")
-    product = conjugate * total_c
-    result = ring.zero()
-    limit = product.degree() or 0
-    sign = 1
-    for deg in range(0, limit + 1, 4):
-        piece = product.graded_component(deg)
-        result = result + (piece if sign > 0 else -piece)
-        sign = -sign
-    return result
+
+    def negate(poly: GradedPoly, period: int) -> GradedPoly:
+        """``poly`` with the terms of degree period/2 mod period negated."""
+        return GradedPoly(ring, {
+            mon: -coeff if degree(mon) % period == period // 2 else coeff
+            for mon, coeff in poly.terms.items()
+        }, _normalized=True)
+
+    return negate(negate(total_c, 4) * total_c, 8)
 
 
 def bso_presentation(

@@ -19,6 +19,13 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def assert_one_error_line(out, err):
+    """Exit 2 leaves stdout empty and writes one ``error: `` line to stderr."""
+    assert out == ""
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
 def write_json(tmp_path, name, payload):
     path = tmp_path / name
     path.write_text(json.dumps(payload), encoding="utf-8")
@@ -48,8 +55,9 @@ def test_genus_json_table(capsys):
 
 def test_genus_weight_guardrail(capsys):
     for bad in ("0", "13", "-2"):
-        code, _, err = run_cli(capsys, "genus", "--max-weight", bad)
+        code, out, err = run_cli(capsys, "genus", "--max-weight", bad)
         assert code == 2
+        assert_one_error_line(out, err)
         assert "--max-weight" in err
 
 
@@ -82,8 +90,9 @@ def test_signature_rejects_bad_document(capsys, tmp_path):
     doc = space_to_document(hp(2))
     doc["fundamental"] = "nope"
     path = write_json(tmp_path, "bad.json", doc)
-    code, _, err = run_cli(capsys, "signature", path)
+    code, out, err = run_cli(capsys, "signature", path)
     assert code == 2
+    assert_one_error_line(out, err)
     assert "/fundamental" in err
 
 
@@ -105,7 +114,7 @@ def test_signature_rejects_generator_names_the_parser_cannot_read(capsys, tmp_pa
     code, out, err = run_cli(capsys, "signature", path)
     assert code == 2
     assert out == ""
-    assert err.startswith("error: /ring: bad generator name 'y y'")
+    assert err.startswith("error: /ring/generators/0/name: bad generator name 'y y'")
 
 
 def test_signature_rejects_cycling_relations(capsys, tmp_path):
@@ -134,14 +143,16 @@ def test_signature_rejects_cycling_relations(capsys, tmp_path):
 def test_signature_rejects_invalid_json(capsys, tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json", encoding="utf-8")
-    code, _, err = run_cli(capsys, "signature", str(path))
+    code, out, err = run_cli(capsys, "signature", str(path))
     assert code == 2
+    assert_one_error_line(out, err)
     assert "invalid JSON" in err
 
 
 def test_signature_missing_file(capsys):
-    code, _, err = run_cli(capsys, "signature", "/no/such/file.json")
+    code, out, err = run_cli(capsys, "signature", "/no/such/file.json")
     assert code == 2
+    assert_one_error_line(out, err)
     assert "cannot read" in err
 
 
@@ -299,8 +310,9 @@ def test_kappa_product_bundle_from_stdin(capsys, monkeypatch):
 
 def test_kappa_bad_class_monomial(capsys, tmp_path):
     path = write_json(tmp_path, "proj.json", projectivization_doc())
-    code, _, err = run_cli(capsys, "kappa", "--bundle", path, "--class", "q7")
+    code, out, err = run_cli(capsys, "kappa", "--bundle", path, "--class", "q7")
     assert code == 2
+    assert_one_error_line(out, err)
     assert err.startswith("error: --class: unknown generator 'q7'")
 
 
@@ -326,13 +338,14 @@ def test_kappa_rejects_twist_names_the_parser_cannot_read(capsys, tmp_path):
     path = write_json(tmp_path, "proj.json", doc)
     code, out, err = run_cli(capsys, "kappa", "--bundle", path, "--class", "e")
     assert (code, out) == (2, "")
-    assert err.startswith("error: /: bad generator name 't t'")
+    assert err.startswith("error: /twist: bad generator name 't t'")
 
 
 def test_kappa_bad_document(capsys, tmp_path):
     path = write_json(tmp_path, "bad.json", {"kind": "mystery"})
-    code, _, err = run_cli(capsys, "kappa", "--bundle", path, "--class", "e")
+    code, out, err = run_cli(capsys, "kappa", "--bundle", path, "--class", "e")
     assert code == 2
+    assert_one_error_line(out, err)
     assert "/kind" in err
 
 
@@ -397,8 +410,9 @@ def test_bso_characteristic_two_json(capsys):
 
 
 def test_bso_rejects_bad_dimension(capsys):
-    code, _, err = run_cli(capsys, "bso", "--dimension", "0")
+    code, out, err = run_cli(capsys, "bso", "--dimension", "0")
     assert code == 2
+    assert_one_error_line(out, err)
     assert "dimension" in err
 
 
@@ -438,8 +452,9 @@ def test_section5_rational_perturbation(capsys):
 
 
 def test_section5_rejects_decimal_perturbation(capsys):
-    code, _, err = run_cli(capsys, "section5", "--R", "0.5")
+    code, out, err = run_cli(capsys, "section5", "--R", "0.5")
     assert code == 2
+    assert_one_error_line(out, err)
     assert "--R" in err
 
 

@@ -4,8 +4,9 @@
 
 The calls are every op of ``perfbench/workloads.catalog()``, the ops of
 seeds 1-3 of all four workloads, ``verify`` and ``section5`` (text and
-json) and ``genus --max-weight 12`` for L and Ahat (text and json), each
-distinct call once.  Each runs as one ``python -m charclasses`` process with
+json), ``genus --max-weight 12`` for L and Ahat (text and json) and
+``--help`` at the top level and for each subcommand, each distinct call
+once.  Each runs as one ``python -m charclasses`` process with
 ``PYTHONPATH=<tree>/src`` and its document on stdin, one call at a time,
 first in PARENT_TREE and then in CHANGE_TREE.  Exit code, stdout bytes and
 stderr bytes must be equal.  Prints the number of calls; exits 1 and names
@@ -41,6 +42,9 @@ def calls() -> list[Op]:
         ops.append(Op(f"section5 {fmt}", ("section5",) + workloads._fmt_args(fmt)))
         for series in ("L", "Ahat"):
             ops.append(workloads.genus_op(series, 12, fmt))
+    for sub in ("", "genus", "signature", "kappa", "bso", "section5", "verify"):
+        args = (sub, "--help") if sub else ("--help",)
+        ops.append(Op(" ".join(args), args))
     unique: dict[str, Op] = {}
     for op in ops:
         unique.setdefault(op.key, op)
