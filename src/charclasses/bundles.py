@@ -60,11 +60,16 @@ class BundleModel:
         return transport(cls, self.total_ring)
 
     def gysin(self, cls: GradedPoly) -> GradedPoly:
-        """Fibre integration: the coefficient of the fibre's fundamental monomial."""
+        """Fibre integration: the coefficient of the fibre's fundamental monomial.
+
+        The total ring's rules on base generators are the base's own, and
+        the fibre part of every picked term is the same, so the base parts
+        are distinct and already in the base's normal form.
+        """
         if cls.ring is not self.total_ring and cls.ring != self.total_ring:
             raise ValueError("class does not live in the total ring")
         n_base = len(self.base_ring.names)
-        return self.base_ring.poly({
+        return GradedPoly(self.base_ring, {
             mon[:n_base]: coeff
             for mon, coeff in cls.terms.items()
             if mon[n_base:] == self.fibre_fundamental

@@ -109,7 +109,7 @@ def _cmd_kappa(args: argparse.Namespace) -> Result:
     bundle = bundle_from_document(_read_document(args.bundle))
     try:
         value = str(kappa(bundle, args.cls))
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise _InputError(f"--class: {exc}") from exc
     return 0, {"class": args.cls, "kappa": value}, f"kappa({args.cls}) = {value}"
 

@@ -26,12 +26,18 @@ where a bare ring document is {"characteristic": ..., "ring": {...}} and
 payloads use the text syntax of :mod:`charclasses.rings`.
 
 Validation failures raise :class:`DocumentError` whose message starts with
-the JSON-pointer-style path of the offending field.
+the JSON-pointer-style path of the offending field.  The decoder checks
+the JSON shape itself and leaves every other check to the library, whose
+checks raise ``ValueError``: ``with _at(path):`` reports one raised inside
+it as a :class:`DocumentError` at ``path``.  Each such block wraps one
+library call and no decoder code, so an error keeps the path of the field
+it was found in.
 """
 
 from __future__ import annotations
 
-from typing import Any, Mapping
+from contextlib import contextmanager
+from typing import Any, Iterator, Mapping
 
 from .bundles import BundleModel, product_bundle, projectivize
 from .rings import GradedPoly, Ring, validate_name
@@ -54,6 +60,15 @@ class DocumentError(ValueError):
     def __init__(self, path: str, message: str) -> None:
         self.path = path or "/"
         super().__init__(f"{self.path}: {message}")
+
+
+@contextmanager
+def _at(path: str) -> Iterator[None]:
+    """Report a ``ValueError`` raised in the block as bad input at ``path``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise DocumentError(path, str(exc)) from exc
 
 
 def _field(doc: Mapping[str, Any], key: str, path: str) -> Any:
@@ -82,10 +97,8 @@ def _poly_field(
     doc: Mapping[str, Any], key: str, path: str, ring: Ring
 ) -> GradedPoly:
     text = _str_field(doc, key, path)
-    try:
+    with _at(f"{path}/{key}"):
         return ring.poly(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise DocumentError(f"{path}/{key}", str(exc)) from exc
 
 
 def ring_from_document(
@@ -99,10 +112,8 @@ def ring_from_document(
     for i, gen_doc in enumerate(gen_docs):
         gen_path = f"{path}/generators/{i}"
         name = _str_field(gen_doc, "name", gen_path)
-        try:
+        with _at(f"{gen_path}/name"):
             validate_name(name)
-        except ValueError as exc:
-            raise DocumentError(f"{gen_path}/name", str(exc)) from exc
         degree = _int_field(gen_doc, "degree", gen_path, minimum=1)
         generators.append((name, degree))
     relation_docs = doc.get("relations", [])
@@ -113,10 +124,8 @@ def ring_from_document(
         rel_path = f"{path}/relations/{i}"
         rules.append((_str_field(rel_doc, "lhs", rel_path),
                       _str_field(rel_doc, "rhs", rel_path)))
-    try:
+    with _at(path):
         return Ring(characteristic, generators, rules)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise DocumentError(path or "/", str(exc)) from exc
 
 
 def ring_to_document(ring: Ring) -> dict:
@@ -124,7 +133,7 @@ def ring_to_document(ring: Ring) -> dict:
     relations = []
     for idx in sorted(ring.rules):
         power, rhs = ring.rules[idx]
-        rhs_poly = GradedPoly(ring, rhs, _normalized=True)
+        rhs_poly = GradedPoly(ring, rhs)
         relations.append(
             {"lhs": f"{ring.names[idx]}^{power}", "rhs": str(rhs_poly)}
         )
@@ -136,35 +145,30 @@ def ring_to_document(ring: Ring) -> dict:
     }
 
 
-def _characteristic_field(doc: Mapping[str, Any], path: str) -> int:
+def _ring_field(doc: Mapping[str, Any], path: str) -> Ring:
+    """The ring of a document's "characteristic" and "ring" fields."""
     value = _field(doc, "characteristic", path)
     if not isinstance(value, int) or isinstance(value, bool) or value < 0:
         raise DocumentError(f"{path}/characteristic", "expected 0 or a prime")
     if value:
-        try:
+        with _at(f"{path}/characteristic"):
             validate_modulus(value)
-        except ValueError as exc:
-            raise DocumentError(f"{path}/characteristic", str(exc)) from exc
-    return value
+    return ring_from_document(_field(doc, "ring", path), value, f"{path}/ring")
 
 
 def space_from_document(doc: Mapping[str, Any], path: str = "") -> SpaceModel:
     """Build a SpaceModel from its JSON document."""
-    characteristic = _characteristic_field(doc, path)
-    ring = ring_from_document(_field(doc, "ring", path), characteristic,
-                              f"{path}/ring")
+    ring = _ring_field(doc, path)
     dimension = _int_field(doc, "dimension", path, minimum=0)
     fundamental_text = _str_field(doc, "fundamental", path)
-    try:
+    with _at(f"{path}/fundamental"):
         fundamental = ring.monomial(fundamental_text)
-    except ValueError as exc:
-        raise DocumentError(f"{path}/fundamental", str(exc)) from exc
     total_p = _poly_field(doc, "total_p", path, ring)
     euler = _poly_field(doc, "euler", path, ring)
     total_w = None
     if "total_w" in doc:
         total_w = _poly_field(doc, "total_w", path, ring)
-    try:
+    with _at(path):
         return SpaceModel(
             ring=ring,
             dimension=dimension,
@@ -173,8 +177,6 @@ def space_from_document(doc: Mapping[str, Any], path: str = "") -> SpaceModel:
             euler=euler,
             total_w=total_w,
         )
-    except ValueError as exc:
-        raise DocumentError(path or "/", str(exc)) from exc
 
 
 def space_to_document(space: SpaceModel) -> dict:
@@ -198,10 +200,8 @@ def bundle_from_document(doc: Mapping[str, Any], path: str = "") -> BundleModel:
     if kind == "product":
         base = space_from_document(_field(doc, "base", path), f"{path}/base")
         fibre = space_from_document(_field(doc, "fibre", path), f"{path}/fibre")
-        try:
+        with _at(path):
             return product_bundle(base, fibre)
-        except ValueError as exc:
-            raise DocumentError(path or "/", str(exc)) from exc
     if kind == "projectivization":
         base_doc = _field(doc, "base", path)
         base_path = f"{path}/base"
@@ -209,12 +209,7 @@ def bundle_from_document(doc: Mapping[str, Any], path: str = "") -> BundleModel:
             base: Ring | SpaceModel = space_from_document(base_doc, base_path)
             base_ring = base.ring
         else:
-            characteristic = _characteristic_field(base_doc, base_path)
-            base = ring_from_document(
-                _field(base_doc, "ring", base_path), characteristic,
-                f"{base_path}/ring"
-            )
-            base_ring = base
+            base = base_ring = _ring_field(base_doc, base_path)
         chern_docs = _field(doc, "chern", path)
         if not isinstance(chern_docs, list) or not chern_docs:
             raise DocumentError(f"{path}/chern", "expected a nonempty list")
@@ -223,21 +218,15 @@ def bundle_from_document(doc: Mapping[str, Any], path: str = "") -> BundleModel:
             item_path = f"{path}/chern/{i}"
             if not isinstance(text, str):
                 raise DocumentError(item_path, "expected a polynomial string")
-            try:
+            with _at(item_path):
                 classes.append(base_ring.poly(text))
-            except (ValueError, ZeroDivisionError) as exc:
-                raise DocumentError(item_path, str(exc)) from exc
         twist = doc.get("twist", "t")
         if not isinstance(twist, str) or not twist:
             raise DocumentError(f"{path}/twist", "expected a generator name")
-        try:
+        with _at(f"{path}/twist"):
             validate_name(twist)
-        except ValueError as exc:
-            raise DocumentError(f"{path}/twist", str(exc)) from exc
-        try:
+        with _at(path):
             return projectivize(base, classes, twist=twist)
-        except ValueError as exc:
-            raise DocumentError(path or "/", str(exc)) from exc
     raise DocumentError(
         f"{path}/kind", f"unknown bundle kind {kind!r}; "
         "expected 'product' or 'projectivization'"

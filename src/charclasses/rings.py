@@ -32,7 +32,16 @@ joined by ``*``, each an integer, a fraction ``n/d``, a generator ``g`` or a
 power ``g^k``, e.g. ``-71/14175*p1^2*p2``.  Fractions are accepted in
 characteristic 0 only.  Whitespace is allowed around every operator and at
 both ends; factors written side by side (``2 x``, ``a b``) are rejected.
-``parse(print(f)) == f`` holds for every polynomial.
+``parse(print(f)) == f`` holds for every polynomial.  Bad text, a zero
+denominator included, raises ``ValueError``.
+
+Polynomials are checked where they are built from outside input, by
+:meth:`Ring.poly`, which parses or coerces and then reduces to normal form.
+The constructor ``GradedPoly(ring, terms)`` checks nothing and stores
+``terms`` as given: they must already be in normal form, with no zero
+coefficient.  Products and ``transport`` reduce their own terms; sums,
+negation, scalar multiples and graded components are normal by
+construction.
 """
 
 from __future__ import annotations
@@ -223,9 +232,9 @@ class Ring:
                 if len(mon) != len(self.names) or any(e < 0 for e in mon):
                     raise ValueError(f"bad exponent vector {mon}")
                 c = self.coerce_scalar(coeff)
-                if c:
-                    out[mon] = out.get(mon, self.coerce_scalar(0)) + c
-            return {m: c for m, c in out.items() if c}
+                acc = out.get(mon)
+                out[mon] = c if acc is None else acc + c
+            return _nonzero(out)
         raise TypeError(f"cannot build a polynomial from {source!r}")
 
     # ------------------------------------------------------------------
@@ -338,11 +347,15 @@ class Ring:
     # polynomial factories
 
     def poly(self, source: object) -> "GradedPoly":
-        """Build a polynomial from a string, scalar, term dict, or poly."""
-        return GradedPoly(self, self._raw_terms(source))
+        """Build a polynomial from a string, scalar, term dict, or poly.
+
+        The one entry that checks outside input and reduces it to normal
+        form.
+        """
+        return GradedPoly(self, self.normal_form_terms(self._raw_terms(source)))
 
     def zero(self) -> "GradedPoly":
-        return GradedPoly(self, {}, _normalized=True)
+        return GradedPoly(self, {})
 
     def one(self) -> "GradedPoly":
         return self.poly(1)
@@ -387,21 +400,17 @@ class Ring:
 class GradedPoly:
     """An element of a :class:`Ring`, stored in normal form.
 
-    The term mapping is never mutated after construction; all arithmetic
-    returns new polynomials.
+    The constructor stores ``terms`` as given and checks nothing: they must
+    already be in the ring's normal form, with no zero coefficient.  Outside
+    input goes through :meth:`Ring.poly`.  The term mapping is never
+    mutated after construction; all arithmetic returns new polynomials.
     """
 
     __slots__ = ("ring", "terms")
 
-    def __init__(
-        self,
-        ring: Ring,
-        terms: Mapping[Monomial, Scalar],
-        *,
-        _normalized: bool = False,
-    ) -> None:
+    def __init__(self, ring: Ring, terms: dict[Monomial, Scalar]) -> None:
         self.ring = ring
-        self.terms = dict(terms) if _normalized else ring.normal_form_terms(terms)
+        self.terms = terms
 
     # ------------------------------------------------------------------
 
@@ -417,15 +426,13 @@ class GradedPoly:
         for mon, coeff in other.terms.items():
             acc = out.get(mon)
             out[mon] = coeff if acc is None else acc + coeff
-        return GradedPoly(self.ring, _nonzero(out), _normalized=True)
+        return GradedPoly(self.ring, _nonzero(out))
 
     def __radd__(self, other: object) -> "GradedPoly":
         return self.__add__(other)
 
     def __neg__(self) -> "GradedPoly":
-        return GradedPoly(
-            self.ring, {m: -c for m, c in self.terms.items()}, _normalized=True
-        )
+        return GradedPoly(self.ring, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: object) -> "GradedPoly":
         if not isinstance(other, GradedPoly):
@@ -441,9 +448,7 @@ class GradedPoly:
             if not c:
                 return self.ring.zero()
             return GradedPoly(
-                self.ring,
-                {m: coeff * c for m, coeff in self.terms.items()},
-                _normalized=True,
+                self.ring, {m: coeff * c for m, coeff in self.terms.items()}
             )
         self._compatible(other)
         out: dict[Monomial, Scalar] = {}
@@ -453,7 +458,7 @@ class GradedPoly:
                 c = c1 * c2
                 acc = out.get(mon)
                 out[mon] = c if acc is None else acc + c
-        return GradedPoly(self.ring, out)
+        return GradedPoly(self.ring, self.ring.normal_form_terms(out))
 
     def __rmul__(self, other: object) -> "GradedPoly":
         return self.__mul__(other)
@@ -508,7 +513,7 @@ class GradedPoly:
         picked = {
             m: c for m, c in self.terms.items() if self.ring.monomial_degree(m) == k
         }
-        return GradedPoly(self.ring, picked, _normalized=True)
+        return GradedPoly(self.ring, picked)
 
     def constant_term(self) -> Scalar:
         return self.terms.get(self.ring.unit_monomial(), self.ring.coerce_scalar(0))
@@ -652,7 +657,7 @@ def _parse_terms(ring: Ring, text: str) -> dict[Monomial, Scalar]:
                 elif m["denom"] is None:
                     parsed = (None, ring.coerce_scalar(int(m["numer"])))
                 elif not int(m["denom"]):
-                    raise ZeroDivisionError("zero denominator in coefficient")
+                    raise ValueError("zero denominator in coefficient")
                 elif ring.characteristic:
                     # prime-field coefficients are written as bare integers
                     raise ValueError(
@@ -730,6 +735,11 @@ def transport(poly: GradedPoly, target: Ring) -> GradedPoly:
     and to project them back out.
     """
     src = poly.ring
+    if src.characteristic != target.characteristic:
+        raise ValueError(
+            f"cannot transport from characteristic {src.characteristic} "
+            f"to characteristic {target.characteristic}"
+        )
     positions: list[int | None] = []
     for g in src.generators:
         idx = target._index.get(g.name)
@@ -751,5 +761,5 @@ def transport(poly: GradedPoly, target: Ring) -> GradedPoly:
                     f"target ring has no generator {src.names[src_idx]!r}"
                 )
             exps[idx] = e
-        out[tuple(exps)] = target.coerce_scalar(coeff)
-    return GradedPoly(target, out)
+        out[tuple(exps)] = coeff
+    return GradedPoly(target, target.normal_form_terms(out))

@@ -34,9 +34,6 @@ __all__ = [
     "format_rational",
     "is_prime",
     "parse_rational",
-    "scalar_from_int",
-    "scalar_one",
-    "scalar_zero",
     "validate_modulus",
 ]
 
@@ -201,20 +198,3 @@ def parse_rational(text: str) -> Fraction:
 def format_rational(q: Fraction) -> str:
     """Render a Fraction in the machine form ``"a/b"`` (so 3 becomes "3/1")."""
     return f"{q.numerator}/{q.denominator}"
-
-
-def scalar_zero(characteristic: int) -> Fraction | PrimeScalar:
-    """The additive identity of the coefficient field."""
-    return scalar_from_int(0, characteristic)
-
-
-def scalar_one(characteristic: int) -> Fraction | PrimeScalar:
-    """The multiplicative identity of the coefficient field."""
-    return scalar_from_int(1, characteristic)
-
-
-def scalar_from_int(n: int, characteristic: int) -> Fraction | PrimeScalar:
-    """Image of the integer n in the coefficient field."""
-    if characteristic == 0:
-        return Fraction(n)
-    return PrimeScalar(n, characteristic)

@@ -209,7 +209,7 @@ def chern_to_pontryagin(total_c: GradedPoly) -> GradedPoly:
         return GradedPoly(ring, {
             mon: -coeff if degree(mon) % period == period // 2 else coeff
             for mon, coeff in poly.terms.items()
-        }, _normalized=True)
+        })
 
     return negate(negate(total_c, 4) * total_c, 8)
 

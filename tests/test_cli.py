@@ -96,6 +96,18 @@ def test_signature_rejects_bad_document(capsys, tmp_path):
     assert "/fundamental" in err
 
 
+def test_signature_reports_a_zero_denominator_in_the_fundamental_monomial(
+    capsys, tmp_path
+):
+    doc = space_to_document(hp(2))
+    doc["fundamental"] = "1/0"
+    path = write_json(tmp_path, "bad.json", doc)
+    code, out, err = run_cli(capsys, "signature", path)
+    assert code == 2
+    assert_one_error_line(out, err)
+    assert err == "error: /fundamental: zero denominator in coefficient\n"
+
+
 def test_signature_rejects_factors_side_by_side(capsys, tmp_path):
     # read as the sum 7*y + y, "7*y y" would give signature -20/9
     doc = space_to_document(hp(2))
@@ -306,6 +318,17 @@ def test_kappa_product_bundle_from_stdin(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "kappa", "--bundle", "-", "--class", "p2")
     assert code == 0
     assert out == "kappa(p2) = 7\n"
+
+
+def test_kappa_reports_a_zero_denominator_in_the_base_fundamental(capsys, tmp_path):
+    base = space_to_document(sphere(12))
+    base["fundamental"] = "1/0"
+    doc = {"kind": "product", "base": base, "fibre": space_to_document(hp(2))}
+    path = write_json(tmp_path, "bad.json", doc)
+    code, out, err = run_cli(capsys, "kappa", "--bundle", path, "--class", "p2")
+    assert code == 2
+    assert_one_error_line(out, err)
+    assert err == "error: /base/fundamental: zero denominator in coefficient\n"
 
 
 def test_kappa_bad_class_monomial(capsys, tmp_path):

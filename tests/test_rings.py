@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from charclasses.bundles import product_bundle, projectivize
 from charclasses.rings import GradedPoly, Ring, tensor_ring, transport
 from charclasses.scalars import PrimeScalar
+from charclasses.spaces import cp, hp
 
 
 def free_ring():
@@ -403,7 +405,7 @@ def test_parse_accepts_whitespace_around_operators(data):
 def test_parse_errors():
     ring = free_ring()
     for bad in ["', '1.5*a", "a +", "a^", "q", "a^b", "3//2*a", "*a", "",
-                "2 x", "a b", "3a", "a^2 3", "1/2 a"]:
+                "2 x", "a b", "3a", "a^2 3", "1/2 a", "1/0*a"]:
         with pytest.raises(ValueError):
             ring.poly(bad)
     mod5 = Ring(5, [("x", 2)])
@@ -461,3 +463,50 @@ def test_transport_matches_names():
     lossy = big.gen("x") * big.gen("y")
     with pytest.raises(ValueError):
         transport(lossy, small)
+
+
+# ----------------------------------------------------------------------
+# the builders that store their terms unchecked
+
+
+def trusted_builder_cases():
+    """(ring, bundle or None): the round-trip rings, the tensor ring of a
+    product bundle and the total ring of a rank-3 projectivization."""
+    product = product_bundle(cp(2), hp(2))
+    proj = projectivize(quotient_ring(), ["a + b", "c - a*b", "a*c"])
+    return [(ring, None) for ring in round_trip_rings()] + [
+        (product.total_ring, product),
+        (proj.total_ring, proj),
+    ]
+
+
+def assert_normal(p):
+    assert all(p.terms.values())
+    assert p.ring.normal_form_terms(dict(p.terms)) == p.terms
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(st.data())
+def test_trusted_builders_return_normal_forms(data):
+    ring, bundle = data.draw(st.sampled_from(trusted_builder_cases()))
+    if ring.characteristic == 0:
+        coeffs = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 7))
+    else:
+        coeffs = st.integers(-9, 9)
+    mons = st.tuples(*[st.integers(0, 3)] * len(ring.names))
+    f, g = (
+        ring.poly(data.draw(st.dictionaries(mons, coeffs, max_size=4)))
+        for _ in range(2)
+    )
+    tensor = tensor_ring(ring, Ring(ring.characteristic, [("z", 2)]))
+    moved = transport(f, tensor)
+    back = transport(moved, ring)
+    results = [
+        f + g, f - g, -f, f * data.draw(coeffs), f * g, f ** 3,
+        f.graded_component(data.draw(st.integers(0, 12))), moved, back,
+    ]
+    if bundle is not None:
+        results.append(bundle.gysin(f))
+    for r in results:
+        assert_normal(r)
+    assert back == f

@@ -15,9 +15,6 @@ from charclasses.scalars import (
     format_rational,
     is_prime,
     parse_rational,
-    scalar_from_int,
-    scalar_one,
-    scalar_zero,
     validate_modulus,
 )
 
@@ -135,15 +132,6 @@ def test_field_axioms_random_triples(modulus):
         assert a + (-a) == zero
         if b != zero:
             assert (a / b) * b == a
-
-
-def test_scalar_factories():
-    assert scalar_zero(0) == Fraction(0)
-    assert scalar_one(0) == Fraction(1)
-    assert scalar_from_int(-4, 0) == Fraction(-4)
-    assert scalar_zero(5) == PrimeScalar(0, 5)
-    assert scalar_one(5) == PrimeScalar(1, 5)
-    assert scalar_from_int(12, 5) == PrimeScalar(2, 5)
 
 
 # ----------------------------------------------------------------------
