@@ -131,8 +131,8 @@ def projectivize(
         ((base_ring.names[idx], power), {mon + (0,): c for mon, c in rhs.items()})
         for idx, (power, rhs) in base_ring.rules.items()
     ]
-    total = Ring(0, list(base_ring.generators) + [(twist, 2)],
-                 rules + [((twist, k), relation)])
+    gens = [*zip(base_ring.names, base_ring.degrees), (twist, 2)]
+    total = Ring(0, gens, rules + [((twist, k), relation)])
 
     # vertical Chern class sum_i c_i (1+t)^{k-i} by Horner's rule
     one_plus_t = total.one() + total.gen(twist)

@@ -19,7 +19,9 @@ of p_5 for the fibration over S^12, is nonzero: no vector bundle model
 exists, while all classical obstructions are silent.
 
 ``run`` performs the whole computation for a given R and returns a report;
-``report_document`` fixes the JSON shape emitted by the command line.
+``report_document`` fixes the JSON shape emitted by the command line.  The
+sizes are derived from the spaces: the solve runs to weight dim E / 4, and
+the fibre signature pairs the degree of the fibre's dimension.
 """
 
 from __future__ import annotations
@@ -41,9 +43,6 @@ __all__ = [
     "run",
     "succeeded",
 ]
-
-MAX_WEIGHT = 5
-
 
 @dataclass(frozen=True)
 class CounterexampleReport:
@@ -68,10 +67,13 @@ def fibre_signature(
 ) -> Fraction:
     """Signature of the fibre read off the total signature class.
 
-    Pairs the weight-2 (degree-8) part of total_l against the Poincare dual
-    of the fibre, here the pulled-back base fundamental class.
+    Pairs the part of total_l in the fibre's degree, dim E - deg(fibre_dual),
+    against the Poincare dual of the fibre, here the pulled-back base
+    fundamental class.
     """
-    return integrate(space, total_l.graded_component(8) * fibre_dual)
+    # a zero dual has no degree, and pairs to 0 in any
+    fibre_dim = space.dimension - (fibre_dual.degree() or 0)
+    return integrate(space, total_l.graded_component(fibre_dim) * fibre_dual)
 
 
 def casson_obstruction(
@@ -90,16 +92,17 @@ def casson_obstruction(
 def run(R: Fraction | int = 1) -> CounterexampleReport:
     """Perturb the signature class of S^12 x HP^2 by R*x*y and solve."""
     R = Fraction(R)
-    seq = l_sequence(MAX_WEIGHT)
     space = build_total_space()
     ring = space.ring
+    weight = space.dimension // 4
+    seq = l_sequence(weight)
     x = ring.gen("x")
     y = ring.gen("y")
 
-    target = seq.total_class(space.total_p, ring, MAX_WEIGHT) + x * y * R
+    target = seq.total_class(space.total_p, ring, weight) + x * y * R
 
     solved: list[GradedPoly] = []
-    for n in range(1, MAX_WEIGHT + 1):
+    for n in range(1, weight + 1):
         solved.append(solve_pontryagin(seq, target, solved, ring, n))
 
     p_low_unchanged = tuple(

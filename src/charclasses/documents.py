@@ -139,7 +139,8 @@ def ring_to_document(ring: Ring) -> dict:
         )
     return {
         "generators": [
-            {"name": g.name, "degree": g.degree} for g in ring.generators
+            {"name": name, "degree": degree}
+            for name, degree in zip(ring.names, ring.degrees)
         ],
         "relations": relations,
     }

@@ -26,14 +26,14 @@ weight-n parts are degree-4n components.
 
 Built in: the signature series sqrt(z)/tanh(sqrt(z)) whose genus is the
 signature, and the series (sqrt(z)/2)/sinh(sqrt(z)/2) of the A-hat genus.
-Both coefficient families come from Bernoulli numbers in the B_1 = -1/2
-convention; only even-index values enter.
+Both coefficient families come from the even-index Bernoulli numbers,
+computed on each call from integer tangent numbers; nothing is cached.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 from typing import Sequence
 
 from .rings import GradedPoly, Ring
@@ -49,35 +49,50 @@ __all__ = [
     "weight_ring",
 ]
 
-_BERNOULLI: list[Fraction] = [Fraction(1)]
+
+def _even_bernoulli(n: int) -> list[Fraction]:
+    """[B_0, B_2, ..., B_2n] from the tangent numbers T_1..T_n.
+
+    Brent and Harvey, "Fast computation of Bernoulli, Tangent and Secant
+    numbers" (2011), Algorithm TangentNumbers: O(n^2) integer operations,
+    then B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)).
+    """
+    tangent = [0, 1] + [0] * (n - 1)  # T_k at index k
+    for k in range(2, n + 1):
+        tangent[k] = (k - 1) * tangent[k - 1]
+    for k in range(2, n + 1):
+        for j in range(k, n + 1):
+            tangent[j] = (j - k) * tangent[j - 1] + (j - k + 2) * tangent[j]
+    return [Fraction(1)] + [
+        Fraction((-1) ** (k - 1) * 2 * k * tangent[k], 4 ** k * (4 ** k - 1))
+        for k in range(1, n + 1)
+    ]
 
 
 def bernoulli(n: int) -> Fraction:
-    """The n-th Bernoulli number via sum_{k<=n} C(n+1,k) B_k = 0."""
+    """The n-th Bernoulli number, with B_1 = -1/2."""
     if n < 0:
         raise ValueError(f"no Bernoulli number of index {n}")
-    while len(_BERNOULLI) <= n:
-        m = len(_BERNOULLI)
-        acc = sum(
-            (comb(m + 1, k) * _BERNOULLI[k] for k in range(m)), Fraction(0)
-        )
-        _BERNOULLI.append(-acc / comb(m + 1, m))
-    return _BERNOULLI[n]
+    if n == 1:
+        return Fraction(-1, 2)
+    if n % 2:
+        return Fraction(0)
+    return _even_bernoulli(n // 2)[-1]
 
 
 def _l_q_coefficients(count: int) -> tuple[Fraction, ...]:
     """q_k of sqrt(z)/tanh(sqrt(z)): 2^{2k} B_{2k} / (2k)!."""
+    b = _even_bernoulli(count)
     return tuple(
-        Fraction(2 ** (2 * k)) * bernoulli(2 * k) / factorial(2 * k)
-        for k in range(1, count + 1)
+        4 ** k * b[k] / factorial(2 * k) for k in range(1, count + 1)
     )
 
 
 def _ahat_q_coefficients(count: int) -> tuple[Fraction, ...]:
     """q_k of (sqrt(z)/2)/sinh(sqrt(z)/2): (2 - 2^{2k}) B_{2k} / (4^k (2k)!)."""
+    b = _even_bernoulli(count)
     return tuple(
-        Fraction(2 - 2 ** (2 * k)) * bernoulli(2 * k)
-        / (Fraction(4) ** k * factorial(2 * k))
+        (2 - 4 ** k) * b[k] / (4 ** k * factorial(2 * k))
         for k in range(1, count + 1)
     )
 
@@ -89,9 +104,7 @@ def l_leading_coefficient(n: int) -> Fraction:
     if n < 1:
         raise ValueError("leading coefficients start at weight 1")
     return (
-        Fraction(2 ** (2 * n))
-        * (2 ** (2 * n - 1) - 1)
-        * abs(bernoulli(2 * n))
+        4 ** n * (2 ** (2 * n - 1) - 1) * abs(_even_bernoulli(n)[n])
         / factorial(2 * n)
     )
 
@@ -128,10 +141,6 @@ class MultiplicativeSequence:
             )
             log_coeffs.append(k * q - lower)
         self.log_coeffs: tuple[Fraction, ...] = tuple(log_coeffs)
-
-    @property
-    def max_weight(self) -> int:
-        return len(self.q_coeffs)
 
     def _check_weight(self, n: int) -> None:
         if n > len(self.q_coeffs):
@@ -221,11 +230,6 @@ def evaluate_genus(space, seq: MultiplicativeSequence) -> Fraction:
     n = space.dimension // 4
     if n == 0:
         return Fraction(1)
-    if n > seq.max_weight:
-        raise ValueError(
-            f"sequence carries {seq.max_weight} coefficients, "
-            f"dimension {space.dimension} needs {n}"
-        )
     p_classes = [
         space.total_p.graded_component(4 * i) for i in range(1, n + 1)
     ]

@@ -47,7 +47,6 @@ construction.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 from typing import Callable, Iterable, Mapping, Union
@@ -55,7 +54,6 @@ from typing import Callable, Iterable, Mapping, Union
 from .scalars import PrimeScalar, _unchecked, validate_modulus
 
 __all__ = [
-    "Generator",
     "GradedPoly",
     "Ring",
     "tensor_ring",
@@ -86,14 +84,6 @@ def validate_name(name: object) -> None:
         )
 
 
-@dataclass(frozen=True, slots=True)
-class Generator:
-    """A ring generator: a name and a positive cohomological degree."""
-
-    name: str
-    degree: int
-
-
 class Ring:
     """A graded-commutative polynomial ring presentation.
 
@@ -107,45 +97,41 @@ class Ring:
         ``scalars.MAX_MODULUS``, validated here once for every scalar of
         the ring.
     generators:
-        ordered iterable of Generator or (name, degree) pairs.
+        ordered iterable of (name, degree) pairs.
     rules:
         iterable of (lhs, rhs) pairs.  lhs is ``"g^k"`` or ``(name, k)``;
         rhs is anything ``poly`` accepts (commonly a string or 0).
     """
 
-    __slots__ = ("characteristic", "generators", "names", "degrees",
-                 "_index", "rules")
+    __slots__ = ("characteristic", "names", "degrees", "_index", "rules")
 
     def __init__(
         self,
         characteristic: int,
-        generators: Iterable[Generator | tuple[str, int]],
+        generators: Iterable[tuple[str, int]],
         rules: Iterable[tuple[str | tuple[str, int], object]] = (),
     ) -> None:
         if characteristic != 0:
             validate_modulus(characteristic)
-        gens = tuple(
-            g if isinstance(g, Generator) else Generator(g[0], g[1])
-            for g in generators
-        )
-        seen: set[str] = set()
-        for g in gens:
-            validate_name(g.name)
-            if not isinstance(g.degree, int) or g.degree < 1:
-                raise ValueError(f"generator {g.name!r} needs a positive integer degree")
-            if g.degree % 2 == 1 and characteristic != 2:
+        index: dict[str, int] = {}
+        degrees: list[int] = []
+        for name, degree in generators:
+            validate_name(name)
+            if not isinstance(degree, int) or degree < 1:
+                raise ValueError(f"generator {name!r} needs a positive integer degree")
+            if degree % 2 == 1 and characteristic != 2:
                 raise ValueError(
-                    f"generator {g.name!r} has odd degree {g.degree}; odd degrees "
+                    f"generator {name!r} has odd degree {degree}; odd degrees "
                     "require characteristic 2 under strict commutativity"
                 )
-            if g.name in seen:
-                raise ValueError(f"duplicate generator name {g.name!r}")
-            seen.add(g.name)
+            if name in index:
+                raise ValueError(f"duplicate generator name {name!r}")
+            index[name] = len(degrees)
+            degrees.append(degree)
         self.characteristic = characteristic
-        self.generators = gens
-        self.names = tuple(g.name for g in gens)
-        self.degrees = tuple(g.degree for g in gens)
-        self._index = {g.name: i for i, g in enumerate(gens)}
+        self.names = tuple(index)
+        self.degrees = tuple(degrees)
+        self._index = index
         self.rules: dict[int, tuple[int, dict[Monomial, Scalar]]] = {}
         self.rules = self._build_rules(rules)
 
@@ -386,14 +372,15 @@ class Ring:
             return NotImplemented
         return (
             self.characteristic == other.characteristic
-            and self.generators == other.generators
+            and self.names == other.names
+            and self.degrees == other.degrees
             and self.rules == other.rules
         )
 
     __hash__ = None  # structural equality, so no hashing
 
     def __repr__(self) -> str:
-        gens = ", ".join(f"{g.name}({g.degree})" for g in self.generators)
+        gens = ", ".join(f"{n}({d})" for n, d in zip(self.names, self.degrees))
         return f"Ring(char {self.characteristic}; {gens}; {len(self.rules)} rules)"
 
 
@@ -724,7 +711,8 @@ def tensor_ring(a: Ring, b: Ring) -> Ring:
         rules.append(((a.names[idx], k), {mon + pad_b: c for mon, c in rhs.items()}))
     for idx, (k, rhs) in b.rules.items():
         rules.append(((b.names[idx], k), {pad_a + mon: c for mon, c in rhs.items()}))
-    return Ring(a.characteristic, a.generators + b.generators, rules)
+    gens = zip(a.names + b.names, a.degrees + b.degrees)
+    return Ring(a.characteristic, gens, rules)
 
 
 def transport(poly: GradedPoly, target: Ring) -> GradedPoly:
@@ -741,12 +729,12 @@ def transport(poly: GradedPoly, target: Ring) -> GradedPoly:
             f"to characteristic {target.characteristic}"
         )
     positions: list[int | None] = []
-    for g in src.generators:
-        idx = target._index.get(g.name)
-        if idx is not None and target.degrees[idx] != g.degree:
+    for name, degree in zip(src.names, src.degrees):
+        idx = target._index.get(name)
+        if idx is not None and target.degrees[idx] != degree:
             raise ValueError(
-                f"generator {g.name!r} has degree {target.degrees[idx]} in the "
-                f"target ring, {g.degree} in the source"
+                f"generator {name!r} has degree {target.degrees[idx]} in the "
+                f"target ring, {degree} in the source"
             )
         positions.append(idx)
     out: dict[Monomial, Scalar] = {}

@@ -6,11 +6,10 @@ the total Pontryagin class, the Euler class, and (in characteristic 2) the
 total Stiefel-Whitney class.  Integration over the space is reading off the
 coefficient of the fundamental monomial.
 
-Built-in models: even spheres, complex projective spaces, and the
-quaternionic projective plane, whose tangent data 1 + 2y + 7y^2 with Euler
-class 3y^2 is wired in.  Odd-dimensional spheres would need an odd-degree
-generator, which the strict-commutative ring layer rejects outside
-characteristic 2, so they are not constructible here.
+Built-in models: even spheres, and complex and quaternionic projective
+spaces, whose tangent data is computed from its closed form.  Odd-dimensional
+spheres would need an odd-degree generator, which the strict-commutative ring
+layer rejects outside characteristic 2, so they are not constructible here.
 
 ``bso_presentation`` returns the stable cohomology of the oriented
 classifying space: for fibre dimension 2m over the rationals the generators
@@ -134,31 +133,20 @@ def cp(n: int, gen: str = "h") -> SpaceModel:
 
 
 def hp(n: int, gen: str = "y") -> SpaceModel:
-    """Quaternionic projective space: Q[y]/y^{n+1} with |y| = 4.
-
-    Tangent data is built in for n = 1 (the 4-sphere) and n = 2, where the
-    total Pontryagin class is 1 + 2y + 7y^2 and the Euler class 3y^2.
-    """
+    """Quaternionic projective n-space: Q[y]/y^{n+1} with |y| = 4, tangent
+    data from p(T) = (1+y)^{2n+2} (1+4y)^{-1} (Borel-Hirzebruch 1958) and
+    e(T) = (n+1) y^n; the inverse is the geometric series in -4y."""
     if n < 1:
         raise ValueError("hp(n) needs n >= 1")
-    if n > 2:
-        raise ValueError(f"tangent data for hp({n}) is not built in")
     ring = Ring(0, [(gen, 4)], [((gen, n + 1), 0)])
     y = ring.gen(gen)
-    if n == 1:
-        total_p = ring.one()
-        euler = y * 2
-        fundamental = ring.monomial(gen)
-    else:
-        total_p = ring.one() + y * 2 + y ** 2 * 7
-        euler = y ** 2 * 3
-        fundamental = ring.monomial(f"{gen}^2")
+    inverse = sum(((y * -4) ** j for j in range(n + 1)), ring.zero())
     return SpaceModel(
         ring=ring,
         dimension=4 * n,
-        fundamental=fundamental,
-        total_p=total_p,
-        euler=euler,
+        fundamental=ring.monomial(f"{gen}^{n}"),
+        total_p=(ring.one() + y) ** (2 * n + 2) * inverse,
+        euler=y ** n * (n + 1),
     )
 
 

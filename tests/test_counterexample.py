@@ -15,6 +15,7 @@ from charclasses.counterexample import (
     succeeded,
 )
 from charclasses.genus import l_sequence
+from charclasses.spaces import cp, product_space, sphere
 
 GOLDEN = Path(__file__).parent / "golden" / "section5_R1.json"
 
@@ -91,8 +92,16 @@ def test_fibre_signature_reads_degree_eight_slice():
     assert fibre_signature(y * y, space, x) == 1
     assert fibre_signature(y * y * 9, space, x) == 9
     assert fibre_signature(ring.zero(), space, x) == 0
+    assert fibre_signature(y * y, space, ring.zero()) == 0
     # off-degree content is ignored
     assert fibre_signature(y + y * y * 5 + x, space, x) == 5
+
+
+def test_fibre_signature_pairs_the_fibre_dimension():
+    # S^12 x CP^2: the fibre has dimension 4, so its signature is L_1 = p_1/3
+    space = product_space(sphere(12, gen="x"), cp(2, gen="h"))
+    total_l = l_sequence(4).total_class(space.total_p, space.ring, 4)
+    assert fibre_signature(total_l, space, space.ring.gen("x")) == 1
 
 
 def test_casson_obstruction_edge_cases():

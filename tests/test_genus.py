@@ -20,25 +20,27 @@ from charclasses.symfun import monomial_to_elementary, partitions
 
 
 def bernoulli_akiyama_tanigawa(n):
-    """Independent oracle: the Akiyama-Tanigawa in-place algorithm.
+    """Independent oracle: [B_0, ..., B_n] by the Akiyama-Tanigawa in-place
+    algorithm, whose row[0] after step m is B_m.
 
     Produces the B_1 = +1/2 convention; flip the sign at index 1 to match
     the recurrence convention used by the package.
     """
     row = [Fraction(0)] * (n + 1)
+    values = []
     for m in range(n + 1):
         row[m] = Fraction(1, m + 1)
         for j in range(m, 0, -1):
             row[j - 1] = j * (row[j - 1] - row[j])
-    value = row[0]
-    if n == 1:
-        value = -value
-    return value
+        values.append(row[0])
+    if n >= 1:
+        values[1] = -values[1]
+    return values
 
 
 def test_bernoulli_against_independent_oracle():
-    for n in range(0, 25):
-        assert bernoulli(n) == bernoulli_akiyama_tanigawa(n), f"index {n}"
+    for n, value in enumerate(bernoulli_akiyama_tanigawa(120)):
+        assert bernoulli(n) == value, f"index {n}"
 
 
 def test_bernoulli_frozen_values():

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from charclasses.genus import ahat_sequence, evaluate_genus, l_sequence
 from charclasses.rings import Ring
 from charclasses.spaces import (
     SpaceModel,
@@ -131,9 +132,18 @@ def test_hp_models():
     assert integrate(four_sphere, four_sphere.euler) == 2
 
 
-def test_hp_beyond_two_is_rejected():
-    with pytest.raises(ValueError):
-        hp(3)
+@pytest.mark.parametrize("n", range(1, 7))
+def test_hp_models_have_their_characteristic_numbers(n):
+    space = hp(n)
+    y = space.ring.gen("y")
+    assert space.dimension == 4 * n
+    assert integrate(space, space.euler) == n + 1
+    assert evaluate_genus(space, l_sequence(n)) == (1 + (-1) ** n) // 2
+    assert evaluate_genus(space, ahat_sequence(n)) == 0
+    assert space.total_p.graded_component(4) == y * (2 * (n - 1))
+
+
+def test_hp_rejects_n_below_one():
     with pytest.raises(ValueError):
         hp(0)
 

@@ -4,11 +4,13 @@
 
 The calls are every op of ``perfbench/workloads.catalog()``, the ops of
 seeds 1-3 of all four workloads, ``verify`` and ``section5`` (text and
-json), ``genus --max-weight 12`` for L and Ahat (text and json) and
-``--help`` at the top level and for each subcommand, each distinct call
-once.  Each runs as one ``python -m charclasses`` process with
-``PYTHONPATH=<tree>/src`` and its document on stdin, one call at a time,
-first in PARENT_TREE and then in CHANGE_TREE.  Exit code, stdout bytes and
+json), ``genus --max-weight 12`` for L and Ahat (text and json),
+``signature`` of S^400 x HP^2 and of CP^40 (text and json; they reach
+Bernoulli indices up to 204, where the catalog stops at 24) and ``--help``
+at the top level and for each subcommand, each distinct call once.  Each
+runs as one ``python -m charclasses`` process with ``PYTHONPATH=<tree>/src``
+and its document on stdin, one call at a time, first in PARENT_TREE and
+then in CHANGE_TREE.  Exit code, stdout bytes and
 stderr bytes must be equal.  Prints the number of calls; exits 1 and names
 the first call that differs.  The ops come from this checkout's
 ``perfbench/``, which is only read.  Standard library only.
@@ -27,9 +29,12 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 import workloads  # noqa: E402
-from workloads import Op  # noqa: E402
+from workloads import Factor, Op  # noqa: E402
 
 SEEDS = (1, 2, 3)
+# Spaces past the catalog's dimensions, with their generator names.
+LARGE_SPACES = (([Factor("s", 400), Factor("hp", 2)], ["x", "y"]),
+                ([Factor("cp", 40)], ["h"]))
 
 
 def calls() -> list[Op]:
@@ -42,6 +47,8 @@ def calls() -> list[Op]:
         ops.append(Op(f"section5 {fmt}", ("section5",) + workloads._fmt_args(fmt)))
         for series in ("L", "Ahat"):
             ops.append(workloads.genus_op(series, 12, fmt))
+        for factors, names in LARGE_SPACES:
+            ops.append(workloads.signature_op(factors, names, fmt))
     for sub in ("", "genus", "signature", "kappa", "bso", "section5", "verify"):
         args = (sub, "--help") if sub else ("--help",)
         ops.append(Op(" ".join(args), args))
