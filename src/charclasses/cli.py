@@ -82,8 +82,8 @@ def _cmd_genus(args: argparse.Namespace) -> Result:
         raise _InputError(
             f"--max-weight must lie in 1..{MAX_TABLE_WEIGHT}, got {args.max_weight}"
         )
-    seq = (l_sequence if args.series == "L" else ahat_sequence)(args.max_weight)
-    polys = [str(poly) for poly in seq.k_polynomials(args.max_weight)]
+    seq = l_sequence() if args.series == "L" else ahat_sequence()
+    polys = [str(seq.k_polynomial(n)) for n in range(1, args.max_weight + 1)]
     payload = {
         "series": args.series,
         "max_weight": args.max_weight,
@@ -97,9 +97,8 @@ def _cmd_genus(args: argparse.Namespace) -> Result:
 
 def _cmd_signature(args: argparse.Namespace) -> Result:
     space = space_from_document(_read_document(args.document))
-    weight = max(space.dimension // 4, 1)
     try:
-        value = evaluate_genus(space, l_sequence(weight))
+        value = evaluate_genus(space, l_sequence())
     except ValueError as exc:
         raise _InputError(str(exc)) from exc
     return 0, {"signature": format_rational(value)}, f"signature = {value}"

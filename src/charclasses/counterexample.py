@@ -85,7 +85,7 @@ def casson_obstruction(
     the built-in HP^2 model under the signature sequence.
     """
     sign_f = fibre_signature(total_l, space, fibre_dual)
-    reference = evaluate_genus(hp(2), l_sequence(2))
+    reference = evaluate_genus(hp(2), l_sequence())
     return (sign_f - reference) / 8
 
 
@@ -95,15 +95,15 @@ def run(R: Fraction | int = 1) -> CounterexampleReport:
     space = build_total_space()
     ring = space.ring
     weight = space.dimension // 4
-    seq = l_sequence(weight)
+    seq = l_sequence()
     x = ring.gen("x")
     y = ring.gen("y")
 
-    target = seq.total_class(space.total_p, ring, weight) + x * y * R
+    target = seq.total_class(space.total_p, weight) + x * y * R
 
     solved: list[GradedPoly] = []
-    for n in range(1, weight + 1):
-        solved.append(solve_pontryagin(seq, target, solved, ring, n))
+    for _ in range(weight):
+        solved.append(solve_pontryagin(seq, target, solved))
 
     p_low_unchanged = tuple(
         solved[i] == space.total_p.graded_component(4 * (i + 1)) for i in range(3)

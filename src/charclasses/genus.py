@@ -5,11 +5,11 @@ Q(z) = 1 + q_1 z + q_2 z^2 + ... over the rationals.  Its total class is
 the product of Q over formal roots x_i, with p_j the j-th elementary
 symmetric function of the x_i.  Taking logarithms turns that product into
 sum_k a_k P_k, where log Q(z) = sum_k a_k z^k and P_k = sum_i x_i^k is the
-k-th power sum.  So three recurrences compute everything (Hirzebruch,
-Topological Methods in Algebraic Geometry, 1; Milnor-Stasheff,
+k-th power sum.  So a sequence is held as its logarithm, the function
+n -> (1 a_1, ..., n a_n), and two recurrences compute everything
+(Hirzebruch, Topological Methods in Algebraic Geometry, 1; Milnor-Stasheff,
 Characteristic Classes, 16):
 
-    k a_k = k q_k - sum_{j<k} j a_j q_{k-j}                (Q' = Q (log Q)')
     P_k   = sum_{j<k} (-1)^{j-1} p_j P_{k-j} + (-1)^{k-1} k p_k   (Newton)
     m E_m = sum_{k<=m} k a_k P_k E_{m-k},   E_0 = 1       (exp, degree by degree)
 
@@ -19,6 +19,8 @@ free weight ring they give K_n itself, and on a space's Pontryagin classes,
 in the space's own ring and truncated by its relations, they give the
 genus, the total class and the Pontryagin solve without forming K_n.  Only
 P_n contains p_n, so the coefficient of p_n in K_n is (-1)^{n-1} n a_n.
+Each computation asks the logarithm for exactly the weight it forms, so a
+sequence has no size.
 
 Weights are internal: p_i has weight i, and a class of weight n lives in
 cohomological degree 4n, so the weight ring declares p_i with degree 4i and
@@ -26,15 +28,22 @@ weight-n parts are degree-4n components.
 
 Built in: the signature series sqrt(z)/tanh(sqrt(z)) whose genus is the
 signature, and the series (sqrt(z)/2)/sinh(sqrt(z)/2) of the A-hat genus.
-Both coefficient families come from the even-index Bernoulli numbers,
+Both have closed-form logarithms in the even-index Bernoulli numbers,
+
+    L:     k a_k = 2^{2k} (2^{2k-1} - 1) B_{2k} / (2k)!
+    A-hat: k a_k = -B_{2k} / (2 (2k)!)
+
 computed on each call from integer tangent numbers; nothing is cached.
+For a series given by its q_k, k a_k = k q_k - sum_{j<k} j a_j q_{k-j}
+(from Q' = Q (log Q)') gives the logarithm; the tests and ``verify`` use
+that recurrence as the oracle for the two closed forms.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .rings import GradedPoly, Ring
 
@@ -70,7 +79,12 @@ def _even_bernoulli(n: int) -> list[Fraction]:
 
 
 def bernoulli(n: int) -> Fraction:
-    """The n-th Bernoulli number, with B_1 = -1/2."""
+    """The n-th Bernoulli number, with B_1 = -1/2.
+
+    Each call builds the tangent numbers up to index n, O(n^2) integer
+    steps, and nothing is cached: asking for B_0..B_N one index at a time
+    costs O(N^3).
+    """
     if n < 0:
         raise ValueError(f"no Bernoulli number of index {n}")
     if n == 1:
@@ -80,21 +94,19 @@ def bernoulli(n: int) -> Fraction:
     return _even_bernoulli(n // 2)[-1]
 
 
-def _l_q_coefficients(count: int) -> tuple[Fraction, ...]:
-    """q_k of sqrt(z)/tanh(sqrt(z)): 2^{2k} B_{2k} / (2k)!."""
-    b = _even_bernoulli(count)
-    return tuple(
-        4 ** k * b[k] / factorial(2 * k) for k in range(1, count + 1)
-    )
+def _l_log_coefficients(n: int) -> list[Fraction]:
+    """k a_k of log(sqrt(z)/tanh(sqrt(z))): 2^{2k} (2^{2k-1} - 1) B_{2k} / (2k)!."""
+    b = _even_bernoulli(n)
+    return [
+        4 ** k * (2 ** (2 * k - 1) - 1) * b[k] / factorial(2 * k)
+        for k in range(1, n + 1)
+    ]
 
 
-def _ahat_q_coefficients(count: int) -> tuple[Fraction, ...]:
-    """q_k of (sqrt(z)/2)/sinh(sqrt(z)/2): (2 - 2^{2k}) B_{2k} / (4^k (2k)!)."""
-    b = _even_bernoulli(count)
-    return tuple(
-        (2 - 4 ** k) * b[k] / (4 ** k * factorial(2 * k))
-        for k in range(1, count + 1)
-    )
+def _ahat_log_coefficients(n: int) -> list[Fraction]:
+    """k a_k of log((sqrt(z)/2)/sinh(sqrt(z)/2)): -B_{2k} / (2 (2k)!)."""
+    b = _even_bernoulli(n)
+    return [-b[k] / (2 * factorial(2 * k)) for k in range(1, n + 1)]
 
 
 def l_leading_coefficient(n: int) -> Fraction:
@@ -103,51 +115,24 @@ def l_leading_coefficient(n: int) -> Fraction:
     """
     if n < 1:
         raise ValueError("leading coefficients start at weight 1")
-    return (
-        4 ** n * (2 ** (2 * n - 1) - 1) * abs(_even_bernoulli(n)[n])
-        / factorial(2 * n)
-    )
-
-
-_WEIGHT_RINGS: dict[int, Ring] = {}
+    return abs(_l_log_coefficients(n)[-1])
 
 
 def weight_ring(n: int) -> Ring:
     """Free ring on p_1..p_n, p_i of degree 4i, declared p_n first."""
-    if n not in _WEIGHT_RINGS:
-        _WEIGHT_RINGS[n] = Ring(
-            0, [(f"p{i}", 4 * i) for i in range(n, 0, -1)]
-        )
-    return _WEIGHT_RINGS[n]
+    return Ring(0, [(f"p{i}", 4 * i) for i in range(n, 0, -1)])
 
 
 class MultiplicativeSequence:
-    """A multiplicative sequence, evaluated by the Newton recurrences.
+    """A multiplicative sequence, given by its logarithm.
 
-    Holds the series coefficients q_k and the logarithmic coefficients
-    k a_k.  Weight parts are recomputed in whichever ring they are asked
-    for; nothing is cached.
+    ``log_coeffs(n)`` returns the logarithmic coefficients
+    (1 a_1, ..., n a_n) of log Q.  Each computation asks for exactly the
+    weight it forms, so a sequence has no size, and nothing is stored.
     """
 
-    def __init__(self, q_coeffs: Sequence[Fraction | int]) -> None:
-        self.q_coeffs: tuple[Fraction, ...] = tuple(
-            Fraction(q) for q in q_coeffs
-        )
-        log_coeffs: list[Fraction] = []  # k a_k at index k - 1
-        for k, q in enumerate(self.q_coeffs, start=1):
-            lower = sum(
-                (log_coeffs[j - 1] * self.q_coeffs[k - j - 1] for j in range(1, k)),
-                Fraction(0),
-            )
-            log_coeffs.append(k * q - lower)
-        self.log_coeffs: tuple[Fraction, ...] = tuple(log_coeffs)
-
-    def _check_weight(self, n: int) -> None:
-        if n > len(self.q_coeffs):
-            raise ValueError(
-                f"series carries {len(self.q_coeffs)} coefficients, "
-                f"cannot form weight {n}"
-            )
+    def __init__(self, log_coeffs: Callable[[int], Sequence[Fraction]]) -> None:
+        self.log_coeffs = log_coeffs
 
     def weight_parts(
         self, p_classes: Sequence[GradedPoly], ring: Ring
@@ -158,7 +143,7 @@ class MultiplicativeSequence:
         E_m is K_m evaluated at those elements.
         """
         n = len(p_classes)
-        self._check_weight(n)
+        log_coeffs = self.log_coeffs(n)
         scaled_sums: list[GradedPoly] = []  # k a_k P_k at index k - 1
         power_sums: list[GradedPoly] = []
         for k in range(1, n + 1):
@@ -167,7 +152,7 @@ class MultiplicativeSequence:
                 term = p_classes[j - 1] * power_sums[k - j - 1]
                 acc = acc + term if j % 2 else acc - term
             power_sums.append(acc)
-            scaled_sums.append(acc * self.log_coeffs[k - 1])
+            scaled_sums.append(acc * log_coeffs[k - 1])
         parts = [ring.one()]
         for m in range(1, n + 1):
             acc = ring.zero()
@@ -180,21 +165,17 @@ class MultiplicativeSequence:
         """The weight-n polynomial K_n in p_1..p_n."""
         if n < 1:
             raise ValueError("weight polynomials start at n = 1")
-        self._check_weight(n)
         ring = weight_ring(n)
         gens = [ring.gen(f"p{i}") for i in range(1, n + 1)]
         return self.weight_parts(gens, ring)[n]
 
-    def k_polynomials(self, max_weight: int) -> list[GradedPoly]:
-        return [self.k_polynomial(n) for n in range(1, max_weight + 1)]
-
-    def total_class(
-        self, total_p: GradedPoly, ring: Ring, max_weight: int
-    ) -> GradedPoly:
-        """1 + K_1 + ... + K_max_weight evaluated at a total Pontryagin class.
+    def total_class(self, total_p: GradedPoly, max_weight: int) -> GradedPoly:
+        """1 + K_1 + ... + K_max_weight evaluated at a total Pontryagin class,
+        in the ring of total_p.
 
         p_i is read off as the degree-4i component of total_p.
         """
+        ring = total_p.ring
         if ring.characteristic != 0:
             raise ValueError("genus computations need characteristic 0")
         if total_p.constant_term() != 1:
@@ -208,14 +189,14 @@ class MultiplicativeSequence:
         return result
 
 
-def l_sequence(max_weight: int) -> MultiplicativeSequence:
-    """The signature sequence, with coefficients through the given weight."""
-    return MultiplicativeSequence(_l_q_coefficients(max_weight))
+def l_sequence() -> MultiplicativeSequence:
+    """The signature sequence, by the closed form of its logarithm."""
+    return MultiplicativeSequence(_l_log_coefficients)
 
 
-def ahat_sequence(max_weight: int) -> MultiplicativeSequence:
-    """The A-hat sequence, with coefficients through the given weight."""
-    return MultiplicativeSequence(_ahat_q_coefficients(max_weight))
+def ahat_sequence() -> MultiplicativeSequence:
+    """The A-hat sequence, by the closed form of its logarithm."""
+    return MultiplicativeSequence(_ahat_log_coefficients)
 
 
 def evaluate_genus(space, seq: MultiplicativeSequence) -> Fraction:
@@ -241,10 +222,8 @@ def solve_pontryagin(
     seq: MultiplicativeSequence,
     total_l: GradedPoly,
     known: Sequence[GradedPoly],
-    ring: Ring,
-    n: int,
 ) -> GradedPoly:
-    """Solve K_n(p_1..p_n) = weight-n part of total_l for p_n.
+    """Solve K_n(p_1..p_n) = weight-n part of total_l for p_n, n = len(known) + 1.
 
     ``known`` supplies p_1..p_{n-1} (homogeneous of degree 4i, zero allowed).
     K_n is linear in p_n with the scalar leading coefficient
@@ -252,17 +231,18 @@ def solve_pontryagin(
 
         p_n = (target - K_n with p_n := 0) / s_n,
 
-    where K_n with p_n := 0 is the weight-n part computed in ring.
+    where K_n with p_n := 0 is the weight-n part computed in the ring of
+    total_l.
     """
-    if len(known) != n - 1:
-        raise ValueError(f"need p_1..p_{n-1}, got {len(known)} classes")
+    ring = total_l.ring
+    n = len(known) + 1
     for i, cls in enumerate(known, start=1):
         if not cls.is_homogeneous(4 * i):
             raise ValueError(
                 f"supplied p_{i} is not homogeneous of degree {4 * i}"
             )
     lower = seq.weight_parts([*known, ring.zero()], ring)[n]
-    leading = seq.log_coeffs[n - 1] * (-1) ** (n - 1)
+    leading = seq.log_coeffs(n)[n - 1] * (-1) ** (n - 1)
     if not leading:
         raise ValueError(f"weight polynomial K_{n} has no p_{n} term")
     target = total_l.graded_component(4 * n)

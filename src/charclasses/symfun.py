@@ -132,7 +132,6 @@ def _elementary_in_monomial_basis(mu: Partition) -> dict[Partition, int]:
     return expr
 
 
-_ELEMENTARY_RINGS: dict[int, Ring] = {}
 _M_TO_E_TABLES: dict[int, dict[Partition, dict[Partition, int]]] = {}
 
 
@@ -142,10 +141,7 @@ def elementary_ring(weight: int) -> Ring:
     Generators are declared largest index first, which makes printed terms
     come out leading-generator first.
     """
-    if weight not in _ELEMENTARY_RINGS:
-        gens = [(f"e{j}", 2 * j) for j in range(weight, 0, -1)]
-        _ELEMENTARY_RINGS[weight] = Ring(0, gens)
-    return _ELEMENTARY_RINGS[weight]
+    return Ring(0, [(f"e{j}", 2 * j) for j in range(weight, 0, -1)])
 
 
 def _conjugate(lam: Partition) -> Partition:

@@ -44,7 +44,7 @@ def independent_bernoulli(n):
 
 
 def test_criterion_1_l_polynomial_table():
-    seq = l_sequence(5)
+    seq = l_sequence()
     ring5 = weight_ring(5)
     published_l5 = ring5.poly(
         "5110/467775*p5 - 919/467775*p4*p1 - 336/467775*p3*p2"
@@ -87,8 +87,8 @@ def test_criterion_1_l_polynomial_table():
 def test_criterion_2_signature_oracle():
     plane = hp(2)
     assert plane.total_p == plane.ring.poly("1 + 2*y + 7*y^2")
-    assert evaluate_genus(plane, l_sequence(2)) == 1
-    assert evaluate_genus(sphere(12), l_sequence(3)) == 0
+    assert evaluate_genus(plane, l_sequence()) == 1
+    assert evaluate_genus(sphere(12), l_sequence()) == 0
     print("PASS criterion 2: signature(HP^2) = 1 and signature(S^12) = 0, exactly")
 
 

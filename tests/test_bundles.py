@@ -299,20 +299,20 @@ def test_kappa_of_l_classes_is_the_fibre_signature(rank):
     d = bundle.fibre_dimension
     signature = 1 if rank % 2 == 1 else 0  # sign(CP^(rank-1))
     for i in range(1, d // 2 + 1):
-        value = kappa(bundle, str(l_sequence(i).k_polynomial(i)))
+        value = kappa(bundle, str(l_sequence().k_polynomial(i)))
         assert value == base.one() * (signature if 4 * i == d else 0), i
 
 
 def test_kappa_of_l_class_on_a_product_bundle():
     bundle = product_bundle(sphere(12), hp(2))
-    assert kappa(bundle, str(l_sequence(2).k_polynomial(2))) == bundle.base_ring.one()
+    assert kappa(bundle, str(l_sequence().k_polynomial(2))) == bundle.base_ring.one()
 
 
 def test_kappa_of_ahat_class_is_not_a_signature():
     # CP^2 is not spin: its Ahat genus -1/8 is no integer, let alone 0
     base = Ring(0, [("c1", 2), ("c2", 4), ("c3", 6)])
     bundle = projectivize(base, ["c1", "c2", "c3"])
-    value = kappa(bundle, str(ahat_sequence(1).k_polynomial(1)))
+    value = kappa(bundle, str(ahat_sequence().k_polynomial(1)))
     assert value == base.one() * Fraction(-1, 8)
 
 

@@ -65,13 +65,13 @@ def test_perturbation_scales_linearly():
 def test_solved_classes_reproduce_the_target():
     # feeding the solved Pontryagin classes back through the sequence must
     # reproduce the perturbed signature class through weight 5
-    seq = l_sequence(5)
+    seq = l_sequence()
     space = build_total_space()
     ring = space.ring
     for r in (1, Fraction(-7, 3)):
         report = run(r)
         target = (
-            seq.total_class(space.total_p, ring, 5)
+            seq.total_class(space.total_p, 5)
             + ring.gen("x") * ring.gen("y") * Fraction(r)
         )
         solved_total_p = (
@@ -81,7 +81,7 @@ def test_solved_classes_reproduce_the_target():
             + report.p4
             + report.p5
         )
-        assert seq.total_class(solved_total_p, ring, 5) == target
+        assert seq.total_class(solved_total_p, 5) == target
 
 
 def test_fibre_signature_reads_degree_eight_slice():
@@ -100,7 +100,7 @@ def test_fibre_signature_reads_degree_eight_slice():
 def test_fibre_signature_pairs_the_fibre_dimension():
     # S^12 x CP^2: the fibre has dimension 4, so its signature is L_1 = p_1/3
     space = product_space(sphere(12, gen="x"), cp(2, gen="h"))
-    total_l = l_sequence(4).total_class(space.total_p, space.ring, 4)
+    total_l = l_sequence().total_class(space.total_p, 4)
     assert fibre_signature(total_l, space, space.ring.gen("x")) == 1
 
 

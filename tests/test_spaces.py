@@ -138,8 +138,8 @@ def test_hp_models_have_their_characteristic_numbers(n):
     y = space.ring.gen("y")
     assert space.dimension == 4 * n
     assert integrate(space, space.euler) == n + 1
-    assert evaluate_genus(space, l_sequence(n)) == (1 + (-1) ** n) // 2
-    assert evaluate_genus(space, ahat_sequence(n)) == 0
+    assert evaluate_genus(space, l_sequence()) == (1 + (-1) ** n) // 2
+    assert evaluate_genus(space, ahat_sequence()) == 0
     assert space.total_p.graded_component(4) == y * (2 * (n - 1))
 
 
