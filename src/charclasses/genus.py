@@ -19,8 +19,10 @@ free weight ring they give K_n itself, and on a space's Pontryagin classes,
 in the space's own ring and truncated by its relations, they give the
 genus, the total class and the Pontryagin solve without forming K_n.  Only
 P_n contains p_n, so the coefficient of p_n in K_n is (-1)^{n-1} n a_n.
-Each computation asks the logarithm for exactly the weight it forms, so a
-sequence has no size.
+All of them run one kernel, ``weight_parts``, which sums only over the
+nonzero p_j and P_k and asks the logarithm for weights up to the last
+nonzero P_k, so a sequence has no size, and the cost follows the nonzero
+classes, not the weight: on S^N x HP^2 only P_1 and P_2 are nonzero.
 
 Weights are internal: p_i has weight i, and a class of weight n lives in
 cohomological degree 4n, so the weight ring declares p_i with degree 4i and
@@ -127,37 +129,49 @@ class MultiplicativeSequence:
     """A multiplicative sequence, given by its logarithm.
 
     ``log_coeffs(n)`` returns the logarithmic coefficients
-    (1 a_1, ..., n a_n) of log Q.  Each computation asks for exactly the
-    weight it forms, so a sequence has no size, and nothing is stored.
+    (1 a_1, ..., n a_n) of log Q.  Each computation asks only for the
+    weights it needs, so a sequence has no size, and nothing is stored.
     """
 
     def __init__(self, log_coeffs: Callable[[int], Sequence[Fraction]]) -> None:
         self.log_coeffs = log_coeffs
 
-    def weight_parts(
-        self, p_classes: Sequence[GradedPoly], ring: Ring
-    ) -> list[GradedPoly]:
-        """[E_0, ..., E_n] of the total class at p_1..p_n, computed in ring.
+    def weight_parts(self, total_p: GradedPoly, n: int) -> list[GradedPoly]:
+        """[E_0, ..., E_n] of the total class at p_1..p_n, in the ring of total_p.
 
-        p_classes[i - 1] stands for p_i; any element of ring will do, and
-        E_m is K_m evaluated at those elements.
+        p_i is read off as the degree-4i part of total_p, and E_m is K_m
+        evaluated at those parts.  The Newton loop runs over the nonzero
+        p_j, the exp loop over the nonzero P_k, and the logarithm is asked
+        for weights up to the last nonzero P_k only.
         """
-        n = len(p_classes)
-        log_coeffs = self.log_coeffs(n)
-        scaled_sums: list[GradedPoly] = []  # k a_k P_k at index k - 1
-        power_sums: list[GradedPoly] = []
+        ring = total_p.ring
+        if ring.characteristic != 0:
+            raise ValueError("genus computations need characteristic 0")
+        if total_p.constant_term() != 1:
+            raise ValueError("total Pontryagin class must have constant term 1")
+        degrees = sorted({ring.monomial_degree(mon) for mon in total_p.terms})
+        p_classes = {  # the nonzero p_j
+            d // 4: total_p.graded_component(d)
+            for d in degrees
+            if d % 4 == 0 and 0 < d <= 4 * n
+        }
+        power_sums: dict[int, GradedPoly] = {}  # the nonzero P_k
         for k in range(1, n + 1):
-            acc = p_classes[k - 1] * (k if k % 2 else -k)
-            for j in range(1, k):
-                term = p_classes[j - 1] * power_sums[k - j - 1]
-                acc = acc + term if j % 2 else acc - term
-            power_sums.append(acc)
-            scaled_sums.append(acc * log_coeffs[k - 1])
+            acc = p_classes.get(k, ring.zero()) * (k if k % 2 else -k)
+            for j, p_j in p_classes.items():
+                if j < k and k - j in power_sums:
+                    term = p_j * power_sums[k - j]
+                    acc = acc + term if j % 2 else acc - term
+            if acc:
+                power_sums[k] = acc
+        log_coeffs = self.log_coeffs(max(power_sums, default=0))
+        scaled_sums = {k: s * log_coeffs[k - 1] for k, s in power_sums.items()}
         parts = [ring.one()]
         for m in range(1, n + 1):
             acc = ring.zero()
-            for k in range(1, m + 1):
-                acc = acc + scaled_sums[k - 1] * parts[m - k]
+            for k, scaled in scaled_sums.items():
+                if k <= m and parts[m - k]:
+                    acc = acc + scaled * parts[m - k]
             parts.append(acc * Fraction(1, m))
         return parts
 
@@ -166,8 +180,7 @@ class MultiplicativeSequence:
         if n < 1:
             raise ValueError("weight polynomials start at n = 1")
         ring = weight_ring(n)
-        gens = [ring.gen(f"p{i}") for i in range(1, n + 1)]
-        return self.weight_parts(gens, ring)[n]
+        return self.weight_parts(sum(map(ring.gen, ring.names), ring.one()), n)[n]
 
     def total_class(self, total_p: GradedPoly, max_weight: int) -> GradedPoly:
         """1 + K_1 + ... + K_max_weight evaluated at a total Pontryagin class,
@@ -175,18 +188,7 @@ class MultiplicativeSequence:
 
         p_i is read off as the degree-4i component of total_p.
         """
-        ring = total_p.ring
-        if ring.characteristic != 0:
-            raise ValueError("genus computations need characteristic 0")
-        if total_p.constant_term() != 1:
-            raise ValueError("total Pontryagin class must have constant term 1")
-        p_classes = [
-            total_p.graded_component(4 * i) for i in range(1, max_weight + 1)
-        ]
-        result = ring.zero()
-        for part in self.weight_parts(p_classes, ring):
-            result = result + part
-        return result
+        return sum(self.weight_parts(total_p, max_weight), total_p.ring.zero())
 
 
 def l_sequence() -> MultiplicativeSequence:
@@ -209,13 +211,7 @@ def evaluate_genus(space, seq: MultiplicativeSequence) -> Fraction:
     if space.dimension % 4 != 0:
         return Fraction(0)
     n = space.dimension // 4
-    if n == 0:
-        return Fraction(1)
-    p_classes = [
-        space.total_p.graded_component(4 * i) for i in range(1, n + 1)
-    ]
-    top = seq.weight_parts(p_classes, space.ring)[n]
-    return top.coefficient(space.fundamental)
+    return seq.weight_parts(space.total_p, n)[n].coefficient(space.fundamental)
 
 
 def solve_pontryagin(
@@ -241,7 +237,7 @@ def solve_pontryagin(
             raise ValueError(
                 f"supplied p_{i} is not homogeneous of degree {4 * i}"
             )
-    lower = seq.weight_parts([*known, ring.zero()], ring)[n]
+    lower = seq.weight_parts(sum(known, ring.one()), n)[n]
     leading = seq.log_coeffs(n)[n - 1] * (-1) ** (n - 1)
     if not leading:
         raise ValueError(f"weight polynomial K_{n} has no p_{n} term")

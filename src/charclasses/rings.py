@@ -117,7 +117,7 @@ class Ring:
         degrees: list[int] = []
         for name, degree in generators:
             validate_name(name)
-            if not isinstance(degree, int) or degree < 1:
+            if not isinstance(degree, int) or isinstance(degree, bool) or degree < 1:
                 raise ValueError(f"generator {name!r} needs a positive integer degree")
             if degree % 2 == 1 and characteristic != 2:
                 raise ValueError(

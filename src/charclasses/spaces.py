@@ -63,6 +63,13 @@ class SpaceModel:
             )
         if self.total_p.constant_term() != self.ring.coerce_scalar(1):
             raise ValueError("total Pontryagin class must have constant term 1")
+        for mon in self.total_p.terms:
+            degree = self.ring.monomial_degree(mon)
+            if degree % 4:
+                raise ValueError(
+                    f"total Pontryagin class has a term of degree {degree}, "
+                    "not a multiple of 4"
+                )
         if not self.euler.is_zero() and not self.euler.is_homogeneous(self.dimension):
             raise ValueError(
                 f"Euler class must be homogeneous of degree {self.dimension}"

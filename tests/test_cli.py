@@ -271,6 +271,32 @@ def test_signature_at_dimension_eighty(capsys, tmp_path, make, expected):
     assert out == f"signature = {expected}\n"
 
 
+@pytest.mark.parametrize(
+    "make",
+    [lambda: product_space(sphere(40000), hp(2)), lambda: sphere(40000)],
+    ids=["S40000xHP2", "S40000"],
+)
+def test_signature_cost_follows_the_nonzero_classes(capsys, tmp_path, make):
+    # weight 10000 or more, but at most two nonzero power sums
+    path = write_json(tmp_path, "space.json", space_to_document(make()))
+    code, out, _ = run_cli(capsys, "signature", path)
+    assert code == 0
+    assert out == "signature = 0\n"
+
+
+def test_signature_rejects_total_p_off_multiples_of_four(capsys, tmp_path):
+    # p_i lives in degree 4i; the h term used to be ignored, giving 1
+    doc = space_to_document(cp(2))
+    doc["total_p"] = "1 + 5*h + 3*h^2"
+    path = write_json(tmp_path, "bad.json", doc)
+    code, out, err = run_cli(capsys, "signature", path)
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: /: total Pontryagin class has a term of degree 2, not a multiple of 4\n"
+    )
+
+
 # ----------------------------------------------------------------------
 # kappa
 

@@ -16,7 +16,8 @@ from charclasses.genus import (
     solve_pontryagin,
     weight_ring,
 )
-from charclasses.spaces import cp, hp, product_space, sphere
+from charclasses.rings import Ring
+from charclasses.spaces import cp, hp, point, product_space, sphere
 from charclasses.symfun import monomial_to_elementary, partitions
 
 
@@ -210,6 +211,7 @@ def test_genus_evaluation_signatures():
     assert evaluate_genus(sphere(4), l_sequence()) == 0
     assert evaluate_genus(cp(2), l_sequence()) == 1
     assert evaluate_genus(product_space(hp(2), hp(2, gen="z")), l_sequence()) == 1
+    assert evaluate_genus(point(), l_sequence()) == 1
 
 
 def test_genus_of_off_dimension_space_is_zero():
@@ -240,6 +242,28 @@ def test_solve_pontryagin_validates_known_classes():
     inhomogeneous = ring.poly("y + 1")
     with pytest.raises(ValueError):
         solve_pontryagin(seq, target, [inhomogeneous])
+
+
+def test_solve_pontryagin_needs_characteristic_zero():
+    ring = Ring(2, [("y", 4)], [("y^3", "0")])
+    with pytest.raises(ValueError, match="characteristic 0"):
+        solve_pontryagin(l_sequence(), ring.poly("y"), [])
+
+
+def test_genus_asks_the_logarithm_only_up_to_the_last_nonzero_power_sum():
+    # on S^400 x HP^2 only P_1 = 2y and P_2 = -10y^2 are nonzero, and on
+    # S^400 every P_k is zero, though the weights are 102 and 100
+    asked = []
+
+    def spy(n):
+        asked.append(n)
+        return l_sequence().log_coeffs(n)
+
+    seq = MultiplicativeSequence(spy)
+    assert evaluate_genus(product_space(sphere(400), hp(2)), seq) == 0
+    assert asked == [2]
+    assert evaluate_genus(sphere(400), seq) == 0
+    assert asked == [2, 0]
 
 
 def test_custom_sequence_without_linear_term():

@@ -58,6 +58,9 @@ def test_generator_validation():
         Ring(0, [("x", 0)])
     with pytest.raises(ValueError):
         Ring(0, [("x", -2)])
+    # a document would write the degree as true, which it cannot read back
+    with pytest.raises(ValueError):
+        Ring(2, [("x", True)])
     with pytest.raises(ValueError):
         Ring(0, [("x", 2), ("x", 4)])
 

@@ -47,6 +47,18 @@ def test_space_model_validates_total_p_unit():
         )
 
 
+def test_space_model_rejects_total_p_off_multiples_of_four():
+    ring = Ring(0, [("h", 2)], [("h^3", "0")])
+    with pytest.raises(ValueError, match="degree 2, not a multiple of 4"):
+        SpaceModel(
+            ring=ring,
+            dimension=4,
+            fundamental=ring.monomial("h^2"),
+            total_p=ring.poly("1 + 5*h + 3*h^2"),
+            euler=ring.zero(),
+        )
+
+
 def test_space_model_validates_euler_degree():
     ring = Ring(0, [("y", 4)], [("y^3", "0")])
     with pytest.raises(ValueError):

@@ -5,10 +5,10 @@
 The calls are every op of ``perfbench/workloads.catalog()``, the ops of
 seeds 1-3 of all four workloads, ``verify`` and ``section5`` (text and
 json), ``genus --max-weight 12`` for L and Ahat (text and json),
-``signature`` of S^400 x HP^2, of S^1000 x HP^2 and of CP^40 (text and
-json; they reach Bernoulli indices up to 504, where the catalog stops at
-24) and ``--help``
-at the top level and for each subcommand, each distinct call once.  Each
+``signature`` of S^400 x HP^2, of S^1000 x HP^2, of S^4000 and of CP^40
+(text and json; weights up to 1000, where the catalog stops at 12, and
+S^4000 has no nonzero power sum) and ``--help`` at the top level and for
+each subcommand, each distinct call once.  Each
 runs as one ``python -m charclasses`` process with ``PYTHONPATH=<tree>/src``
 and its document on stdin, one call at a time, first in PARENT_TREE and
 then in CHANGE_TREE.  Exit code, stdout bytes and
@@ -36,6 +36,7 @@ SEEDS = (1, 2, 3)
 # Spaces past the catalog's dimensions, with their generator names.
 LARGE_SPACES = (([Factor("s", 400), Factor("hp", 2)], ["x", "y"]),
                 ([Factor("s", 1000), Factor("hp", 2)], ["x", "y"]),
+                ([Factor("s", 4000)], ["x"]),
                 ([Factor("cp", 40)], ["h"]))
 
 
