@@ -46,6 +46,8 @@ MAX_TABLE_WEIGHT = 12  # largest printed table; K_n has p(n) terms (77 at n = 12
 # Longest document read, in characters: about 60 times the largest
 # benchmark document, which is ASCII.
 MAX_DOCUMENT_CHARS = 64 * 1024 * 1024
+# Largest `bso --dimension`: one generator per p_i, about 1.5 MB of text.
+MAX_BSO_DIMENSION = 100_000
 
 
 class _InputError(Exception):
@@ -114,6 +116,10 @@ def _cmd_kappa(args: argparse.Namespace) -> Result:
 
 
 def _cmd_bso(args: argparse.Namespace) -> Result:
+    if args.dimension > MAX_BSO_DIMENSION:
+        raise _InputError(
+            f"--dimension must be at most {MAX_BSO_DIMENSION}, got {args.dimension}"
+        )
     try:
         ring = bso_presentation(
             args.dimension,
@@ -224,7 +230,12 @@ def build_parser() -> argparse.ArgumentParser:
     bso = sub.add_parser(
         "bso", help="print the classifying-space presentation for a fibre dimension"
     )
-    bso.add_argument("--dimension", type=int, required=True)
+    bso.add_argument(
+        "--dimension",
+        type=int,
+        required=True,
+        help=f"fibre dimension, 1..{MAX_BSO_DIMENSION}",
+    )
     bso.add_argument("--characteristic", type=int, choices=[0, 2], default=0)
     bso.add_argument(
         "--assume-euler-relation",

@@ -141,8 +141,9 @@ class MultiplicativeSequence:
 
         p_i is read off as the degree-4i part of total_p, and E_m is K_m
         evaluated at those parts.  The Newton loop runs over the nonzero
-        p_j, the exp loop over the nonzero P_k, and the logarithm is asked
-        for weights up to the last nonzero P_k only.
+        p_j, the exp loop over the nonzero P_k, no product with a zero
+        factor is formed, and the logarithm is asked for weights up to the
+        last nonzero P_k only.
         """
         ring = total_p.ring
         if ring.characteristic != 0:
@@ -157,7 +158,7 @@ class MultiplicativeSequence:
         }
         power_sums: dict[int, GradedPoly] = {}  # the nonzero P_k
         for k in range(1, n + 1):
-            acc = p_classes.get(k, ring.zero()) * (k if k % 2 else -k)
+            acc = p_classes[k] * (k if k % 2 else -k) if k in p_classes else ring.zero()
             for j, p_j in p_classes.items():
                 if j < k and k - j in power_sums:
                     term = p_j * power_sums[k - j]
@@ -172,7 +173,7 @@ class MultiplicativeSequence:
             for k, scaled in scaled_sums.items():
                 if k <= m and parts[m - k]:
                     acc = acc + scaled * parts[m - k]
-            parts.append(acc * Fraction(1, m))
+            parts.append(acc * Fraction(1, m) if acc else acc)
         return parts
 
     def k_polynomial(self, n: int) -> GradedPoly:

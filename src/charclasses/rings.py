@@ -35,11 +35,25 @@ both ends; factors written side by side (``2 x``, ``a b``) are rejected.
 ``parse(print(f)) == f`` holds for every polynomial.  Bad text, a zero
 denominator included, raises ``ValueError``.
 
+Coefficients are stored as Python ints, in a :class:`Terms`: a dict from
+monomial to nonzero int numerator, over one denominator per polynomial.  In
+characteristic 0 the denominator is positive and shares no factor with all
+the numerators at once; in characteristic p the numerators are reduced to
+1..p-1 and the denominator is 1.  That pair is canonical, so equal
+polynomials have equal dicts.  Products, sums, scalar multiples, powers and
+the normal form run on ints alone.  A ring whose rule right-hand sides have
+fractions stores them as numerators over their common denominator L, and
+each rewriting round scales the numerators by L; when L is 1 it costs
+nothing.  ``Fraction`` and ``PrimeScalar`` values are built only at the
+edge: read in by :meth:`Ring.poly` and :meth:`Ring.coerce_scalar`, and read
+out by ``coefficient``, ``constant_term``, ``evaluate_scalars``, printing
+and each lookup in the ``terms`` mapping.
+
 Polynomials are checked where they are built from outside input, by
 :meth:`Ring.poly`, which parses or coerces and then reduces to normal form.
 The constructor ``GradedPoly(ring, terms)`` checks nothing and stores
-``terms`` as given: they must already be in normal form, with no zero
-coefficient.  Products and ``transport`` reduce their own terms; sums,
+``terms``, a :class:`Terms`, as given: it must already be canonical and in
+normal form.  Products and ``transport`` reduce their own terms; sums,
 negation, scalar multiples and graded components are normal by
 construction.
 """
@@ -47,15 +61,18 @@ construction.
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping
 from fractions import Fraction
+from math import gcd, lcm
 from operator import add
-from typing import Callable, Iterable, Mapping, Union
+from typing import Callable, Iterable, Iterator, Union
 
 from .scalars import PrimeScalar, _unchecked, validate_modulus
 
 __all__ = [
     "GradedPoly",
     "Ring",
+    "Terms",
     "tensor_ring",
     "transport",
     "validate_name",
@@ -101,9 +118,16 @@ class Ring:
     rules:
         iterable of (lhs, rhs) pairs.  lhs is ``"g^k"`` or ``(name, k)``;
         rhs is anything ``poly`` accepts (commonly a string or 0).
+
+    ``rules`` maps each ruled generator's index to (k, rhs as
+    :class:`Terms`); ``_rewrites`` holds the same rules for the normal
+    form, each rhs as int numerators over ``_scale``, the common
+    denominator of all of them.
     """
 
-    __slots__ = ("characteristic", "names", "degrees", "_index", "rules")
+    __slots__ = (
+        "characteristic", "names", "degrees", "_index", "rules", "_rewrites", "_scale",
+    )
 
     def __init__(
         self,
@@ -132,16 +156,21 @@ class Ring:
         self.names = tuple(index)
         self.degrees = tuple(degrees)
         self._index = index
-        self.rules: dict[int, tuple[int, dict[Monomial, Scalar]]] = {}
+        self.rules: dict[int, tuple[int, Terms]] = {}
         self.rules = self._build_rules(rules)
+        self._scale = lcm(*(rhs.den for _, rhs in self.rules.values()))
+        self._rewrites = {
+            idx: (k, {mon: c * (self._scale // rhs.den) for mon, c in rhs.num.items()})
+            for idx, (k, rhs) in self.rules.items()
+        }
 
     # ------------------------------------------------------------------
     # construction helpers
 
     def _build_rules(
         self, rules: Iterable[tuple[str | tuple[str, int], object]]
-    ) -> dict[int, tuple[int, dict[Monomial, Scalar]]]:
-        table: dict[int, tuple[int, dict[Monomial, Scalar]]] = {}
+    ) -> dict[int, tuple[int, Terms]]:
+        table: dict[int, tuple[int, Terms]] = {}
         for lhs, rhs in rules:
             if isinstance(lhs, str):
                 name, power = _parse_rule_lhs(lhs)
@@ -156,7 +185,7 @@ class Ring:
                 )
             if idx in table:
                 raise ValueError(f"more than one rule for generator {name!r}")
-            rhs_terms = self._raw_terms(rhs)
+            rhs_terms = Terms.reduced(*self._raw_terms(rhs), self.characteristic)
             lhs_degree = power * self.degrees[idx]
             for mon in rhs_terms:
                 if self.monomial_degree(mon) != lhs_degree:
@@ -200,31 +229,75 @@ class Ring:
             )
         return table
 
-    def _raw_terms(self, source: object) -> dict[Monomial, Scalar]:
-        """Parse/coerce into a term dict without applying rules."""
+    def _raw_terms(self, source: object) -> tuple[dict[Monomial, int], int]:
+        """Parse/coerce into int numerators over a denominator, without
+        applying rules."""
         if isinstance(source, GradedPoly):
             if source.ring is not self and source.ring != self:
                 raise ValueError("polynomial belongs to a different ring")
-            return dict(source.terms)
+            return dict(source.terms.num), source.terms.den
         if isinstance(source, str):
-            return _parse_terms(self, source)
+            return self._integral(_parse_terms(self, source))
         if isinstance(source, (int, Fraction, PrimeScalar)):
-            c = self.coerce_scalar(source)
-            return {} if not c else {self.unit_monomial(): c}
+            n, d = self._parts(source)
+            return ({self.unit_monomial(): n} if n else {}), d
         if isinstance(source, Mapping):
-            out: dict[Monomial, Scalar] = {}
+            terms: dict[Monomial, object] = {}
             for mon, coeff in source.items():
                 mon = tuple(mon)
                 if len(mon) != len(self.names) or any(e < 0 for e in mon):
                     raise ValueError(f"bad exponent vector {mon}")
-                c = self.coerce_scalar(coeff)
-                acc = out.get(mon)
-                out[mon] = c if acc is None else acc + c
-            return _nonzero(out)
+                if mon in terms:
+                    coeff = self.coerce_scalar(terms[mon]) + self.coerce_scalar(coeff)
+                terms[mon] = coeff
+            return self._integral(terms)
         raise TypeError(f"cannot build a polynomial from {source!r}")
+
+    def _integral(self, terms: Mapping[Monomial, object]) -> tuple[dict[Monomial, int], int]:
+        """Int numerators over one denominator for a mapping to scalars,
+        zeros dropped; in characteristic p the numerators are reduced."""
+        parts = self._parts
+        if self.characteristic:
+            return {mon: n for mon, c in terms.items() if (n := parts(c)[0])}, 1
+        den = lcm(*(parts(c)[1] for c in terms.values()))
+        num: dict[Monomial, int] = {}
+        for mon, c in terms.items():
+            n, d = parts(c)
+            if n:
+                num[mon] = n * (den // d)
+        return num, den
 
     # ------------------------------------------------------------------
     # scalars
+
+    def _parts(self, value: object) -> tuple[int, int]:
+        """(numerator, denominator) of an int or a scalar of this field.
+
+        The one place that checks a scalar from outside.  In characteristic
+        p the numerator is reduced and the denominator is 1.
+        """
+        if isinstance(value, bool):
+            raise TypeError("booleans are not scalars")
+        p = self.characteristic
+        if p == 0:
+            if isinstance(value, int):
+                return value, 1
+            if isinstance(value, Fraction):
+                return value.numerator, value.denominator
+            raise TypeError(
+                f"cannot use {value!r} as a characteristic 0 coefficient"
+            )
+        if isinstance(value, PrimeScalar):
+            if value.modulus != p:
+                raise ValueError(
+                    f"scalar mod {value.modulus} in a ring of characteristic {p}"
+                )
+            return value.value, 1
+        if isinstance(value, int):
+            return value % p, 1
+        raise TypeError(
+            f"cannot use {value!r} as a characteristic {p} coefficient"
+        )
 
     def coerce_scalar(self, value: object) -> Scalar:
         """The image of an int, or a scalar of this field, in the field.
@@ -233,28 +306,8 @@ class Ring:
         builds the scalar without checking the modulus again, because the
         ring validated it.
         """
-        if isinstance(value, bool):
-            raise TypeError("booleans are not scalars")
-        if self.characteristic == 0:
-            if isinstance(value, Fraction):
-                return value
-            if isinstance(value, int):
-                return Fraction(value)
-            raise TypeError(
-                f"cannot use {value!r} as a characteristic 0 coefficient"
-            )
-        if isinstance(value, PrimeScalar):
-            if value.modulus != self.characteristic:
-                raise ValueError(
-                    f"scalar mod {value.modulus} in a ring of characteristic "
-                    f"{self.characteristic}"
-                )
-            return value
-        if isinstance(value, int):
-            return _unchecked(value, self.characteristic)
-        raise TypeError(
-            f"cannot use {value!r} as a characteristic {self.characteristic} coefficient"
-        )
+        n, d = self._parts(value)
+        return _unchecked(n, self.characteristic) if self.characteristic else Fraction(n, d)
 
     # ------------------------------------------------------------------
     # monomials
@@ -284,16 +337,23 @@ class Ring:
 
     def normal_form_terms(
         self,
-        terms: Mapping[Monomial, Scalar],
+        terms: Mapping[Monomial, object],
         choose: Callable[[list[int]], int] | None = None,
-    ) -> dict[Monomial, Scalar]:
-        """Reduce a term dict modulo the rules, in rounds.
+        denominator: int | None = None,
+    ) -> Terms:
+        """Reduce terms modulo the rules, in rounds.
+
+        ``terms`` maps monomials to scalars, or, when ``denominator`` is
+        given, to int numerators over it (in characteristic p, over 1,
+        reduced or not); zero entries are allowed.
 
         Each round rewrites every pending term once.  An irreducible term is
         added into the result.  A reducible one is replaced by its image
         under one rule, and the images of the whole round are summed into
         the next round's pending dict, so like terms merge, and cancelled
-        ones drop out, before they are rewritten again.
+        ones drop out, before they are rewritten again.  When the rules have
+        a common denominator L other than 1, a round that rewrites scales
+        every numerator by L.
 
         ``choose`` picks which applicable rule to fire (given the list of
         applicable generator indices; the first by default).  It exists so
@@ -304,21 +364,27 @@ class Ring:
         because every rewrite chain ends (see the module docstring; the
         ring rejects rule sets that cycle).
         """
-        rules = self.rules
-        out: dict[Monomial, Scalar] = {}
-        pending: Mapping[Monomial, Scalar] = terms
+        if denominator is None:
+            terms, denominator = self._integral(terms)
+        p = self.characteristic
+        rewrites = self._rewrites
+        scale = self._scale
+        out: dict[Monomial, int] = {}
+        pending: Mapping[Monomial, int] = terms
         while pending:
-            images: dict[Monomial, Scalar] = {}
+            images: dict[Monomial, int] = {}
             for mon, coeff in pending.items():
+                if p:
+                    coeff %= p
                 if not coeff:
                     continue
-                applicable = [i for i, (k, _) in rules.items() if mon[i] >= k]
+                applicable = [i for i, (k, _) in rewrites.items() if mon[i] >= k]
                 if not applicable:
                     acc = out.get(mon)
                     out[mon] = coeff if acc is None else acc + coeff
                     continue
                 i = applicable[choose(applicable) if choose else 0]
-                k, rhs = rules[i]
+                k, rhs = rewrites[i]
                 lowered = list(mon)
                 lowered[i] -= k
                 for rmon, rcoeff in rhs.items():
@@ -326,8 +392,11 @@ class Ring:
                     c = coeff * rcoeff
                     acc = images.get(pushed)
                     images[pushed] = c if acc is None else acc + c
+            if images and scale != 1:
+                out = {mon: c * scale for mon, c in out.items()}
+                denominator *= scale
             pending = images
-        return _nonzero(out)
+        return Terms.reduced(out, denominator, p)
 
     # ------------------------------------------------------------------
     # polynomial factories
@@ -338,10 +407,11 @@ class Ring:
         The one entry that checks outside input and reduces it to normal
         form.
         """
-        return GradedPoly(self, self.normal_form_terms(self._raw_terms(source)))
+        num, den = self._raw_terms(source)
+        return GradedPoly(self, self.normal_form_terms(num, denominator=den))
 
     def zero(self) -> "GradedPoly":
-        return GradedPoly(self, {})
+        return GradedPoly(self, Terms({}, 1, self.characteristic))
 
     def one(self) -> "GradedPoly":
         return self.poly(1)
@@ -355,11 +425,12 @@ class Ring:
 
     def monomial(self, source: str) -> Monomial:
         """Parse a single monomial with coefficient 1, e.g. ``"x*y^2"``."""
-        terms = self.normal_form_terms(_parse_terms(self, source))
+        num, den = self._integral(_parse_terms(self, source))
+        terms = self.normal_form_terms(num, denominator=den)
         if len(terms) != 1:
             raise ValueError(f"{source!r} is not a single monomial")
-        ((mon, coeff),) = terms.items()
-        if coeff != self.coerce_scalar(1):
+        ((mon, coeff),) = terms.num.items()
+        if coeff != 1 or terms.den != 1:
             raise ValueError(f"{source!r} has a coefficient, expected a bare monomial")
         return mon
 
@@ -384,18 +455,94 @@ class Ring:
         return f"Ring(char {self.characteristic}; {gens}; {len(self.rules)} rules)"
 
 
+class Terms(Mapping):
+    """The terms of a polynomial: a read-only mapping from monomial to scalar.
+
+    Stored as ``num``, a dict from monomial to nonzero int numerator, over
+    the one denominator ``den``.  Canonical: in characteristic 0, ``den`` is
+    positive and the gcd of ``den`` and all numerators is 1; in
+    characteristic p, numerators lie in 1..p-1 and ``den`` is 1.  Each
+    lookup builds its scalar, a ``Fraction`` or a ``PrimeScalar``.
+    """
+
+    __slots__ = ("num", "den", "characteristic")
+
+    def __init__(self, num: dict[Monomial, int], den: int, characteristic: int) -> None:
+        self.num = num
+        self.den = den
+        self.characteristic = characteristic
+
+    @classmethod
+    def reduced(cls, num: dict[Monomial, int], den: int, characteristic: int) -> "Terms":
+        """The canonical terms of int numerators over a positive ``den``.
+
+        It works in place, so ``num`` must not be shared.
+        """
+        if characteristic:
+            zeros = []
+            for mon, n in num.items():
+                n %= characteristic
+                if n:
+                    num[mon] = n
+                else:
+                    zeros.append(mon)
+            for mon in zeros:
+                del num[mon]
+            return cls(num, 1, characteristic)
+        _nonzero(num)
+        if den != 1:
+            g = gcd(den, *num.values())
+            if g != 1:
+                num = {mon: n // g for mon, n in num.items()}
+                den //= g
+        return cls(num, den, 0)
+
+    def subset(self, num: dict[Monomial, int]) -> "Terms":
+        """The canonical terms of some of these numerators, under the same
+        or other monomials, over the same denominator."""
+        if self.den == 1:
+            return Terms(num, 1, self.characteristic)
+        return Terms.reduced(num, self.den, 0)
+
+    def __getitem__(self, mon: Monomial) -> Scalar:
+        n = self.num[mon]
+        if self.characteristic:
+            return _unchecked(n, self.characteristic)
+        return Fraction(n, self.den)
+
+    def __contains__(self, mon: object) -> bool:
+        return mon in self.num
+
+    def __iter__(self) -> Iterator[Monomial]:
+        return iter(self.num)
+
+    def __len__(self) -> int:
+        return len(self.num)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, Terms):
+            return (
+                self.num == other.num
+                and self.den == other.den
+                and self.characteristic == other.characteristic
+            )
+        return Mapping.__eq__(self, other)
+
+    __hash__ = None
+
+
 class GradedPoly:
     """An element of a :class:`Ring`, stored in normal form.
 
-    The constructor stores ``terms`` as given and checks nothing: they must
-    already be in the ring's normal form, with no zero coefficient.  Outside
-    input goes through :meth:`Ring.poly`.  The term mapping is never
-    mutated after construction; all arithmetic returns new polynomials.
+    The constructor stores ``terms`` as given and checks nothing: it must
+    already be canonical and in the ring's normal form.  Outside input goes
+    through :meth:`Ring.poly`.  The terms are never mutated after
+    construction; all arithmetic returns new polynomials.
     """
 
     __slots__ = ("ring", "terms")
 
-    def __init__(self, ring: Ring, terms: dict[Monomial, Scalar]) -> None:
+    def __init__(self, ring: Ring, terms: Terms) -> None:
         self.ring = ring
         self.terms = terms
 
@@ -409,17 +556,32 @@ class GradedPoly:
         if not isinstance(other, GradedPoly):
             other = self.ring.poly(other)
         self._compatible(other)
-        out = dict(self.terms)
-        for mon, coeff in other.terms.items():
+        a, b = self.terms, other.terms
+        if a.den == b.den:
+            den = a.den
+            out = dict(a.num)
+            other_num = b.num
+        else:
+            den = lcm(a.den, b.den)
+            scale = den // a.den
+            out = {mon: n * scale for mon, n in a.num.items()}
+            scale = den // b.den
+            other_num = {mon: n * scale for mon, n in b.num.items()}
+        for mon, n in other_num.items():
             acc = out.get(mon)
-            out[mon] = coeff if acc is None else acc + coeff
-        return GradedPoly(self.ring, _nonzero(out))
+            out[mon] = n if acc is None else acc + n
+        return GradedPoly(self.ring, Terms.reduced(out, den, a.characteristic))
 
     def __radd__(self, other: object) -> "GradedPoly":
         return self.__add__(other)
 
     def __neg__(self) -> "GradedPoly":
-        return GradedPoly(self.ring, {m: -c for m, c in self.terms.items()})
+        t = self.terms
+        p = t.characteristic
+        num = {mon: p - n for mon, n in t.num.items()} if p else {
+            mon: -n for mon, n in t.num.items()
+        }
+        return GradedPoly(self.ring, Terms(num, t.den, p))
 
     def __sub__(self, other: object) -> "GradedPoly":
         if not isinstance(other, GradedPoly):
@@ -430,22 +592,25 @@ class GradedPoly:
         return self.__neg__().__add__(self.ring.poly(other))
 
     def __mul__(self, other: object) -> "GradedPoly":
+        ring = self.ring
+        a = self.terms
         if not isinstance(other, GradedPoly):
-            c = self.ring.coerce_scalar(other)
-            if not c:
-                return self.ring.zero()
-            return GradedPoly(
-                self.ring, {m: coeff * c for m, coeff in self.terms.items()}
-            )
+            n, d = ring._parts(other)
+            if not n:
+                return ring.zero()
+            return GradedPoly(ring, Terms.reduced(
+                {mon: c * n for mon, c in a.num.items()}, a.den * d, a.characteristic
+            ))
         self._compatible(other)
-        out: dict[Monomial, Scalar] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mon = tuple(a + b for a, b in zip(m1, m2))
+        b = other.terms
+        out: dict[Monomial, int] = {}
+        for m1, c1 in a.num.items():
+            for m2, c2 in b.num.items():
+                mon = tuple(map(add, m1, m2))
                 c = c1 * c2
                 acc = out.get(mon)
                 out[mon] = c if acc is None else acc + c
-        return GradedPoly(self.ring, self.ring.normal_form_terms(out))
+        return GradedPoly(ring, ring.normal_form_terms(out, denominator=a.den * b.den))
 
     def __rmul__(self, other: object) -> "GradedPoly":
         return self.__mul__(other)
@@ -476,12 +641,12 @@ class GradedPoly:
     __hash__ = None
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.terms.num)
 
     # ------------------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.terms.num
 
     def degree(self) -> int | None:
         """Degree of the top nonzero graded piece, or None for the zero poly."""
@@ -498,9 +663,9 @@ class GradedPoly:
     def graded_component(self, k: int) -> "GradedPoly":
         """The degree-k part."""
         picked = {
-            m: c for m, c in self.terms.items() if self.ring.monomial_degree(m) == k
+            m: c for m, c in self.terms.num.items() if self.ring.monomial_degree(m) == k
         }
-        return GradedPoly(self.ring, picked)
+        return GradedPoly(self.ring, self.terms.subset(picked))
 
     def constant_term(self) -> Scalar:
         return self.terms.get(self.ring.unit_monomial(), self.ring.coerce_scalar(0))
@@ -584,10 +749,11 @@ class GradedPoly:
 # parsing and printing internals
 
 
-def _nonzero(terms: dict[Monomial, Scalar]) -> dict[Monomial, Scalar]:
-    """Delete the zero coefficients of ``terms`` in place, and return it.
+def _nonzero(terms: dict[Monomial, int]) -> dict[Monomial, int]:
+    """Delete the zero numerators of ``terms`` in place, and return it.
 
-    The one place where each sum builder drops the terms that cancelled.
+    The one place where each characteristic 0 sum builder drops the terms
+    that cancelled.
     """
     for mon in [mon for mon, coeff in terms.items() if not coeff]:
         del terms[mon]
@@ -601,23 +767,23 @@ def _parse_rule_lhs(text: str) -> tuple[str, int]:
     return m["name"], int(m["power"])
 
 
-def _parse_terms(ring: Ring, text: str) -> dict[Monomial, Scalar]:
+def _parse_terms(ring: Ring, text: str) -> dict[Monomial, int | Fraction]:
     """Parse the text syntax into an unreduced term dict.
 
-    The text is split once on signs and each term on ``*``; each
-    distinct factor text is matched once and its parse memoized for the call.
+    Coefficients are ints, or Fractions in characteristic 0, not yet reduced
+    mod p; zero sums are kept.  The text is split once on signs and each
+    term on ``*``; each distinct factor text is matched once and its parse
+    memoized for the call.
     """
     if not text.strip():
         raise ValueError("empty polynomial text")
     parts = _SIGN_RE.split(text)
     if not parts[-1]:
         raise ValueError("dangling sign in polynomial")
-    one = ring.coerce_scalar(1)
-    minus_one = -one
     nvars = len(ring.names)
-    # factor text -> (generator index, power), or (None, scalar)
-    memo: dict[str, tuple[int | None, int | Scalar]] = {}
-    out: dict[Monomial, Scalar] = {}
+    # factor text -> (generator index, power), or (None, coefficient)
+    memo: dict[str, tuple[int | None, int | Fraction]] = {}
+    out: dict[Monomial, int | Fraction] = {}
     negative = False
     for i, piece in enumerate(parts):
         if i & 1:
@@ -625,7 +791,7 @@ def _parse_terms(ring: Ring, text: str) -> dict[Monomial, Scalar]:
             continue
         if not piece:
             continue
-        coeff = minus_one if negative else one
+        coeff: int | Fraction = -1 if negative else 1
         negative = False
         exps = [0] * nvars
         for factor in piece.split("*"):
@@ -642,7 +808,7 @@ def _parse_terms(ring: Ring, text: str) -> dict[Monomial, Scalar]:
                         raise ValueError(f"unknown generator {m['name']!r}")
                     parsed = (idx, int(m["power"] or 1))
                 elif m["denom"] is None:
-                    parsed = (None, ring.coerce_scalar(int(m["numer"])))
+                    parsed = (None, int(m["numer"]))
                 elif not int(m["denom"]):
                     raise ValueError("zero denominator in coefficient")
                 elif ring.characteristic:
@@ -662,7 +828,7 @@ def _parse_terms(ring: Ring, text: str) -> dict[Monomial, Scalar]:
         mon = tuple(exps)
         acc = out.get(mon)
         out[mon] = coeff if acc is None else acc + coeff
-    return _nonzero(out)
+    return out
 
 
 def _coeff_magnitude(ring: Ring, coeff: Scalar) -> tuple[str, bool, bool]:
@@ -737,8 +903,8 @@ def transport(poly: GradedPoly, target: Ring) -> GradedPoly:
                 f"target ring, {degree} in the source"
             )
         positions.append(idx)
-    out: dict[Monomial, Scalar] = {}
-    for mon, coeff in poly.terms.items():
+    out: dict[Monomial, int] = {}
+    for mon, coeff in poly.terms.num.items():
         exps = [0] * len(target.names)
         for src_idx, e in enumerate(mon):
             if e == 0:
@@ -750,4 +916,4 @@ def transport(poly: GradedPoly, target: Ring) -> GradedPoly:
                 )
             exps[idx] = e
         out[tuple(exps)] = coeff
-    return GradedPoly(target, target.normal_form_terms(out))
+    return GradedPoly(target, target.normal_form_terms(out, denominator=poly.terms.den))

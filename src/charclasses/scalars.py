@@ -7,6 +7,13 @@ coefficients are :class:`PrimeScalar` values.  The two kinds never mix: any
 binary operation across characteristics raises ``TypeError``, and operations
 between prime-field scalars with different moduli raise ``ValueError``.
 
+These are the scalars of the package's interface, not of its polynomial
+arithmetic: a polynomial stores its coefficients as Python ints (see
+:mod:`charclasses.rings`), and a ring builds a ``Fraction`` or a
+``PrimeScalar`` only where a coefficient is read out, by
+``Ring.coerce_scalar``, ``coefficient``, ``constant_term``,
+``evaluate_scalars``, printing and the ``terms`` mapping.
+
 A modulus is validated once, where it enters: by :func:`validate_modulus`
 when a ``PrimeScalar`` is constructed and when a ``Ring`` of characteristic
 p is built.  It must be a prime below ``MAX_MODULUS`` (about 3.3e24), the

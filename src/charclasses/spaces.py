@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .rings import GradedPoly, Monomial, Ring, tensor_ring, transport
+from .rings import GradedPoly, Monomial, Ring, Terms, tensor_ring, transport
 from .scalars import PrimeScalar
 
 __all__ = [
@@ -201,10 +201,11 @@ def chern_to_pontryagin(total_c: GradedPoly) -> GradedPoly:
 
     def negate(poly: GradedPoly, period: int) -> GradedPoly:
         """``poly`` with the terms of degree period/2 mod period negated."""
-        return GradedPoly(ring, {
+        terms = poly.terms
+        return GradedPoly(ring, Terms({
             mon: -coeff if degree(mon) % period == period // 2 else coeff
-            for mon, coeff in poly.terms.items()
-        })
+            for mon, coeff in terms.num.items()
+        }, terms.den, 0))
 
     return negate(negate(total_c, 4) * total_c, 8)
 

@@ -465,6 +465,14 @@ def test_bso_rejects_bad_dimension(capsys):
     assert "dimension" in err
 
 
+def test_bso_rejects_a_dimension_past_the_bound(capsys):
+    limit = cli.MAX_BSO_DIMENSION
+    code, out, err = run_cli(capsys, "bso", "--dimension", str(limit + 1))
+    assert code == 2
+    assert_one_error_line(out, err)
+    assert err == f"error: --dimension must be at most {limit}, got {limit + 1}\n"
+
+
 # ----------------------------------------------------------------------
 # section5
 

@@ -16,7 +16,7 @@ from charclasses.genus import (
     solve_pontryagin,
     weight_ring,
 )
-from charclasses.rings import Ring
+from charclasses.rings import GradedPoly, Ring
 from charclasses.spaces import cp, hp, point, product_space, sphere
 from charclasses.symfun import monomial_to_elementary, partitions
 
@@ -264,6 +264,30 @@ def test_genus_asks_the_logarithm_only_up_to_the_last_nonzero_power_sum():
     assert asked == [2]
     assert evaluate_genus(sphere(400), seq) == 0
     assert asked == [2, 0]
+
+
+@pytest.mark.parametrize("fibre", [None, hp(2)], ids=["S^N", "S^N x HP^2"])
+def test_genus_products_do_not_grow_with_the_weight(monkeypatch, fibre):
+    # every P_k past the last nonzero one is zero, and so is every E_m
+    # once its lower parts are: no product of zero may be formed for them
+    spaces = [
+        sphere(n) if fibre is None else product_space(sphere(n), fibre)
+        for n in (400, 4000)
+    ]
+    counts = []
+    for space in spaces:
+        calls = []
+        mul = GradedPoly.__mul__
+
+        def counting(self, other, mul=mul, calls=calls):
+            calls.append(1)
+            return mul(self, other)
+
+        monkeypatch.setattr(GradedPoly, "__mul__", counting)
+        assert evaluate_genus(space, l_sequence()) == 0
+        monkeypatch.undo()
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
 
 
 def test_custom_sequence_without_linear_term():

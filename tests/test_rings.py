@@ -513,3 +513,129 @@ def test_trusted_builders_return_normal_forms(data):
     for r in results:
         assert_normal(r)
     assert back == f
+
+
+# ----------------------------------------------------------------------
+# the int representation against a scalar oracle
+
+
+# (characteristic, generators, rules as {generator index: (k, rhs terms)}):
+# a rational rule whose right-hand side has fractions, so the kernel scales
+# by a common denominator 6, and rules over F_5 and F_999983
+ORACLE_RINGS = [
+    (0, [("x", 2), ("a", 2)],
+     {0: (2, {(1, 1): Fraction(1, 2), (0, 2): Fraction(2, 3)})}),
+    (5, [("u", 2), ("v", 4)], {0: (3, {(1, 1): 2})}),
+    (999983, [("u", 2), ("v", 4)], {1: (2, {(4, 0): 3, (2, 1): 999982})}),
+]
+
+
+def oracle_ring(spec):
+    p, gens, rules = spec
+    return Ring(p, gens, [((gens[i][0], k), rhs) for i, (k, rhs) in rules.items()])
+
+
+def oracle_scalar(p, c):
+    """A Fraction in characteristic 0, an int in 0..p-1 in characteristic p."""
+    if p == 0:
+        return Fraction(c)
+    return (c.value if isinstance(c, PrimeScalar) else c) % p
+
+
+def oracle_add(p, terms, mon, c):
+    c = oracle_scalar(p, terms.get(mon, 0) + c)
+    if c:
+        terms[mon] = c
+    else:
+        terms.pop(mon, None)
+
+
+def oracle_reduce(spec, pairs, pick=min):
+    """Sum (monomial, scalar) pairs, then rewrite one term at a time, the
+    term chosen by ``pick`` from the reducible ones, until none is left."""
+    p, _, rules = spec
+    terms = {}
+    for mon, c in pairs:
+        oracle_add(p, terms, mon, oracle_scalar(p, c))
+    while True:
+        reducible = [
+            mon for mon in terms if any(mon[i] >= k for i, (k, _) in rules.items())
+        ]
+        if not reducible:
+            return terms
+        mon = pick(reducible)
+        c = terms.pop(mon)
+        i = min(i for i, (k, _) in rules.items() if mon[i] >= k)
+        k, rhs = rules[i]
+        for rmon, rc in rhs.items():
+            image = tuple(e + r - (k if j == i else 0)
+                          for j, (e, r) in enumerate(zip(mon, rmon)))
+            oracle_add(p, terms, image, c * oracle_scalar(p, rc))
+
+
+def oracle_terms(poly):
+    p = poly.ring.characteristic
+    return {mon: oracle_scalar(p, c) for mon, c in poly.terms.items()}
+
+
+def oracle_mul(spec, f, g):
+    return oracle_reduce(spec, [
+        (tuple(map(sum, zip(m1, m2))), c1 * c2)
+        for m1, c1 in f.items() for m2, c2 in g.items()
+    ])
+
+
+def oracle_scalars(p):
+    if p == 0:
+        return st.one_of(
+            st.integers(-9, 9), st.builds(Fraction, st.integers(-9, 9), st.integers(1, 7))
+        )
+    return st.one_of(
+        st.integers(-9, 2 * p), st.builds(PrimeScalar, st.integers(0, p - 1), st.just(p))
+    )
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(st.data())
+def test_int_coefficients_agree_with_a_scalar_oracle(data):
+    spec = data.draw(st.sampled_from(ORACLE_RINGS))
+    p = spec[0]
+    ring = oracle_ring(spec)
+    mons = st.tuples(*[st.integers(0, 3)] * len(ring.names))
+    raws = [
+        data.draw(st.lists(st.tuples(mons, oracle_scalars(p)), max_size=4))
+        for _ in range(3)
+    ]
+    f, g, h = (ring.poly(dict(raw)) for raw in raws)
+    rf, rg = (oracle_reduce(spec, dict(raw).items()) for raw in raws[:2])
+    assert oracle_terms(f) == rf
+    assert oracle_terms(g) == rg
+
+    assert oracle_terms(f + g) == oracle_reduce(spec, [*rf.items(), *rg.items()])
+    assert oracle_terms(f - g) == oracle_reduce(
+        spec, [*rf.items(), *((m, -c) for m, c in rg.items())]
+    )
+    s = data.draw(oracle_scalars(p))
+    scaled = oracle_reduce(spec, [(m, c * oracle_scalar(p, s)) for m, c in rf.items()])
+    assert oracle_terms(f * s) == scaled
+    if not isinstance(s, PrimeScalar):  # PrimeScalar.__mul__ rejects a polynomial
+        assert oracle_terms(s * f) == scaled
+    assert oracle_terms(f * g) == oracle_mul(spec, rf, rg)
+    assert oracle_terms(f ** 3) == oracle_mul(spec, oracle_mul(spec, rf, rf), rf)
+
+    assert f + g == g + f
+    assert f * g == g * f
+    assert (f + g) + h == f + (g + h)
+    assert (f * g) * h == f * (g * h)
+    assert f * (g + h) == f * g + f * h
+
+    # any rewrite order, rounds or one term at a time, lands on one form
+    raw = [(mon, c) for mon, c in raws[0]] + [(mon, c) for mon, c in raws[1]]
+    rnd = data.draw(st.randoms(use_true_random=False))
+    scrambled = ring.normal_form_terms(
+        dict(raw), choose=lambda applicable: rnd.randrange(len(applicable))
+    )
+    assert scrambled == ring.normal_form_terms(dict(raw))
+    assert oracle_terms(ring.poly(scrambled)) == oracle_reduce(
+        spec, dict(raw).items(), pick=rnd.choice
+    )

@@ -7,13 +7,17 @@ seeds 1-3 of all four workloads, ``verify`` and ``section5`` (text and
 json), ``genus --max-weight 12`` for L and Ahat (text and json),
 ``signature`` of S^400 x HP^2, of S^1000 x HP^2, of S^4000 and of CP^40
 (text and json; weights up to 1000, where the catalog stops at 12, and
-S^4000 has no nonzero power sum) and ``--help`` at the top level and for
-each subcommand, each distinct call once.  Each
+S^4000 has no nonzero power sum), ``kappa --class "1/3*e^3 - 5/7*e*p1"``
+on a projectivization whose base relation and Chern classes carry
+fractions and ``signature`` of a space whose relation and ``total_p``
+carry fractions (text and json; every catalog call has integral rules,
+these rings have rule denominators other than 1) and ``--help`` at the
+top level and for each subcommand, each distinct call once.  Each
 runs as one ``python -m charclasses`` process with ``PYTHONPATH=<tree>/src``
 and its document on stdin, one call at a time, first in PARENT_TREE and
 then in CHANGE_TREE.  Exit code, stdout bytes and
 stderr bytes must be equal.  Prints the number of calls; exits 1 and names
-the first call that differs.  The ops come from this checkout's
+each call that differs.  The ops come from this checkout's
 ``perfbench/``, which is only read.  Standard library only.
 """
 
@@ -38,6 +42,25 @@ LARGE_SPACES = (([Factor("s", 400), Factor("hp", 2)], ["x", "y"]),
                 ([Factor("s", 1000), Factor("hp", 2)], ["x", "y"]),
                 ([Factor("s", 4000)], ["x"]),
                 ([Factor("cp", 40)], ["h"]))
+# Rings whose rules have fractional right-hand sides.
+FRACTIONAL_BUNDLE = {
+    "kind": "projectivization",
+    "base": {"characteristic": 0, "ring": {
+        "generators": [{"name": "c1", "degree": 2}, {"name": "c2", "degree": 4}],
+        "relations": [{"lhs": "c1^3", "rhs": "1/2*c1*c2"}]}},
+    "chern": ["1/2*c1", "2/3*c1^2 - 1/5*c2", "3/4*c1*c2 - 1/6*c1^3"],
+}
+FRACTIONAL_CLASS = "1/3*e^3 - 5/7*e*p1"
+FRACTIONAL_SPACE = {
+    "characteristic": 0,
+    "ring": {
+        "generators": [{"name": "a", "degree": 4}, {"name": "b", "degree": 8}],
+        "relations": [{"lhs": "a^3", "rhs": "1/2*a*b"}, {"lhs": "b^2", "rhs": "0"}]},
+    "dimension": 16,
+    "fundamental": "a^2*b",
+    "total_p": "1 + 1/3*a - 2/5*a^2 + 5/7*b + 3/4*a*b - 1/6*a^2*b",
+    "euler": "2*a^2*b",
+}
 
 
 def calls() -> list[Op]:
@@ -52,6 +75,11 @@ def calls() -> list[Op]:
             ops.append(workloads.genus_op(series, 12, fmt))
         for factors, names in LARGE_SPACES:
             ops.append(workloads.signature_op(factors, names, fmt))
+        ops.append(workloads.kappa_op("fractional rules", FRACTIONAL_BUNDLE,
+                                      FRACTIONAL_CLASS, fmt))
+        ops.append(Op(f"signature fractional rules {fmt}",
+                      ("signature", "-") + workloads._fmt_args(fmt),
+                      stdin=workloads._encode(FRACTIONAL_SPACE)))
     for sub in ("", "genus", "signature", "kappa", "bso", "section5", "verify"):
         args = (sub, "--help") if sub else ("--help",)
         ops.append(Op(" ".join(args), args))
@@ -74,13 +102,17 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("change", type=Path)
     args = parser.parse_args(argv)
     ops = calls()
+    differ = 0
     for op in ops:
         before, after = run(args.parent.resolve(), op), run(args.change.resolve(), op)
         if before != after:
+            differ += 1
             what = ", ".join(part for part, a, b in zip(("exit code", "stdout", "stderr"),
                                                       before, after) if a != b)
-            print(f"{len(ops)} calls; {op.label!r} differs in {what}: {' '.join(op.args)}")
-            return 1
+            print(f"{op.label!r} differs in {what}: {' '.join(op.args)}")
+    if differ:
+        print(f"{len(ops)} calls; {differ} differ")
+        return 1
     print(f"{len(ops)} calls; exit code, stdout and stderr are the same")
     return 0
 
