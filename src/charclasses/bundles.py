@@ -24,11 +24,10 @@ the Euler class alone is the fibre's Euler characteristic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .rings import _NAME_RE, GradedPoly, Monomial, Ring, tensor_ring, transport
-from .spaces import SpaceModel, chern_to_pontryagin
+from .spaces import SpaceModel, _FrozenRecord, chern_to_pontryagin
 
 __all__ = [
     "BundleModel",
@@ -38,22 +37,47 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BundleModel:
+class BundleModel(_FrozenRecord):
     """A fibre bundle with enough structure to integrate along fibres.
 
     ``fibre_fundamental`` holds the exponents of the fibre's fundamental
-    monomial on the generators of ``total_ring`` after the base ones.  No
-    ``slots``: ``perfbench/tracer.py`` wraps ``gysin`` per instance.
+    monomial on the generators of ``total_ring`` after the base ones.  In
+    characteristic 2, ``vertical_total_p`` holds the fibre's ``total_p``
+    transported into the total ring, and ``kappa`` never reads it: its
+    class ring there has only w1..wd.  No ``__slots__``: the instance keeps
+    a ``__dict__``, because ``perfbench/tracer.py`` shadows ``gysin`` on
+    each instance.
     """
 
-    base_ring: Ring
-    total_ring: Ring
-    fibre_dimension: int
-    fibre_fundamental: Monomial
-    vertical_euler: GradedPoly
-    vertical_total_p: GradedPoly
-    vertical_total_w: Optional[GradedPoly] = None
+    __match_args__ = (
+        "base_ring",
+        "total_ring",
+        "fibre_dimension",
+        "fibre_fundamental",
+        "vertical_euler",
+        "vertical_total_p",
+        "vertical_total_w",
+    )
+
+    def __init__(
+        self,
+        base_ring: Ring,
+        total_ring: Ring,
+        fibre_dimension: int,
+        fibre_fundamental: Monomial,
+        vertical_euler: GradedPoly,
+        vertical_total_p: GradedPoly,
+        vertical_total_w: Optional[GradedPoly] = None,
+    ) -> None:
+        self.__dict__.update(
+            base_ring=base_ring,
+            total_ring=total_ring,
+            fibre_dimension=fibre_dimension,
+            fibre_fundamental=fibre_fundamental,
+            vertical_euler=vertical_euler,
+            vertical_total_p=vertical_total_p,
+            vertical_total_w=vertical_total_w,
+        )
 
     def pullback(self, cls: GradedPoly) -> GradedPoly:
         """Image of a base class in the total ring."""

@@ -9,10 +9,9 @@ byte for byte.  Randomized checks draw from seeded generators.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import counterexample
 from .bundles import kappa, product_bundle, projectivize
@@ -38,8 +37,7 @@ from .symfun import (
 __all__ = ["CheckResult", "run_checks"]
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     check_id: str
     passed: bool
     detail: str

@@ -26,8 +26,8 @@ the fibre signature pairs the degree of the fibre's dimension.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .genus import evaluate_genus, l_sequence, solve_pontryagin
 from .rings import GradedPoly
@@ -44,8 +44,7 @@ __all__ = [
     "succeeded",
 ]
 
-@dataclass(frozen=True)
-class CounterexampleReport:
+class CounterexampleReport(NamedTuple):
     """Everything the perturbed computation produces for one value of R."""
 
     R: Fraction

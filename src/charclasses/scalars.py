@@ -31,7 +31,6 @@ Canonical text forms:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 __all__ = [
@@ -104,66 +103,115 @@ def validate_modulus(p: int) -> int:
     return p
 
 
-@dataclass(frozen=True, slots=True)
 class PrimeScalar:
     """An element of the field with ``modulus`` elements.
 
     ``value`` is stored reduced to the range 0..modulus-1.  Construction
     validates the modulus: a prime below MAX_MODULUS.  Arithmetic results
     and int operands are built on the operand's modulus without a second
-    check.
+    check.  An operand of a type the field does not know (a polynomial,
+    say) gets ``NotImplemented``, so Python tries its reflected method.
+
+    A value: its fields cannot be assigned or deleted, ``==`` and the hash
+    go by (value, modulus), and copies and pickles are rebuilt through the
+    constructor.
     """
 
-    value: int
-    modulus: int
+    __slots__ = ("value", "modulus")
+    __match_args__ = ("value", "modulus")
 
+    def __init__(self, value: int, modulus: int) -> None:
+        _set_value(self, value)
+        _set_modulus(self, modulus)
+        self.__post_init__()
+
+    # validation keeps this name because perfbench/tracer.py wraps it, and
+    # tests/test_tracer_targets.py checks that it is here
     def __post_init__(self) -> None:
         validate_modulus(self.modulus)
-        object.__setattr__(self, "value", self.value % self.modulus)
+        _set_value(self, self.value % self.modulus)
 
-    def _coerce(self, other: object) -> "PrimeScalar":
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not PrimeScalar:
+            return NotImplemented
+        return self.value == other.value and self.modulus == other.modulus
+
+    def __hash__(self) -> int:
+        return hash((self.value, self.modulus))
+
+    def __repr__(self) -> str:
+        return f"PrimeScalar(value={self.value!r}, modulus={self.modulus!r})"
+
+    def __reduce__(self) -> tuple:
+        return PrimeScalar, (self.value, self.modulus)
+
+    def _operand(self, other: object) -> int | None:
+        """other's value on this modulus, or None for a type not known here."""
         if isinstance(other, PrimeScalar):
             if other.modulus != self.modulus:
                 raise ValueError(
                     f"cannot mix scalars mod {self.modulus} and mod {other.modulus}"
                 )
-            return other
+            return other.value
         if isinstance(other, int):
-            return _unchecked(other, self.modulus)
+            return other
         if isinstance(other, Fraction):
             raise TypeError(
                 "cannot mix characteristic 0 and prime-field scalars"
             )
-        raise TypeError(f"cannot coerce {other!r} into a prime-field scalar")
+        return None
 
     def __add__(self, other: object) -> "PrimeScalar":
-        other = self._coerce(other)
-        return _unchecked(self.value + other.value, self.modulus)
+        n = self._operand(other)
+        if n is None:
+            return NotImplemented
+        return _unchecked(self.value + n, self.modulus)
 
     __radd__ = __add__
 
     def __sub__(self, other: object) -> "PrimeScalar":
-        other = self._coerce(other)
-        return _unchecked(self.value - other.value, self.modulus)
+        n = self._operand(other)
+        if n is None:
+            return NotImplemented
+        return _unchecked(self.value - n, self.modulus)
 
     def __rsub__(self, other: object) -> "PrimeScalar":
-        return self._coerce(other).__sub__(self)
+        n = self._operand(other)
+        if n is None:
+            return NotImplemented
+        return _unchecked(n - self.value, self.modulus)
 
     def __mul__(self, other: object) -> "PrimeScalar":
-        other = self._coerce(other)
-        return _unchecked(self.value * other.value, self.modulus)
+        n = self._operand(other)
+        if n is None:
+            return NotImplemented
+        return _unchecked(self.value * n, self.modulus)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: object) -> "PrimeScalar":
-        other = self._coerce(other)
-        if other.value == 0:
-            raise ZeroDivisionError(f"division by zero in field mod {self.modulus}")
-        inverse = pow(other.value, -1, self.modulus)
-        return _unchecked(self.value * inverse, self.modulus)
+        n = self._operand(other)
+        if n is None:
+            return NotImplemented
+        return self._quotient(self.value, n)
 
     def __rtruediv__(self, other: object) -> "PrimeScalar":
-        return self._coerce(other).__truediv__(self)
+        n = self._operand(other)
+        if n is None:
+            return NotImplemented
+        return self._quotient(n, self.value)
+
+    def _quotient(self, a: int, b: int) -> "PrimeScalar":
+        p = self.modulus
+        if b % p == 0:
+            raise ZeroDivisionError(f"division by zero in field mod {p}")
+        return _unchecked(a * pow(b, -1, p), p)
 
     def __neg__(self) -> "PrimeScalar":
         return _unchecked(-self.value, self.modulus)
@@ -175,8 +223,9 @@ class PrimeScalar:
         return f"{self.value} mod {self.modulus}"
 
 
-# the slot descriptors' setters skip the frozen dataclass's __setattr__ and
-# __init__, which would re-run validation
+# the slot descriptors' setters skip PrimeScalar.__setattr__, which refuses
+# every assignment, and _unchecked skips __init__, which would re-run
+# validation
 _new = object.__new__
 _set_value = PrimeScalar.value.__set__
 _set_modulus = PrimeScalar.modulus.__set__

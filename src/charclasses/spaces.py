@@ -21,7 +21,6 @@ w_2..w_d with no relations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -41,17 +40,66 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SpaceModel:
+class _FrozenRecord:
+    """An immutable record of the fields named in ``__match_args__``.
+
+    ``==`` and ``repr`` go field by field, and assigning or deleting any
+    attribute raises ``AttributeError``.  A subclass's ``__init__`` writes
+    its fields into the instance ``__dict__``; copies and pickles restore
+    that dict as it is, without running ``__init__`` again.
+    """
+
+    __match_args__: tuple[str, ...] = ()
+    __hash__ = None  # the records hold a Ring, which has no hash
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(
+            f"{name}={value!r}"
+            for name, value in zip(self.__match_args__, self._values())
+        )
+        return f"{type(self).__qualname__}({fields})"
+
+
+class SpaceModel(_FrozenRecord):
     """A closed manifold presented through its cohomology ring."""
 
-    ring: Ring
-    dimension: int
-    fundamental: Monomial
-    total_p: GradedPoly
-    euler: GradedPoly
-    total_w: Optional[GradedPoly] = None
+    __match_args__ = ("ring", "dimension", "fundamental", "total_p", "euler", "total_w")
 
+    def __init__(
+        self,
+        ring: Ring,
+        dimension: int,
+        fundamental: Monomial,
+        total_p: GradedPoly,
+        euler: GradedPoly,
+        total_w: Optional[GradedPoly] = None,
+    ) -> None:
+        self.__dict__.update(
+            ring=ring,
+            dimension=dimension,
+            fundamental=fundamental,
+            total_p=total_p,
+            euler=euler,
+            total_w=total_w,
+        )
+        self.__post_init__()
+
+    # validation keeps this name because perfbench/tracer.py wraps it, and
+    # tests/test_tracer_targets.py checks that it is here
     def __post_init__(self) -> None:
         if self.dimension < 0:
             raise ValueError(f"negative dimension {self.dimension}")

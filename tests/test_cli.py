@@ -2,6 +2,9 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -570,3 +573,22 @@ def test_help_exits_zero(capsys):
     code, out, _ = run_cli(capsys, "--help")
     assert code == 0
     assert "genus" in out and "verify" in out
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # each subcommand runs in a fresh process, and these two (with ast, dis
+    # and tokenize behind them) cost ~15 ms of its start-up; only modules
+    # the import adds count, since site may load either one first
+    probe = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import charclasses.cli\n"
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert done.stdout == "[]\n"

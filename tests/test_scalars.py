@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from operator import add, mul, sub, truediv
 
 import pytest
 
@@ -93,6 +94,33 @@ def test_prime_scalar_rejects_mixing():
         a + Fraction(1, 2)
     with pytest.raises(TypeError):
         a * 0.5
+
+
+def test_prime_scalar_defers_only_to_operand_types_it_does_not_know():
+    # an unknown operand type gets NotImplemented, so Python tries the
+    # polynomial's reflected method; Fractions and other moduli still raise
+    ring = Ring(5, [("x", 2)])
+    x = ring.gen("x")
+    two = PrimeScalar(2, 5)
+    assert two * x == x * two == ring.poly("2*x")
+    assert two + x == x + two == ring.poly("x + 2")
+    assert two - x == ring.poly("2 - x")
+    assert x - two == ring.poly("x - 2")
+    with pytest.raises(ValueError):
+        PrimeScalar(2, 7) * x
+    with pytest.raises(TypeError):
+        two * "s"
+    with pytest.raises(TypeError):
+        "s" * two
+    for op in (add, sub, mul, truediv):
+        with pytest.raises(TypeError, match="characteristic 0"):
+            op(two, Fraction(1, 2))
+        with pytest.raises(TypeError, match="characteristic 0"):
+            op(Fraction(1, 2), two)
+        with pytest.raises(ValueError, match="mod 5 and mod 7"):
+            op(two, PrimeScalar(3, 7))
+        with pytest.raises(ValueError, match="mod 7 and mod 5"):
+            op(PrimeScalar(3, 7), two)
 
 
 def test_prime_scalar_division():
