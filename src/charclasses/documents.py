@@ -29,9 +29,11 @@ Validation failures raise :class:`DocumentError` whose message starts with
 the JSON-pointer-style path of the offending field.  The decoder checks
 the JSON shape itself and leaves every other check to the library, whose
 checks raise ``ValueError``: ``with _at(path):`` reports one raised inside
-it as a :class:`DocumentError` at ``path``.  Each such block wraps one
-library call and no decoder code, so an error keeps the path of the field
-it was found in.
+it as a :class:`DocumentError` at ``path``.  Each such block wraps library
+calls on one field and no decoder code, so an error keeps the path of the
+field it was found in.  Checks that need no rewriting run first: a space's
+fundamental is checked against its dimension before its classes are
+parsed.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from typing import Any, Iterator, Mapping
 from .bundles import BundleModel, product_bundle, projectivize
 from .rings import GradedPoly, Ring, validate_name
 from .scalars import validate_modulus
-from .spaces import SpaceModel
+from .spaces import SpaceModel, check_fundamental
 
 __all__ = [
     "DocumentError",
@@ -164,6 +166,7 @@ def space_from_document(doc: Mapping[str, Any], path: str = "") -> SpaceModel:
     fundamental_text = _str_field(doc, "fundamental", path)
     with _at(f"{path}/fundamental"):
         fundamental = ring.monomial(fundamental_text)
+        check_fundamental(ring, fundamental, dimension)
     total_p = _poly_field(doc, "total_p", path, ring)
     euler = _poly_field(doc, "euler", path, ring)
     total_w = None

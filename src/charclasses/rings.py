@@ -53,9 +53,10 @@ Polynomials are checked where they are built from outside input, by
 :meth:`Ring.poly`, which parses or coerces and then reduces to normal form.
 The constructor ``GradedPoly(ring, terms)`` checks nothing and stores
 ``terms``, a :class:`Terms`, as given: it must already be canonical and in
-normal form.  Products and ``transport`` reduce their own terms; sums,
-negation, scalar multiples and graded components are normal by
-construction.
+normal form.  Products reduce their own terms; sums, negation, scalar
+multiples and graded components are normal by construction.  ``transport``
+moves terms without reducing them, so a target rule g^k on a generator g of
+the source needs a source rule g^j with j <= k.
 """
 
 from __future__ import annotations
@@ -63,8 +64,8 @@ from __future__ import annotations
 import re
 from collections.abc import Mapping
 from fractions import Fraction
-from math import gcd, lcm
-from operator import add
+from math import gcd, inf, lcm
+from operator import add, ge, itemgetter, mul
 from typing import Callable, Iterable, Iterator, Union
 
 from .scalars import PrimeScalar, _unchecked, validate_modulus
@@ -81,8 +82,9 @@ __all__ = [
 Scalar = Union[Fraction, PrimeScalar]
 Monomial = tuple[int, ...]
 
-# A sign and the whitespace around it; a run of signs leaves empty pieces.
-_SIGN_RE = re.compile(r"\s*([-+])\s*")
+# A sign; a run of signs leaves pieces that are empty or whitespace, and
+# the factor pattern takes the whitespace left around the others.
+_SIGN_RE = re.compile(r"([-+])")
 # A generator name; Ring rejects every other name, so printed text parses.
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 # One factor: an integer, a fraction, a generator, or a generator power.
@@ -122,11 +124,14 @@ class Ring:
     ``rules`` maps each ruled generator's index to (k, rhs as
     :class:`Terms`); ``_rewrites`` holds the same rules for the normal
     form, each rhs as int numerators over ``_scale``, the common
-    denominator of all of them.
+    denominator of all of them.  ``_limits`` holds the rule exponent k of
+    each generator up to the last ruled one, infinity where there is no
+    rule: a monomial is irreducible when no exponent reaches its limit.
     """
 
     __slots__ = (
         "characteristic", "names", "degrees", "_index", "rules", "_rewrites", "_scale",
+        "_limits",
     )
 
     def __init__(
@@ -163,6 +168,12 @@ class Ring:
             idx: (k, {mon: c * (self._scale // rhs.den) for mon, c in rhs.num.items()})
             for idx, (k, rhs) in self.rules.items()
         }
+        ruled = max(self.rules, default=-1) + 1
+        self._limits = tuple(self.rules.get(i, (inf,))[0] for i in range(ruled))
+
+    def __reduce__(self) -> tuple:
+        rules = [((self.names[i], k), rhs) for i, (k, rhs) in self.rules.items()]
+        return Ring, (self.characteristic, tuple(zip(self.names, self.degrees)), rules)
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -237,7 +248,9 @@ class Ring:
                 raise ValueError("polynomial belongs to a different ring")
             return dict(source.terms.num), source.terms.den
         if isinstance(source, str):
-            return self._integral(_parse_terms(self, source))
+            # in characteristic p the parsed ints are left to the normal form
+            terms = _parse_terms(self, source)
+            return (terms, 1) if self.characteristic else self._integral(terms)
         if isinstance(source, (int, Fraction, PrimeScalar)):
             n, d = self._parts(source)
             return ({self.unit_monomial(): n} if n else {}), d
@@ -316,7 +329,7 @@ class Ring:
         return (0,) * len(self.names)
 
     def monomial_degree(self, mon: Monomial) -> int:
-        return sum(e * d for e, d in zip(mon, self.degrees))
+        return sum(map(mul, mon, self.degrees))
 
     def sort_key(self, mon: Monomial) -> tuple[int, Monomial]:
         # graded-lex: degree first, then declared order, earlier names
@@ -368,6 +381,7 @@ class Ring:
             terms, denominator = self._integral(terms)
         p = self.characteristic
         rewrites = self._rewrites
+        limits = self._limits
         scale = self._scale
         out: dict[Monomial, int] = {}
         pending: Mapping[Monomial, int] = terms
@@ -378,11 +392,11 @@ class Ring:
                     coeff %= p
                 if not coeff:
                     continue
-                applicable = [i for i, (k, _) in rewrites.items() if mon[i] >= k]
-                if not applicable:
+                if not any(map(ge, mon, limits)):
                     acc = out.get(mon)
                     out[mon] = coeff if acc is None else acc + coeff
                     continue
+                applicable = [i for i, (k, _) in rewrites.items() if mon[i] >= k]
                 i = applicable[choose(applicable) if choose else 0]
                 k, rhs = rewrites[i]
                 lowered = list(mon)
@@ -472,6 +486,9 @@ class Terms(Mapping):
         self.den = den
         self.characteristic = characteristic
 
+    def __reduce__(self) -> tuple:
+        return Terms, (self.num, self.den, self.characteristic)
+
     @classmethod
     def reduced(cls, num: dict[Monomial, int], den: int, characteristic: int) -> "Terms":
         """The canonical terms of int numerators over a positive ``den``.
@@ -545,6 +562,9 @@ class GradedPoly:
     def __init__(self, ring: Ring, terms: Terms) -> None:
         self.ring = ring
         self.terms = terms
+
+    def __reduce__(self) -> tuple:
+        return GradedPoly, (self.ring, self.terms)
 
     # ------------------------------------------------------------------
 
@@ -778,25 +798,24 @@ def _parse_terms(ring: Ring, text: str) -> dict[Monomial, int | Fraction]:
     if not text.strip():
         raise ValueError("empty polynomial text")
     parts = _SIGN_RE.split(text)
-    if not parts[-1]:
+    if not parts[-1].strip():
         raise ValueError("dangling sign in polynomial")
     nvars = len(ring.names)
     # factor text -> (generator index, power), or (None, coefficient)
     memo: dict[str, tuple[int | None, int | Fraction]] = {}
     out: dict[Monomial, int | Fraction] = {}
     negative = False
-    for i, piece in enumerate(parts):
-        if i & 1:
-            negative ^= piece == "-"
-            continue
-        if not piece:
+    for sign, piece in zip(["+", *parts[1::2]], parts[0::2]):
+        negative ^= sign == "-"
+        if not piece or piece.isspace():
             continue
         coeff: int | Fraction = -1 if negative else 1
         negative = False
         exps = [0] * nvars
         for factor in piece.split("*"):
-            parsed = memo.get(factor)
-            if parsed is None:
+            try:
+                idx, value = memo[factor]
+            except KeyError:
                 m = _FACTOR_RE.fullmatch(factor)
                 if m is None:
                     if not factor.strip():
@@ -806,9 +825,9 @@ def _parse_terms(ring: Ring, text: str) -> dict[Monomial, int | Fraction]:
                     idx = ring._index.get(m["name"])
                     if idx is None:
                         raise ValueError(f"unknown generator {m['name']!r}")
-                    parsed = (idx, int(m["power"] or 1))
+                    value = int(m["power"] or 1)
                 elif m["denom"] is None:
-                    parsed = (None, int(m["numer"]))
+                    idx, value = None, int(m["numer"])
                 elif not int(m["denom"]):
                     raise ValueError("zero denominator in coefficient")
                 elif ring.characteristic:
@@ -818,9 +837,8 @@ def _parse_terms(ring: Ring, text: str) -> dict[Monomial, int | Fraction]:
                         f"characteristic {ring.characteristic}"
                     )
                 else:
-                    parsed = (None, Fraction(int(m["numer"]), int(m["denom"])))
-                memo[factor] = parsed
-            idx, value = parsed
+                    idx, value = None, Fraction(int(m["numer"]), int(m["denom"]))
+                memo[factor] = idx, value
             if idx is None:
                 coeff = coeff * value
             else:
@@ -885,8 +903,10 @@ def transport(poly: GradedPoly, target: Ring) -> GradedPoly:
     """Re-express a polynomial in a ring containing the same-named generators.
 
     Each generator that actually occurs in the polynomial must exist in the
-    target with the same degree.  Used to push classes into a tensor ring
-    and to project them back out.
+    target with the same degree.  The terms are moved, not reduced, so a
+    target rule g^k on a generator g of the source needs a source rule g^j
+    with j <= k; otherwise ``ValueError`` is raised.  Used to push classes
+    into a tensor ring and to project them back out.
     """
     src = poly.ring
     if src.characteristic != target.characteristic:
@@ -894,26 +914,29 @@ def transport(poly: GradedPoly, target: Ring) -> GradedPoly:
             f"cannot transport from characteristic {src.characteristic} "
             f"to characteristic {target.characteristic}"
         )
-    positions: list[int | None] = []
-    for name, degree in zip(src.names, src.degrees):
+    num = poly.terms.num
+    # where[j]: the source index of target generator j, or that of a padded 0
+    where = [len(src.names)] * len(target.names)
+    for i, (name, degree) in enumerate(zip(src.names, src.degrees)):
         idx = target._index.get(name)
-        if idx is not None and target.degrees[idx] != degree:
+        if idx is None:
+            if any(mon[i] for mon in num):
+                raise ValueError(f"target ring has no generator {name!r}")
+        elif target.degrees[idx] != degree:
             raise ValueError(
                 f"generator {name!r} has degree {target.degrees[idx]} in the "
                 f"target ring, {degree} in the source"
             )
-        positions.append(idx)
-    out: dict[Monomial, int] = {}
-    for mon, coeff in poly.terms.num.items():
-        exps = [0] * len(target.names)
-        for src_idx, e in enumerate(mon):
-            if e == 0:
-                continue
-            idx = positions[src_idx]
-            if idx is None:
-                raise ValueError(
-                    f"target ring has no generator {src.names[src_idx]!r}"
-                )
-            exps[idx] = e
-        out[tuple(exps)] = coeff
-    return GradedPoly(target, target.normal_form_terms(out, denominator=poly.terms.den))
+        elif target.rules.get(idx, (inf,))[0] < src.rules.get(i, (inf,))[0]:
+            raise ValueError(
+                f"the target ring rewrites {name}^{target.rules[idx][0]}, "
+                "which is irreducible in the source ring"
+            )
+        else:
+            where[idx] = i
+    if len(where) > 1:
+        pick = itemgetter(*where)
+    else:  # itemgetter returns a tuple only for two or more indices
+        pick = lambda mon: tuple(mon[i] for i in where)  # noqa: E731
+    moved = {pick(mon + (0,)): c for mon, c in num.items()}
+    return GradedPoly(target, Terms(moved, poly.terms.den, target.characteristic))

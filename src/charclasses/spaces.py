@@ -30,6 +30,7 @@ from .scalars import PrimeScalar
 __all__ = [
     "SpaceModel",
     "bso_presentation",
+    "check_fundamental",
     "chern_to_pontryagin",
     "cp",
     "hp",
@@ -103,12 +104,7 @@ class SpaceModel(_FrozenRecord):
     def __post_init__(self) -> None:
         if self.dimension < 0:
             raise ValueError(f"negative dimension {self.dimension}")
-        if self.ring.monomial_degree(self.fundamental) != self.dimension:
-            raise ValueError(
-                "fundamental monomial has degree "
-                f"{self.ring.monomial_degree(self.fundamental)}, expected "
-                f"{self.dimension}"
-            )
+        check_fundamental(self.ring, self.fundamental, self.dimension)
         if self.total_p.constant_term() != self.ring.coerce_scalar(1):
             raise ValueError("total Pontryagin class must have constant term 1")
         for mon in self.total_p.terms:
@@ -127,6 +123,17 @@ class SpaceModel(_FrozenRecord):
                 raise ValueError("total_w only makes sense in characteristic 2")
             if self.total_w.constant_term() != self.ring.coerce_scalar(1):
                 raise ValueError("total Stiefel-Whitney class must start with 1")
+
+
+def check_fundamental(ring: Ring, fundamental: Monomial, dimension: int) -> None:
+    """Reject a fundamental monomial whose degree is not the dimension.
+
+    It needs no rewriting, so a document decoder can run it before it
+    parses the space's classes.
+    """
+    degree = ring.monomial_degree(fundamental)
+    if degree != dimension:
+        raise ValueError(f"fundamental monomial has degree {degree}, expected {dimension}")
 
 
 def integrate(space: SpaceModel, cls: GradedPoly) -> Fraction | PrimeScalar:

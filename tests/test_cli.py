@@ -99,6 +99,24 @@ def test_signature_rejects_bad_document(capsys, tmp_path):
     assert "/fundamental" in err
 
 
+def test_a_fundamental_of_the_wrong_degree_is_reported_before_the_classes_parse(
+    capsys, monkeypatch
+):
+    # RP^2 over F_2 with dimension 3, and a total_w that does not parse
+    doc = {
+        "characteristic": 2,
+        "ring": {"generators": [{"name": "a", "degree": 1}],
+                 "relations": [{"lhs": "a^3", "rhs": "0"}]},
+        "dimension": 3, "fundamental": "a^2", "total_p": "1", "euler": "a^2",
+        "total_w": "1 + a + nope",
+    }
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    code, out, err = run_cli(capsys, "signature", "-")
+    assert code == 2
+    assert_one_error_line(out, err)
+    assert err == "error: /fundamental: fundamental monomial has degree 2, expected 3\n"
+
+
 def test_signature_reports_a_zero_denominator_in_the_fundamental_monomial(
     capsys, tmp_path
 ):

@@ -135,8 +135,9 @@ def test_space_document_errors_carry_paths():
     # model-level inconsistency (fundamental degree vs dimension)
     doc = hp2_document()
     doc["dimension"] = 4
-    with pytest.raises(DocumentError):
+    with pytest.raises(DocumentError) as info:
         space_from_document(doc)
+    assert str(info.value) == "/fundamental: fundamental monomial has degree 8, expected 4"
 
 
 def test_space_document_nested_ring_errors_point_into_ring():

@@ -120,7 +120,9 @@ def test_records_holding_rings_are_unhashable(kind):
     copy.copy,
     copy.deepcopy,
     lambda r: pickle.loads(pickle.dumps(r)),
-], ids=["copy", "deepcopy", "pickle"])
+    lambda r: pickle.loads(pickle.dumps(r, 0)),
+    lambda r: pickle.loads(pickle.dumps(r, 1)),
+], ids=["copy", "deepcopy", "pickle", "pickle-protocol-0", "pickle-protocol-1"])
 def test_copies_and_pickles_round_trip(kind, round_trip):
     record = RECORDS[kind]()
     again = round_trip(record)

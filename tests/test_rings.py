@@ -468,6 +468,40 @@ def test_transport_matches_names():
         transport(lossy, small)
 
 
+def test_transport_into_and_out_of_rings_of_zero_and_one_generator():
+    point = Ring(0, [])
+    line = Ring(0, [("y", 4)], [("y^3", "0")])
+    big = tensor_ring(Ring(0, [("x", 12)], [("x^2", "0")]), line)
+    for small, text in ((point, "3/2"), (point, "0"), (line, "1 - 2/3*y^2")):
+        f = small.poly(text)
+        for target in (point, line, big):
+            if set(small.names) <= set(target.names):
+                moved = transport(f, target)
+                assert moved == target.poly(text)
+                assert transport(moved, small) == f
+    assert transport(big.poly("5 + y"), line) == line.poly("5 + y")
+    # a source generator that occurs and that the target lacks
+    with pytest.raises(ValueError, match="no generator 'y'"):
+        transport(line.gen("y"), point)
+    with pytest.raises(ValueError, match="no generator 'x'"):
+        transport(big.gen("x"), line)
+
+
+def test_transport_rejects_a_target_rule_stronger_than_the_source_rule():
+    free = Ring(0, [("y", 4)])
+    cubic = Ring(0, [("y", 4)], [("y^3", "0")])
+    quintic = Ring(0, [("y", 4)], [("y^5", "0")])
+    # every term of a normal form stays irreducible in a weaker ring
+    f = cubic.poly("1 + 2*y^2")
+    assert transport(f, free) == free.poly("1 + 2*y^2")
+    assert transport(f, quintic) == quintic.poly("1 + 2*y^2")
+    # a stronger rule raises whether or not a term would reduce under it
+    for source, target in ((free, cubic), (quintic, cubic)):
+        for text in ("y^4", "1"):
+            with pytest.raises(ValueError, match=r"rewrites y\^3"):
+                transport(source.poly(text), target)
+
+
 # ----------------------------------------------------------------------
 # the builders that store their terms unchecked
 

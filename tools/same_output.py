@@ -11,8 +11,12 @@ S^4000 has no nonzero power sum), ``kappa --class "1/3*e^3 - 5/7*e*p1"``
 on a projectivization whose base relation and Chern classes carry
 fractions and ``signature`` of a space whose relation and ``total_p``
 carry fractions (text and json; every catalog call has integral rules,
-these rings have rule denominators other than 1) and ``--help`` at the
-top level and for each subcommand, each distinct call once.  Each
+these rings have rule denominators other than 1), ``kappa --class
+"w1^4 + w2^2 + w1*w3"`` on a characteristic 2 product bundle whose fibre
+ring has a relation with a nonzero right-hand side and a generator with no
+relation (text; every catalog ring in characteristic 2 has only
+``x^k -> 0`` rules) and ``--help`` at the top level and for each
+subcommand, each distinct call once.  Each
 runs as one ``python -m charclasses`` process with ``PYTHONPATH=<tree>/src``
 and its document on stdin, one call at a time, first in PARENT_TREE and
 then in CHANGE_TREE.  Exit code, stdout bytes and
@@ -62,6 +66,24 @@ FRACTIONAL_SPACE = {
     "euler": "2*a^2*b",
 }
 
+# A characteristic 2 fibre ring with the rule u^3 -> u*v and a free v.
+MOD2_RULES_BUNDLE = {
+    "kind": "product",
+    "base": workloads.rp_product_doc((2,), ["b"]),
+    "fibre": {
+        "characteristic": 2,
+        "ring": {
+            "generators": [{"name": "u", "degree": 1}, {"name": "v", "degree": 2}],
+            "relations": [{"lhs": "u^3", "rhs": "u*v"}]},
+        "dimension": 4,
+        "fundamental": "u^2*v",
+        "total_p": "1",
+        "euler": "u^2*v",
+        "total_w": "1 + u + v + u^2 + u*v + u^2*v",
+    },
+}
+MOD2_RULES_CLASS = "w1^4 + w2^2 + w1*w3"
+
 
 def calls() -> list[Op]:
     """The distinct calls, in a fixed order."""
@@ -80,6 +102,7 @@ def calls() -> list[Op]:
         ops.append(Op(f"signature fractional rules {fmt}",
                       ("signature", "-") + workloads._fmt_args(fmt),
                       stdin=workloads._encode(FRACTIONAL_SPACE)))
+    ops.append(workloads.kappa_op("mod 2 rules", MOD2_RULES_BUNDLE, MOD2_RULES_CLASS, "text"))
     for sub in ("", "genus", "signature", "kappa", "bso", "section5", "verify"):
         args = (sub, "--help") if sub else ("--help",)
         ops.append(Op(" ".join(args), args))
