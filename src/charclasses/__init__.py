@@ -6,72 +6,67 @@ of spheres and projective spaces, fibre integration for bundle models, and
 the perturbed signature-class construction over S^12 x HP^2.  All
 arithmetic is exact: rationals in characteristic zero, integers mod p
 otherwise.
+
+The names in ``__all__`` are exported lazily (PEP 562): ``import
+charclasses`` loads no submodule, and ``charclasses.kappa`` imports
+``charclasses.bundles`` on first access.  Each access looks the name up in
+its submodule again, with no copy kept in this namespace, so a function
+patched in its own module is the one every later access returns.  Each
+CLI process then loads only the submodules its subcommand uses.
 """
 
-from .bundles import BundleModel, kappa, product_bundle, projectivize
-from .counterexample import CounterexampleReport, report_document, run, succeeded
-from .genus import (
-    MultiplicativeSequence,
-    ahat_sequence,
-    bernoulli,
-    evaluate_genus,
-    l_leading_coefficient,
-    l_sequence,
-    solve_pontryagin,
-    weight_ring,
-)
-from .rings import GradedPoly, Ring, tensor_ring, transport
-from .scalars import PrimeScalar, format_rational, parse_rational
-from .spaces import (
-    SpaceModel,
-    bso_presentation,
-    chern_to_pontryagin,
-    cp,
-    hp,
-    integrate,
-    point,
-    product_space,
-    sphere,
-)
-from .symfun import monomial_to_elementary, partitions, symfun_eval
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BundleModel",
-    "CounterexampleReport",
-    "GradedPoly",
-    "MultiplicativeSequence",
-    "PrimeScalar",
-    "Ring",
-    "SpaceModel",
-    "ahat_sequence",
-    "bernoulli",
-    "bso_presentation",
-    "chern_to_pontryagin",
-    "cp",
-    "evaluate_genus",
-    "format_rational",
-    "hp",
-    "integrate",
-    "kappa",
-    "l_leading_coefficient",
-    "l_sequence",
-    "monomial_to_elementary",
-    "parse_rational",
-    "partitions",
-    "point",
-    "product_bundle",
-    "product_space",
-    "projectivize",
-    "report_document",
-    "run",
-    "solve_pontryagin",
-    "sphere",
-    "succeeded",
-    "symfun_eval",
-    "tensor_ring",
-    "transport",
-    "weight_ring",
-    "__version__",
-]
+# exported name -> the submodule that defines it
+_EXPORTS = {
+    "BundleModel": "bundles",
+    "kappa": "bundles",
+    "product_bundle": "bundles",
+    "projectivize": "bundles",
+    "CounterexampleReport": "counterexample",
+    "report_document": "counterexample",
+    "run": "counterexample",
+    "succeeded": "counterexample",
+    "MultiplicativeSequence": "genus",
+    "ahat_sequence": "genus",
+    "bernoulli": "genus",
+    "evaluate_genus": "genus",
+    "l_leading_coefficient": "genus",
+    "l_sequence": "genus",
+    "solve_pontryagin": "genus",
+    "weight_ring": "genus",
+    "GradedPoly": "rings",
+    "Ring": "rings",
+    "tensor_ring": "rings",
+    "transport": "rings",
+    "PrimeScalar": "scalars",
+    "format_rational": "scalars",
+    "parse_rational": "scalars",
+    "SpaceModel": "spaces",
+    "bso_presentation": "spaces",
+    "chern_to_pontryagin": "spaces",
+    "cp": "spaces",
+    "hp": "spaces",
+    "integrate": "spaces",
+    "point": "spaces",
+    "product_space": "spaces",
+    "sphere": "spaces",
+    "monomial_to_elementary": "symfun",
+    "partitions": "symfun",
+    "symfun_eval": "symfun",
+}
+
+__all__ = sorted(_EXPORTS) + ["__version__"]
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_EXPORTS))

@@ -186,16 +186,19 @@ def kappa(bundle: BundleModel, cls: str) -> GradedPoly:
     """
     d = bundle.fibre_dimension
     characteristic = bundle.total_ring.characteristic
-    # name -> (vertical total class, degree of the component it names), for
-    # the names in the text only: d may be far larger than the text
+    # each vertical total class with the named classes read off it, name ->
+    # degree, for the names in the text only: d may be far larger than the text
     named = set(_NAME_RE.findall(cls))
     if characteristic == 0:
-        sources = {"e": (bundle.vertical_euler, d)} if "e" in named else {}
-        for i in _indices(named, "p", d // 2):
-            sources[f"p{i}"] = (bundle.vertical_total_p, 4 * i)
+        groups = [
+            (bundle.vertical_euler, {"e": d} if "e" in named else {}),
+            (bundle.vertical_total_p,
+             {f"p{i}": 4 * i for i in _indices(named, "p", d // 2)}),
+        ]
     elif characteristic == 2:
-        w = bundle.vertical_total_w
-        sources = {f"w{i}": (w, i) for i in _indices(named, "w", d)}
+        groups = [
+            (bundle.vertical_total_w, {f"w{i}": i for i in _indices(named, "w", d)})
+        ]
     else:
         raise ValueError(
             f"no kappa classes in characteristic {characteristic}; use 0 or 2"
@@ -203,14 +206,19 @@ def kappa(bundle: BundleModel, cls: str) -> GradedPoly:
     # ring degrees must be positive, and a point fibre has e = 1 in degree
     # 0; the class ring is free, so its grading is never read
     class_ring = Ring(
-        characteristic, [(name, deg or 2) for name, (_, deg) in sources.items()]
+        characteristic,
+        [(name, deg or 2) for _, degrees in groups for name, deg in degrees.items()],
     )
     polynomial = class_ring.poly(cls)
     images = {}
-    for name, (total, deg) in sources.items():
+    for total, degrees in groups:
+        if not degrees:
+            continue
         if total is None:
             raise ValueError("bundle carries no Stiefel-Whitney data")
-        images[name] = total.graded_component(deg)
+        # one pass over the total class picks every degree named in it
+        parts = total.graded_components(degrees.values())
+        images.update((name, parts[deg]) for name, deg in degrees.items())
     return bundle.gysin(polynomial.substitute(images, bundle.total_ring))
 
 

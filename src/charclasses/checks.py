@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Callable, NamedTuple
 
-from . import counterexample
+from . import counterexample, spaces
 from .bundles import kappa, product_bundle, projectivize
 from .documents import space_from_document, space_to_document
 from .genus import (
@@ -26,7 +26,6 @@ from .genus import (
 )
 from .rings import GradedPoly, Ring
 from .scalars import format_rational, parse_rational
-from .spaces import bso_presentation, cp, hp, product_space, sphere
 from .symfun import (
     elementary_values,
     monomial_to_elementary,
@@ -80,7 +79,7 @@ _PRINTED_LEADING = [
 
 
 def _check_bso_presentations() -> str:
-    even = bso_presentation(4, 0)
+    even = spaces.bso_presentation(4, 0)
     _ensure(even.names == ("e", "p1", "p2"), f"BSO(4) generators {even.names}")
     _ensure(even.degrees == (4, 4, 8), f"BSO(4) degrees {even.degrees}")
     e = even.gen("e")
@@ -88,14 +87,14 @@ def _check_bso_presentations() -> str:
     for j in range(1, 4):
         _ensure(e ** (2 * j) == p2 ** j, f"e^{2 * j} did not reduce to p2^{j}")
     _ensure((e ** 3) == e * p2, "e^3 did not reduce to e*p2")
-    odd = bso_presentation(5, 0)
+    odd = spaces.bso_presentation(5, 0)
     _ensure(odd.names == ("p1", "p2"), f"BSO(5) generators {odd.names}")
     _ensure(not odd.rules, "BSO(5) should have no relations")
-    char2 = bso_presentation(3, 2)
+    char2 = spaces.bso_presentation(3, 2)
     _ensure(char2.names == ("w2", "w3"), f"BSO(3; char 2) generators {char2.names}")
     _ensure(char2.characteristic == 2, "BSO(3; char 2) characteristic")
     _ensure(not char2.rules, "BSO(3; char 2) should have no relations")
-    loose = bso_presentation(4, 0, euler_relation=False)
+    loose = spaces.bso_presentation(4, 0, euler_relation=False)
     _ensure(not loose.rules, "euler_relation=False should drop the relation")
     return "even, odd, and characteristic 2 presentations all as expected"
 
@@ -117,8 +116,8 @@ def _random_poly(rng: random.Random, ring: Ring, max_degree: int) -> GradedPoly:
 def _projection_formula_instances(count: int, seed: int) -> int:
     rng = random.Random(seed)
     bundles = []
-    base = hp(2)
-    bundles.append(product_bundle(base, cp(2)))
+    base = spaces.hp(2)
+    bundles.append(product_bundle(base, spaces.cp(2)))
     generic = Ring(0, [("c1", 2), ("c2", 4)])
     bundles.append(projectivize(generic, [generic.gen("c1"), generic.gen("c2")]))
     checked = 0
@@ -156,7 +155,7 @@ def _check_json_round_trip() -> str:
             poly.ring.poly(str(poly)) == poly,
             f"parse(print(...)) changed {poly}",
         )
-    char2 = bso_presentation(3, 2)
+    char2 = spaces.bso_presentation(3, 2)
     w_poly = char2.poly("w3*w2 + w2^3")
     _ensure(char2.poly(str(w_poly)) == w_poly, "char 2 round trip failed")
     for q in [Fraction(0), Fraction(-3), Fraction(124065, 9271), Fraction(1, 8)]:
@@ -164,7 +163,7 @@ def _check_json_round_trip() -> str:
             parse_rational(format_rational(q)) == q,
             f"rational round trip changed {q}",
         )
-    space = hp(2)
+    space = spaces.hp(2)
     rebuilt = space_from_document(space_to_document(space))
     _ensure(rebuilt.total_p == space.total_p, "space document round trip: total_p")
     _ensure(rebuilt.euler == space.euler, "space document round trip: euler")
@@ -174,8 +173,8 @@ def _check_json_round_trip() -> str:
 
 def _check_kappa_euler() -> str:
     seen = []
-    for fibre, chi in [(cp(2), 3), (hp(2), 3), (sphere(12), 2)]:
-        bundle = product_bundle(hp(2, gen="b"), fibre)
+    for fibre, chi in [(spaces.cp(2), 3), (spaces.hp(2), 3), (spaces.sphere(12), 2)]:
+        bundle = product_bundle(spaces.hp(2, gen="b"), fibre)
         value = kappa(bundle, "e")
         _ensure(
             value == bundle.base_ring.one() * chi,
@@ -209,7 +208,7 @@ def _check_kappa_projectivization_powers() -> str:
 
 
 def _check_kappa_product_vanishing() -> str:
-    bundle = product_bundle(sphere(12), hp(2))
+    bundle = product_bundle(spaces.sphere(12), spaces.hp(2))
     for cls in ["p1", "e*p1", "p1^2*p2", "e^3"]:
         value = kappa(bundle, cls)
         _ensure(value.is_zero(), f"kappa_{cls} of a product bundle came out {value}")
@@ -321,15 +320,17 @@ def _check_section5_linearity() -> str:
 
 
 def _check_sign_hp2() -> str:
-    value = evaluate_genus(hp(2), l_sequence())
+    value = evaluate_genus(spaces.hp(2), l_sequence())
     _ensure(value == 1, f"HP^2 signature came out {value}")
     return "signature of HP^2 evaluates to 1"
 
 
 def _check_sign_s12() -> str:
-    value = evaluate_genus(sphere(12), l_sequence())
+    value = evaluate_genus(spaces.sphere(12), l_sequence())
     _ensure(value == 0, f"S^12 signature came out {value}")
-    both = evaluate_genus(product_space(hp(2), hp(2, gen="z")), l_sequence())
+    both = evaluate_genus(
+        spaces.product_space(spaces.hp(2), spaces.hp(2, gen="z")), l_sequence()
+    )
     _ensure(both == 1, f"HP^2 x HP^2 signature came out {both}")
     return "signature of S^12 is 0 (and 1 for HP^2 x HP^2)"
 

@@ -18,6 +18,15 @@ read ``--format`` or write stdout.  ``main`` alone picks one of the two,
 writes it with a final newline after the handler has returned, and turns
 an input error (``_InputError`` or ``DocumentError``) into one
 ``error: ...`` line on stderr, exit 2 and an empty stdout.
+
+Every subcommand runs in its own process, so a handler imports what only
+it uses when it runs.  Because ``main`` catches ``DocumentError``, this
+module imports ``documents`` at load time, and with it ``bundles``,
+``rings``, ``scalars`` and ``spaces``; ``kappa`` and ``bso`` need no more.
+``genus`` and ``signature`` add ``genus``, ``section5`` adds
+``counterexample`` (and ``genus``), and ``verify`` adds ``checks``, which
+brings ``counterexample``, ``genus`` and ``symfun``.  A handler imports
+nothing before it has checked its own options.
 """
 
 from __future__ import annotations
@@ -27,16 +36,13 @@ import json
 import sys
 from typing import Any
 
-from . import counterexample
 from .bundles import kappa
-from .checks import run_checks
 from .documents import (
     DocumentError,
     bundle_from_document,
     ring_to_document,
     space_from_document,
 )
-from .genus import ahat_sequence, evaluate_genus, l_sequence
 from .scalars import format_rational, parse_rational
 from .spaces import bso_presentation
 
@@ -84,6 +90,8 @@ def _cmd_genus(args: argparse.Namespace) -> Result:
         raise _InputError(
             f"--max-weight must lie in 1..{MAX_TABLE_WEIGHT}, got {args.max_weight}"
         )
+    from .genus import ahat_sequence, l_sequence
+
     seq = l_sequence() if args.series == "L" else ahat_sequence()
     polys = [str(seq.k_polynomial(n)) for n in range(1, args.max_weight + 1)]
     payload = {
@@ -99,6 +107,8 @@ def _cmd_genus(args: argparse.Namespace) -> Result:
 
 def _cmd_signature(args: argparse.Namespace) -> Result:
     space = space_from_document(_read_document(args.document))
+    from .genus import evaluate_genus, l_sequence
+
     try:
         value = evaluate_genus(space, l_sequence())
     except ValueError as exc:
@@ -142,6 +152,8 @@ def _cmd_section5(args: argparse.Namespace) -> Result:
         r_value = parse_rational(args.R)
     except (ValueError, ZeroDivisionError) as exc:
         raise _InputError(f"--R: {exc}") from exc
+    from . import counterexample
+
     report = counterexample.run(r_value)
     unchanged = " ".join("yes" if flag else "no" for flag in report.p_low_unchanged)
     text = "\n".join(
@@ -160,6 +172,8 @@ def _cmd_section5(args: argparse.Namespace) -> Result:
 
 
 def _cmd_verify(args: argparse.Namespace) -> Result:
+    from .checks import run_checks
+
     results = run_checks()
     all_passed = all(r.passed for r in results)
     payload = {

@@ -29,10 +29,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
+from . import spaces
 from .genus import evaluate_genus, l_sequence, solve_pontryagin
 from .rings import GradedPoly
 from .scalars import format_rational
-from .spaces import SpaceModel, hp, integrate, product_space, sphere
 
 __all__ = [
     "CounterexampleReport",
@@ -56,13 +56,13 @@ class CounterexampleReport(NamedTuple):
     kappa_p5_integral: Fraction
 
 
-def build_total_space() -> SpaceModel:
+def build_total_space() -> spaces.SpaceModel:
     """S^12 x HP^2 with sphere generator x and quaternionic generator y."""
-    return product_space(sphere(12, gen="x"), hp(2, gen="y"))
+    return spaces.product_space(spaces.sphere(12, gen="x"), spaces.hp(2, gen="y"))
 
 
 def fibre_signature(
-    total_l: GradedPoly, space: SpaceModel, fibre_dual: GradedPoly
+    total_l: GradedPoly, space: spaces.SpaceModel, fibre_dual: GradedPoly
 ) -> Fraction:
     """Signature of the fibre read off the total signature class.
 
@@ -72,11 +72,11 @@ def fibre_signature(
     """
     # a zero dual has no degree, and pairs to 0 in any
     fibre_dim = space.dimension - (fibre_dual.degree() or 0)
-    return integrate(space, total_l.graded_component(fibre_dim) * fibre_dual)
+    return spaces.integrate(space, total_l.graded_component(fibre_dim) * fibre_dual)
 
 
 def casson_obstruction(
-    total_l: GradedPoly, space: SpaceModel, fibre_dual: GradedPoly
+    total_l: GradedPoly, space: spaces.SpaceModel, fibre_dual: GradedPoly
 ) -> Fraction:
     """An eighth of the fibre signature defect against HP^2.
 
@@ -84,7 +84,7 @@ def casson_obstruction(
     the built-in HP^2 model under the signature sequence.
     """
     sign_f = fibre_signature(total_l, space, fibre_dual)
-    reference = evaluate_genus(hp(2), l_sequence())
+    reference = evaluate_genus(spaces.hp(2), l_sequence())
     return (sign_f - reference) / 8
 
 
@@ -114,7 +114,7 @@ def run(R: Fraction | int = 1) -> CounterexampleReport:
         p5=solved[4],
         sign_fibre=fibre_signature(target, space, x),
         casson=casson_obstruction(target, space, x),
-        kappa_p5_integral=integrate(space, solved[4]),
+        kappa_p5_integral=spaces.integrate(space, solved[4]),
     )
 
 

@@ -682,10 +682,17 @@ class GradedPoly:
 
     def graded_component(self, k: int) -> "GradedPoly":
         """The degree-k part."""
-        picked = {
-            m: c for m, c in self.terms.num.items() if self.ring.monomial_degree(m) == k
-        }
-        return GradedPoly(self.ring, self.terms.subset(picked))
+        return self.graded_components((k,))[k]
+
+    def graded_components(self, degrees: Iterable[int]) -> dict[int, "GradedPoly"]:
+        """The degree-k part for each k in ``degrees``, from one pass over the terms."""
+        picked: dict[int, dict[Monomial, int]] = {k: {} for k in degrees}
+        degree = self.ring.monomial_degree
+        for m, c in self.terms.num.items():
+            part = picked.get(degree(m))
+            if part is not None:
+                part[m] = c
+        return {k: GradedPoly(self.ring, self.terms.subset(p)) for k, p in picked.items()}
 
     def constant_term(self) -> Scalar:
         return self.terms.get(self.ring.unit_monomial(), self.ring.coerce_scalar(0))

@@ -9,7 +9,7 @@ from charclasses import bundles
 from charclasses.bundles import kappa, product_bundle, projectivize
 from charclasses.documents import space_from_document, space_to_document
 from charclasses.genus import ahat_sequence, l_sequence
-from charclasses.rings import Ring
+from charclasses.rings import GradedPoly, Ring
 from charclasses.spaces import SpaceModel, cp, hp, point, sphere
 
 
@@ -350,6 +350,27 @@ def test_kappa_stiefel_whitney_polynomials():
     bare = product_bundle(point(2), SpaceModel(**data))
     with pytest.raises(ValueError, match="no Stiefel-Whitney data"):
         kappa(bare, "w2")
+
+
+def test_kappa_reads_each_vertical_class_in_one_pass(monkeypatch):
+    # the class names four degrees of total_w; one scan picks all four
+    ring = Ring(2, [("a", 1)], [(("a", 5), 0)])
+    a = ring.gen("a")
+    fibre = SpaceModel(ring=ring, dimension=4, fundamental=ring.monomial("a^4"),
+                       total_p=ring.one(), euler=a ** 4,
+                       total_w=ring.poly("1 + a + a^2 + a^4"))
+    bundle = product_bundle(point(2), fibre)
+    passes = []
+    scan = GradedPoly.graded_components
+
+    def counted(self, degrees):
+        passes.append(list(degrees))
+        return scan(self, passes[-1])
+
+    monkeypatch.setattr(GradedPoly, "graded_components", counted)
+    # w1^2*w2 = a^4, w1*w3 = 0 and w2*w4 = a^6 = 0
+    assert kappa(bundle, "w1^2*w2 + w1*w3 + w2*w4") == bundle.base_ring.one()
+    assert passes == [[1, 2, 3, 4]]
 
 
 def test_kappa_vertical_chern_top_component_vanishes_above_fibre():

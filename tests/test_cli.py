@@ -593,20 +593,39 @@ def test_help_exits_zero(capsys):
     assert "genus" in out and "verify" in out
 
 
-def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect(tmp_path):
     # each subcommand runs in a fresh process, and these two (with ast, dis
     # and tokenize behind them) cost ~15 ms of its start-up; only modules
-    # the import adds count, since site may load either one first
+    # the import adds count, since site may load either one first.  Each
+    # process also compiles the package from source when no bytecode is
+    # written, so the CLI loads a submodule only for the subcommands that use
+    # it, and the package itself loads none until a name is asked for
     probe = (
         "import sys\n"
         "before = set(sys.modules)\n"
+        "import charclasses\n"
+        "print(sorted(set(sys.modules) - before - {'charclasses'}))\n"
         "import charclasses.cli\n"
-        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))\n"
+        "print(sorted({'dataclasses', 'inspect', 'charclasses.checks',\n"
+        "              'charclasses.symfun', 'charclasses.counterexample',\n"
+        "              'charclasses.genus'} & (set(sys.modules) - before)))\n"
     )
     src = str(Path(cli.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
-        env=dict(os.environ, PYTHONPATH=path),
+        env=env,
     )
-    assert done.stdout == "[]\n"
+    assert done.stdout == "[]\n[]\n"
+    # a kappa process, run as the benchmark runs it, never imports genus
+    path = write_json(tmp_path, "proj.json", projectivization_doc())
+    done = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "charclasses", "kappa",
+         "--bundle", path, "--class", "e^3"],
+        capture_output=True, text=True, check=True, env=env,
+    )
+    assert done.stdout == "kappa(e^3) = 2*c1^2 - 8*c2\n"
+    imported = {line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()}
+    assert "charclasses.bundles" in imported
+    assert "charclasses.genus" not in imported

@@ -302,6 +302,9 @@ def test_degree_and_components():
     assert f.graded_component(4) == ring.poly("3*a^2")
     assert f.graded_component(6) == ring.poly("b*c")
     assert f.graded_component(8).is_zero()
+    parts = f.graded_components([6, 8, 4])
+    assert list(parts) == [6, 8, 4]
+    assert all(parts[k] == f.graded_component(k) for k in parts)
     assert not f.is_homogeneous()
     assert ring.poly("a*b + c").is_homogeneous(4)
     assert ring.zero().is_homogeneous()

@@ -8,9 +8,13 @@ test resolves each target the way ``tracer.install`` does.
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
+import charclasses
 from charclasses import symfun
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -48,3 +52,52 @@ def test_tracer_hooks_read_the_package(monkeypatch):
     finally:
         tracer.uninstall(restore)
     assert t.counts["symfun.table_lookups"] == 2
+
+
+# Installs the tracer after importing argv[2] ("cli": only charclasses.cli;
+# "all": every submodule too), runs section5 and verify in-process, and
+# prints the span tree as path -> calls with the counters.
+_SPAN_TREE = """
+import contextlib, importlib, importlib.util, io, json, pkgutil, sys
+spec = importlib.util.spec_from_file_location("perfbench_tracer", sys.argv[1])
+tracer = importlib.util.module_from_spec(spec)
+sys.modules[spec.name] = tracer
+spec.loader.exec_module(tracer)
+import charclasses, charclasses.cli as cli
+if sys.argv[2] == "all":
+    for info in pkgutil.iter_modules(charclasses.__path__):
+        if info.name != "__main__":
+            importlib.import_module("charclasses." + info.name)
+t = tracer.Tracer()
+restore = tracer.install(t)
+try:
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes = [cli.main(["section5"]), cli.main(["verify"])]
+finally:
+    tracer.uninstall(restore)
+paths, calls = [], {}
+for s in t.spans:
+    paths.append(s.name if s.parent < 0 else paths[s.parent] + "/" + s.name)
+    calls[paths[-1]] = s.calls
+print(json.dumps({"codes": codes, "calls": calls, "counts": t.counts}))
+"""
+
+
+def test_the_span_tree_does_not_depend_on_what_was_imported_first():
+    # tracer.install patches the from-imported bindings only in modules
+    # loaded before it runs; a module the CLI loads later must reach every
+    # traced function through its owner's namespace, or its calls go
+    # unrecorded
+    src = str(Path(charclasses.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    trees = [
+        json.loads(subprocess.run(
+            [sys.executable, "-c", _SPAN_TREE, str(TRACER), first],
+            capture_output=True, text=True, check=True, env=env,
+        ).stdout)
+        for first in ("cli", "all")
+    ]
+    assert trees[0]["codes"] == [0, 0]
+    assert "cli.main/counterexample.run/spaces.hp" in trees[0]["calls"]
+    assert trees[0] == trees[1]

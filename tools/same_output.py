@@ -15,8 +15,11 @@ these rings have rule denominators other than 1), ``kappa --class
 "w1^4 + w2^2 + w1*w3"`` on a characteristic 2 product bundle whose fibre
 ring has a relation with a nonzero right-hand side and a generator with no
 relation (text; every catalog ring in characteristic 2 has only
-``x^k -> 0`` rules) and ``--help`` at the top level and for each
-subcommand, each distinct call once.  Each
+``x^k -> 0`` rules), the input errors of the subcommands that import
+their modules when they run (``genus --max-weight 13``, ``section5 --R
+1/0`` and ``--R x``, ``signature`` of RP^2 over F_2, which
+``evaluate_genus`` rejects, and ``bso --dimension 100001``) and ``--help``
+at the top level and for each subcommand, each distinct call once.  Each
 runs as one ``python -m charclasses`` process with ``PYTHONPATH=<tree>/src``
 and its document on stdin, one call at a time, first in PARENT_TREE and
 then in CHANGE_TREE.  Exit code, stdout bytes and
@@ -84,6 +87,16 @@ MOD2_RULES_BUNDLE = {
 }
 MOD2_RULES_CLASS = "w1^4 + w2^2 + w1*w3"
 
+# Each exits 2 with one error line.
+INPUT_ERRORS = (
+    Op("genus max-weight 13", ("genus", "--max-weight", "13")),
+    Op("section5 R=1/0", ("section5", "--R", "1/0")),
+    Op("section5 R=x", ("section5", "--R", "x")),
+    Op("signature characteristic 2", ("signature", "-"),
+       stdin=workloads._encode(workloads.rp_product_doc((2,), ["a"]))),
+    Op("bso dimension 100001", ("bso", "--dimension", "100001")),
+)
+
 
 def calls() -> list[Op]:
     """The distinct calls, in a fixed order."""
@@ -103,6 +116,7 @@ def calls() -> list[Op]:
                       ("signature", "-") + workloads._fmt_args(fmt),
                       stdin=workloads._encode(FRACTIONAL_SPACE)))
     ops.append(workloads.kappa_op("mod 2 rules", MOD2_RULES_BUNDLE, MOD2_RULES_CLASS, "text"))
+    ops += INPUT_ERRORS
     for sub in ("", "genus", "signature", "kappa", "bso", "section5", "verify"):
         args = (sub, "--help") if sub else ("--help",)
         ops.append(Op(" ".join(args), args))
