@@ -1,11 +1,11 @@
 """Exact symbolic engine for characteristic-class computations.
 
 Graded-commutative polynomial rings with monomial rewrite relations,
-multiplicative sequences evaluated by Newton's identities, cohomology models
-of spheres and projective spaces, fibre integration for bundle models, and
-the perturbed signature-class construction over S^12 x HP^2.  All
-arithmetic is exact: rationals in characteristic zero, integers mod p
-otherwise.
+multiplicative sequences evaluated and inverted by one kernel (log of a
+total class, scale, exp), cohomology models of spheres and projective
+spaces, fibre integration for bundle models, and the perturbed
+signature-class construction over S^12 x HP^2.  All arithmetic is
+exact: rationals in characteristic zero, integers mod p otherwise.
 
 The names in ``__all__`` are exported lazily (PEP 562): ``import
 charclasses`` loads no submodule, and ``charclasses.kappa`` imports
@@ -35,7 +35,6 @@ _EXPORTS = {
     "evaluate_genus": "genus",
     "l_leading_coefficient": "genus",
     "l_sequence": "genus",
-    "solve_pontryagin": "genus",
     "weight_ring": "genus",
     "GradedPoly": "rings",
     "Ring": "rings",

@@ -4,8 +4,9 @@ Fibre bundles that are only block bundles need not have a vector-bundle
 tangent substitute, and this pipeline reproduces the computation that
 detects that: take the product E = S^12 x HP^2, perturb its total
 signature class by R*x*y in degree 16 (x the sphere class, y the
-quaternionic class), and solve the signature equations degree by degree
-for the Pontryagin classes a genuine tangent bundle would need.
+quaternionic class), and solve the signature equations, in one pass of
+the genus kernel read backwards, for the Pontryagin classes a genuine
+tangent bundle would need.
 
 The solved classes come out as
 
@@ -30,7 +31,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import spaces
-from .genus import evaluate_genus, l_sequence, solve_pontryagin
+from .genus import evaluate_genus, l_sequence
 from .rings import GradedPoly
 from .scalars import format_rational
 
@@ -99,22 +100,19 @@ def run(R: Fraction | int = 1) -> CounterexampleReport:
     y = ring.gen("y")
 
     target = seq.total_class(space.total_p, weight) + x * y * R
-
-    solved: list[GradedPoly] = []
-    for _ in range(weight):
-        solved.append(solve_pontryagin(seq, target, solved))
+    solved = seq.pontryagin_parts(target, weight)  # [1, p_1, ..., p_weight]
 
     p_low_unchanged = tuple(
-        solved[i] == space.total_p.graded_component(4 * (i + 1)) for i in range(3)
+        solved[i] == space.total_p.graded_component(4 * i) for i in (1, 2, 3)
     )
     return CounterexampleReport(
         R=R,
         p_low_unchanged=p_low_unchanged,
-        p4=solved[3],
-        p5=solved[4],
+        p4=solved[4],
+        p5=solved[5],
         sign_fibre=fibre_signature(target, space, x),
         casson=casson_obstruction(target, space, x),
-        kappa_p5_integral=spaces.integrate(space, solved[4]),
+        kappa_p5_integral=spaces.integrate(space, solved[5]),
     )
 
 

@@ -6,23 +6,27 @@ the product of Q over formal roots x_i, with p_j the j-th elementary
 symmetric function of the x_i.  Taking logarithms turns that product into
 sum_k a_k P_k, where log Q(z) = sum_k a_k z^k and P_k = sum_i x_i^k is the
 k-th power sum.  So a sequence is held as its logarithm, the function
-n -> (1 a_1, ..., n a_n), and two recurrences compute everything
-(Hirzebruch, Topological Methods in Algebraic Geometry, 1; Milnor-Stasheff,
-Characteristic Classes, 16):
+n -> (1 a_1, ..., n a_n), and one kernel, log, scale, exp, computes
+everything (Hirzebruch, Topological Methods in Algebraic Geometry, 1;
+Milnor-Stasheff, Characteristic Classes, 16 and 19).  For a total class
+T = 1 + T_1 + ..., T_m of weight m, let D_m = m (log T)_m; T' = T (log T)'
+gives
 
-    P_k   = sum_{j<k} (-1)^{j-1} p_j P_{k-j} + (-1)^{k-1} k p_k   (Newton)
-    m E_m = sum_{k<=m} k a_k P_k E_{m-k},   E_0 = 1       (exp, degree by degree)
+    D_m   = m T_m - sum_{j<m} T_j D_{m-j}       (log)
+    m E_m = sum_{k<=m} D_k E_{m-k},   E_0 = 1   (exp)
 
-E_n is the weight-n polynomial K_n.  The recurrences only add and multiply
-the p_j, so they run in whatever ring holds them: on the generators of the
-free weight ring they give K_n itself, and on a space's Pontryagin classes,
-in the space's own ring and truncated by its relations, they give the
-genus, the total class and the Pontryagin solve without forming K_n.  Only
-P_n contains p_n, so the coefficient of p_n in K_n is (-1)^{n-1} n a_n.
-All of them run one kernel, ``weight_parts``, which sums only over the
-nonzero p_j and P_k and asks the logarithm for weights up to the last
-nonzero P_k, so a sequence has no size, and the cost follows the nonzero
-classes, not the weight: on S^N x HP^2 only P_1 and P_2 are nonzero.
+For T = p, D_k = (-1)^{k-1} P_k: the log is Newton's identities.  Scaling
+each D_k by c_k = (-1)^{k-1} k a_k and taking exp gives the total class of
+the sequence, with E_n = K_n.  Only P_n contains p_n, so c_n is the
+coefficient of p_n in K_n, and scaling by 1/c_k instead solves a target
+total class for the Pontryagin classes.  The recurrences only add and
+multiply, so they run in whatever ring holds the classes: in the free
+weight ring they give K_n itself, and in a space's own ring, truncated by
+its relations, the genus and the total class without forming K_n.  They
+sum only over the nonzero T_j, D_k and E_m, and ``weight_parts`` asks the
+logarithm for weights up to the last nonzero D_k, so a sequence has no
+size and the cost follows the nonzero classes, not the weight: on
+S^N x HP^2 only D_1 and D_2 are nonzero.
 
 Weights are internal: p_i has weight i, and a class of weight n lives in
 cohomological degree 4n, so the weight ring declares p_i with degree 4i and
@@ -56,7 +60,6 @@ __all__ = [
     "evaluate_genus",
     "l_leading_coefficient",
     "l_sequence",
-    "solve_pontryagin",
     "weight_ring",
 ]
 
@@ -125,6 +128,44 @@ def weight_ring(n: int) -> Ring:
     return Ring(0, [(f"p{i}", 4 * i) for i in range(n, 0, -1)])
 
 
+def _log_derivative(total: GradedPoly, n: int) -> dict[int, GradedPoly]:
+    """The nonzero D_m = m (log T)_m, 0 < m <= n, with T_m the degree-4m
+    part of total.  The one place that checks a total class and its ring.
+    """
+    ring = total.ring
+    if ring.characteristic != 0:
+        raise ValueError("genus computations need characteristic 0")
+    if total.constant_term() != 1:
+        raise ValueError("total class must have constant term 1")
+    degrees = sorted({ring.monomial_degree(mon) for mon in total.terms})
+    parts = {  # the nonzero T_j
+        d // 4: total.graded_component(d)
+        for d in degrees
+        if d % 4 == 0 and 0 < d <= 4 * n
+    }
+    derivs: dict[int, GradedPoly] = {}
+    for m in range(1, n + 1):
+        acc = parts[m] * m if m in parts else ring.zero()
+        for j, t_j in parts.items():
+            if j < m and m - j in derivs:
+                acc = acc - t_j * derivs[m - j]
+        if acc:
+            derivs[m] = acc
+    return derivs
+
+
+def _exp(ring: Ring, derivs: dict[int, GradedPoly], n: int) -> list[GradedPoly]:
+    """[E_0, ..., E_n] of E = exp(L), given the nonzero D_k = k L_k."""
+    parts = [ring.one()]
+    for m in range(1, n + 1):
+        acc = ring.zero()
+        for k, d_k in derivs.items():
+            if k <= m and parts[m - k]:
+                acc = acc + d_k * parts[m - k]
+        parts.append(acc * Fraction(1, m) if acc else acc)
+    return parts
+
+
 class MultiplicativeSequence:
     """A multiplicative sequence, given by its logarithm.
 
@@ -136,45 +177,32 @@ class MultiplicativeSequence:
     def __init__(self, log_coeffs: Callable[[int], Sequence[Fraction]]) -> None:
         self.log_coeffs = log_coeffs
 
+    def _scales(self, n: int) -> list[Fraction]:
+        """c_1, ..., c_n with c_k = (-1)^{k-1} k a_k, the coefficient of p_k in K_k."""
+        return [c if k % 2 else -c for k, c in enumerate(self.log_coeffs(n), start=1)]
+
     def weight_parts(self, total_p: GradedPoly, n: int) -> list[GradedPoly]:
         """[E_0, ..., E_n] of the total class at p_1..p_n, in the ring of total_p.
 
         p_i is read off as the degree-4i part of total_p, and E_m is K_m
-        evaluated at those parts.  The Newton loop runs over the nonzero
-        p_j, the exp loop over the nonzero P_k, no product with a zero
-        factor is formed, and the logarithm is asked for weights up to the
-        last nonzero P_k only.
+        evaluated at those parts: log, scale each D_k by c_k, exp.
         """
-        ring = total_p.ring
-        if ring.characteristic != 0:
-            raise ValueError("genus computations need characteristic 0")
-        if total_p.constant_term() != 1:
-            raise ValueError("total Pontryagin class must have constant term 1")
-        degrees = sorted({ring.monomial_degree(mon) for mon in total_p.terms})
-        p_classes = {  # the nonzero p_j
-            d // 4: total_p.graded_component(d)
-            for d in degrees
-            if d % 4 == 0 and 0 < d <= 4 * n
-        }
-        power_sums: dict[int, GradedPoly] = {}  # the nonzero P_k
-        for k in range(1, n + 1):
-            acc = p_classes[k] * (k if k % 2 else -k) if k in p_classes else ring.zero()
-            for j, p_j in p_classes.items():
-                if j < k and k - j in power_sums:
-                    term = p_j * power_sums[k - j]
-                    acc = acc + term if j % 2 else acc - term
-            if acc:
-                power_sums[k] = acc
-        log_coeffs = self.log_coeffs(max(power_sums, default=0))
-        scaled_sums = {k: s * log_coeffs[k - 1] for k, s in power_sums.items()}
-        parts = [ring.one()]
-        for m in range(1, n + 1):
-            acc = ring.zero()
-            for k, scaled in scaled_sums.items():
-                if k <= m and parts[m - k]:
-                    acc = acc + scaled * parts[m - k]
-            parts.append(acc * Fraction(1, m) if acc else acc)
-        return parts
+        derivs = _log_derivative(total_p, n)
+        scales = self._scales(max(derivs, default=0))
+        return _exp(total_p.ring, {k: d * scales[k - 1] for k, d in derivs.items()}, n)
+
+    def pontryagin_parts(self, total_l: GradedPoly, n: int) -> list[GradedPoly]:
+        """[1, p_1, ..., p_n] whose total class is total_l up to weight n,
+        in the ring of total_l: log, scale each D_k by 1/c_k, exp.  Raises
+        ``ValueError`` if some c_k with k <= n is zero.
+        """
+        derivs = _log_derivative(total_l, n)
+        scales = self._scales(n)
+        if 0 in scales:
+            k = scales.index(0) + 1
+            raise ValueError(f"weight polynomial K_{k} has no p_{k} term")
+        return _exp(total_l.ring, {k: d * (Fraction(1) / scales[k - 1])
+                                   for k, d in derivs.items()}, n)
 
     def k_polynomial(self, n: int) -> GradedPoly:
         """The weight-n polynomial K_n in p_1..p_n."""
@@ -213,34 +241,3 @@ def evaluate_genus(space, seq: MultiplicativeSequence) -> Fraction:
         return Fraction(0)
     n = space.dimension // 4
     return seq.weight_parts(space.total_p, n)[n].coefficient(space.fundamental)
-
-
-def solve_pontryagin(
-    seq: MultiplicativeSequence,
-    total_l: GradedPoly,
-    known: Sequence[GradedPoly],
-) -> GradedPoly:
-    """Solve K_n(p_1..p_n) = weight-n part of total_l for p_n, n = len(known) + 1.
-
-    ``known`` supplies p_1..p_{n-1} (homogeneous of degree 4i, zero allowed).
-    K_n is linear in p_n with the scalar leading coefficient
-    s_n = (-1)^{n-1} n a_n, so
-
-        p_n = (target - K_n with p_n := 0) / s_n,
-
-    where K_n with p_n := 0 is the weight-n part computed in the ring of
-    total_l.
-    """
-    ring = total_l.ring
-    n = len(known) + 1
-    for i, cls in enumerate(known, start=1):
-        if not cls.is_homogeneous(4 * i):
-            raise ValueError(
-                f"supplied p_{i} is not homogeneous of degree {4 * i}"
-            )
-    lower = seq.weight_parts(sum(known, ring.one()), n)[n]
-    leading = seq.log_coeffs(n)[n - 1] * (-1) ** (n - 1)
-    if not leading:
-        raise ValueError(f"weight polynomial K_{n} has no p_{n} term")
-    target = total_l.graded_component(4 * n)
-    return (target - lower) * (Fraction(1) / leading)

@@ -1,10 +1,13 @@
 """Multiplicative sequences: Bernoulli numbers, weight tables, genera."""
 
+import itertools
 import random
 from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from charclasses.genus import (
     MultiplicativeSequence,
@@ -13,7 +16,6 @@ from charclasses.genus import (
     evaluate_genus,
     l_leading_coefficient,
     l_sequence,
-    solve_pontryagin,
     weight_ring,
 )
 from charclasses.rings import GradedPoly, Ring
@@ -219,7 +221,32 @@ def test_genus_of_off_dimension_space_is_zero():
     assert evaluate_genus(sphere(2), l_sequence()) == 0
 
 
-def test_solve_pontryagin_inverts_evaluation():
+def per_weight_solve(seq, total_l, known):
+    """Oracle for ``pontryagin_parts``: p_n, n = len(known) + 1, from
+    K_n(p_1..p_n) = the weight-n part of total_l, given p_1..p_{n-1}.
+
+    K_n is linear in p_n with the scalar coefficient
+    c_n = (-1)^{n-1} n a_n, so p_n = (target - K_n with p_n := 0) / c_n:
+    one forward kernel run per weight, and no logarithm of total_l.
+    """
+    ring = total_l.ring
+    n = len(known) + 1
+    lower = seq.weight_parts(sum(known, ring.one()), n)[n]
+    leading = seq.log_coeffs(n)[n - 1] * (-1) ** (n - 1)
+    if not leading:
+        raise ValueError(f"weight polynomial K_{n} has no p_{n} term")
+    return (total_l.graded_component(4 * n) - lower) * (Fraction(1) / leading)
+
+
+def per_weight_solve_all(seq, total_l, n):
+    """[p_1, ..., p_n] by the oracle, one weight at a time."""
+    solved = []
+    for _ in range(n):
+        solved.append(per_weight_solve(seq, total_l, solved))
+    return solved
+
+
+def test_pontryagin_parts_inverts_evaluation():
     rng = random.Random(314)
     seq = l_sequence()
     ring = hp(2).ring
@@ -229,25 +256,20 @@ def test_solve_pontryagin_inverts_evaluation():
         p2 = y * y * Fraction(rng.randint(-5, 5), rng.randint(1, 4))
         total_p = ring.one() + p1 + p2
         total_l = seq.total_class(total_p, 2)
-        solved1 = solve_pontryagin(seq, total_l, [])
-        assert solved1 == p1
-        solved2 = solve_pontryagin(seq, total_l, [solved1])
-        assert solved2 == p2
+        assert seq.pontryagin_parts(total_l, 2) == [ring.one(), p1, p2]
+        assert seq.pontryagin_parts(total_l, 1) == [ring.one(), p1]
 
 
-def test_solve_pontryagin_validates_known_classes():
-    seq = l_sequence()
-    ring = hp(2).ring
-    target = ring.poly("y^2")
-    inhomogeneous = ring.poly("y + 1")
-    with pytest.raises(ValueError):
-        solve_pontryagin(seq, target, [inhomogeneous])
-
-
-def test_solve_pontryagin_needs_characteristic_zero():
+def test_pontryagin_parts_needs_characteristic_zero():
     ring = Ring(2, [("y", 4)], [("y^3", "0")])
     with pytest.raises(ValueError, match="characteristic 0"):
-        solve_pontryagin(l_sequence(), ring.poly("y"), [])
+        l_sequence().pontryagin_parts(ring.poly("1 + y"), 1)
+
+
+def test_pontryagin_parts_needs_constant_term_one():
+    ring = hp(2).ring
+    with pytest.raises(ValueError, match="constant term 1"):
+        l_sequence().pontryagin_parts(ring.poly("2 + y"), 2)
 
 
 def test_genus_asks_the_logarithm_only_up_to_the_last_nonzero_power_sum():
@@ -266,16 +288,35 @@ def test_genus_asks_the_logarithm_only_up_to_the_last_nonzero_power_sum():
     assert asked == [2, 0]
 
 
-@pytest.mark.parametrize("fibre", [None, hp(2)], ids=["S^N", "S^N x HP^2"])
-def test_genus_products_do_not_grow_with_the_weight(monkeypatch, fibre):
-    # every P_k past the last nonzero one is zero, and so is every E_m
+def genus_is_zero(space):
+    return lambda: evaluate_genus(space, l_sequence()) == 0
+
+
+def solve_returns_total_p(space):
+    # the target is formed here, so only the solve's products are counted
+    seq = l_sequence()
+    n = space.dimension // 4
+    target = seq.total_class(space.total_p, n)
+    return lambda: sum(seq.pontryagin_parts(target, n), space.ring.zero()) == space.total_p
+
+
+@pytest.mark.parametrize(
+    "make_check, sizes",
+    [
+        (lambda n: genus_is_zero(sphere(n)), (400, 4000)),
+        (lambda n: genus_is_zero(product_space(sphere(n), hp(2))), (400, 4000)),
+        # the solve asks for every log coefficient up to the weight, and
+        # log_coeffs(1002) alone takes about a second
+        (lambda n: solve_returns_total_p(product_space(sphere(n), hp(2))), (400, 2000)),
+    ],
+    ids=["S^N", "S^N x HP^2", "solve on S^N x HP^2"],
+)
+def test_genus_products_do_not_grow_with_the_weight(monkeypatch, make_check, sizes):
+    # every D_k past the last nonzero one is zero, and so is every E_m
     # once its lower parts are: no product of zero may be formed for them
-    spaces = [
-        sphere(n) if fibre is None else product_space(sphere(n), fibre)
-        for n in (400, 4000)
-    ]
     counts = []
-    for space in spaces:
+    for n in sizes:
+        check = make_check(n)
         calls = []
         mul = GradedPoly.__mul__
 
@@ -284,7 +325,7 @@ def test_genus_products_do_not_grow_with_the_weight(monkeypatch, fibre):
             return mul(self, other)
 
         monkeypatch.setattr(GradedPoly, "__mul__", counting)
-        assert evaluate_genus(space, l_sequence()) == 0
+        assert check()
         monkeypatch.undo()
         counts.append(len(calls))
     assert counts[0] == counts[1]
@@ -292,13 +333,16 @@ def test_genus_products_do_not_grow_with_the_weight(monkeypatch, fibre):
 
 def test_custom_sequence_without_linear_term():
     # log Q = z^2 / 2 has a_1 = 0, which makes K_1 vanish, so solving
-    # weight 1 must fail loudly
+    # weight 1 must fail loudly, as the per-weight oracle does
     seq = MultiplicativeSequence(lambda n: [Fraction(k == 2) for k in range(1, n + 1)])
     ring = hp(2).ring
     assert seq.k_polynomial(1).is_zero()
     assert seq.k_polynomial(2) == weight_ring(2).poly("1/2*p1^2 - p2")
-    with pytest.raises(ValueError):
-        solve_pontryagin(seq, ring.poly("y"), [])
+    for n in (1, 2):
+        with pytest.raises(ValueError, match="K_1 has no p_1 term"):
+            seq.pontryagin_parts(ring.poly("1 + y"), n)
+    with pytest.raises(ValueError, match="K_1 has no p_1 term"):
+        per_weight_solve(seq, ring.poly("1 + y"), [])
 
 
 # ----------------------------------------------------------------------
@@ -386,6 +430,65 @@ def test_in_space_evaluation_equals_substitution(make):
             expected = (total.graded_component(4 * n) - lower) * (
                 Fraction(1) / kpoly.coefficient(f"p{n}")
             )
-            solved = solve_pontryagin(seq, total, p_classes[: n - 1])
+            solved = per_weight_solve(seq, total, p_classes[: n - 1])
             assert solved == expected, f"{label} weight {n}"
             assert solved == p_classes[n - 1], f"{label} weight {n}"
+        assert seq.pontryagin_parts(total, IN_SPACE_WEIGHT)[1:] == p_classes, label
+
+
+# ----------------------------------------------------------------------
+# The one-pass solve on random classes, against the per-weight oracle
+
+
+ROUND_TRIP_SPACES = [
+    product_space(sphere(4), hp(2)),
+    product_space(sphere(8), cp(4)),
+    product_space(sphere(12), hp(2)),
+    product_space(sphere(16), hp(3)),
+    product_space(sphere(8), product_space(cp(2), hp(1, gen="z"))),
+]
+RATIONALS = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+
+def basis(ring, degree):
+    """The exponent vectors of the given degree whose monomials are nonzero
+    in the ring; in these truncated rings they span that degree."""
+    bounds = [degree // d for d in ring.degrees]
+    return [
+        mon
+        for mon in itertools.product(*(range(b + 1) for b in bounds))
+        if sum(e * d for e, d in zip(mon, ring.degrees)) == degree
+        and ring.poly({mon: 1})
+    ]
+
+
+@pytest.mark.parametrize("make", [l_sequence, ahat_sequence], ids=["L", "Ahat"])
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(data=st.data())
+def test_pontryagin_parts_round_trips_random_classes(make, data):
+    seq = make()
+    space = data.draw(st.sampled_from(ROUND_TRIP_SPACES), label="space")
+    ring = space.ring
+    n = space.dimension // 4
+    total_p = ring.one()
+    for i in range(1, n + 1):
+        for mon in basis(ring, 4 * i):
+            total_p = total_p + ring.poly({mon: data.draw(RATIONALS)})
+    total = seq.total_class(total_p, n)
+    parts = [total_p.graded_component(4 * i) for i in range(n + 1)]
+    assert seq.pontryagin_parts(total, n) == parts
+
+    # perturb by R*x*mu, mu a fibre monomial of degree 4k, 0 < 4k < dim F
+    x = ring.names.index("x")
+    fibre_dim = space.dimension - ring.degrees[x]
+    mus = [
+        mon
+        for k in range(1, (fibre_dim - 1) // 4 + 1)
+        for mon in basis(ring, 4 * k)
+        if mon[x] == 0
+    ]
+    mu = ring.poly({data.draw(st.sampled_from(mus), label="mu"): 1})
+    target = total + ring.gen("x") * mu * data.draw(RATIONALS, label="R")
+    solved = seq.pontryagin_parts(target, n)
+    assert seq.total_class(sum(solved, ring.zero()), n) == target
+    assert solved[1:] == per_weight_solve_all(seq, target, n)

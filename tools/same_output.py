@@ -4,8 +4,9 @@
 
 The calls are every op of ``perfbench/workloads.catalog()``, the ops of
 seeds 1-3 of all four workloads, ``verify`` and ``section5`` (text and
-json), ``genus --max-weight 12`` for L and Ahat (text and json),
-``signature`` of S^400 x HP^2, of S^1000 x HP^2, of S^4000 and of CP^40
+json), ``section5 --R 0``, the unperturbed solve (text and json; every
+workload's R is nonzero), ``genus --max-weight 12`` for L and Ahat (text
+and json), ``signature`` of S^400 x HP^2, of S^1000 x HP^2, of S^4000 and of CP^40
 (text and json; weights up to 1000, where the catalog stops at 12, and
 S^4000 has no nonzero power sum), ``kappa --class "1/3*e^3 - 5/7*e*p1"``
 on a projectivization whose base relation and Chern classes carry
@@ -106,6 +107,7 @@ def calls() -> list[Op]:
     for fmt in ("text", "json"):
         ops.append(workloads.verify_op(fmt))
         ops.append(Op(f"section5 {fmt}", ("section5",) + workloads._fmt_args(fmt)))
+        ops.append(Op(f"section5 R=0 {fmt}", ("section5", "--R", "0") + workloads._fmt_args(fmt)))
         for series in ("L", "Ahat"):
             ops.append(workloads.genus_op(series, 12, fmt))
         for factors, names in LARGE_SPACES:
