@@ -44,10 +44,10 @@ polynomials have equal dicts.  Products, sums, scalar multiples, powers and
 the normal form run on ints alone.  A ring whose rule right-hand sides have
 fractions stores them as numerators over their common denominator L, and
 each rewriting round scales the numerators by L; when L is 1 it costs
-nothing.  ``Fraction`` and ``PrimeScalar`` values are built only at the
-edge: read in by :meth:`Ring.poly` and :meth:`Ring.coerce_scalar`, and read
-out by ``coefficient``, ``constant_term``, ``evaluate_scalars``, printing
-and each lookup in the ``terms`` mapping.
+nothing.  Printing and substitution run on the ints too.  ``Fraction`` and
+``PrimeScalar`` values exist only at the edge: they come in through
+:meth:`Ring.poly` and :meth:`Ring.coerce_scalar`, and go out through
+``coefficient``, ``constant_term`` and each lookup in the ``terms`` mapping.
 
 Polynomials are checked where they are built from outside input, by
 :meth:`Ring.poly`, which parses or coerces and then reduces to normal form.
@@ -66,7 +66,7 @@ from collections.abc import Mapping
 from fractions import Fraction
 from math import gcd, inf, lcm
 from operator import add, ge, itemgetter, mul
-from typing import Callable, Iterable, Iterator, Union
+from typing import Iterable, Iterator, Union
 
 from .scalars import PrimeScalar, _unchecked, validate_modulus
 
@@ -258,7 +258,9 @@ class Ring:
             terms: dict[Monomial, object] = {}
             for mon, coeff in source.items():
                 mon = tuple(mon)
-                if len(mon) != len(self.names) or any(e < 0 for e in mon):
+                if len(mon) != len(self.names) or any(
+                    type(e) is not int or e < 0 for e in mon
+                ):
                     raise ValueError(f"bad exponent vector {mon}")
                 if mon in terms:
                     coeff = self.coerce_scalar(terms[mon]) + self.coerce_scalar(coeff)
@@ -348,37 +350,24 @@ class Ring:
     # ------------------------------------------------------------------
     # normal form
 
-    def normal_form_terms(
-        self,
-        terms: Mapping[Monomial, object],
-        choose: Callable[[list[int]], int] | None = None,
-        denominator: int | None = None,
-    ) -> Terms:
-        """Reduce terms modulo the rules, in rounds.
+    def normal_form_terms(self, terms: Mapping[Monomial, int], denominator: int) -> Terms:
+        """Reduce int numerators over ``denominator`` modulo the rules, in rounds.
 
-        ``terms`` maps monomials to scalars, or, when ``denominator`` is
-        given, to int numerators over it (in characteristic p, over 1,
-        reduced or not); zero entries are allowed.
+        Numerators may be zero and, in characteristic p (over 1), unreduced.
 
         Each round rewrites every pending term once.  An irreducible term is
         added into the result.  A reducible one is replaced by its image
-        under one rule, and the images of the whole round are summed into
-        the next round's pending dict, so like terms merge, and cancelled
-        ones drop out, before they are rewritten again.  When the rules have
-        a common denominator L other than 1, a round that rewrites scales
-        every numerator by L.
-
-        ``choose`` picks which applicable rule to fire (given the list of
-        applicable generator indices; the first by default).  It exists so
-        tests can randomize the reduction order and confirm confluence.
+        under the first rule that applies, and the images of the whole round
+        are summed into the next round's pending dict, so like terms merge,
+        and cancelled ones drop out, before they are rewritten again.  When
+        the rules have a common denominator L other than 1, a round that
+        rewrites scales every numerator by L.
 
         Termination: each round applies to each pending term rewrites that
         one-term-at-a-time reduction could apply too, so the rounds end
         because every rewrite chain ends (see the module docstring; the
         ring rejects rule sets that cycle).
         """
-        if denominator is None:
-            terms, denominator = self._integral(terms)
         p = self.characteristic
         rewrites = self._rewrites
         limits = self._limits
@@ -396,9 +385,9 @@ class Ring:
                     acc = out.get(mon)
                     out[mon] = coeff if acc is None else acc + coeff
                     continue
-                applicable = [i for i, (k, _) in rewrites.items() if mon[i] >= k]
-                i = applicable[choose(applicable) if choose else 0]
-                k, rhs = rewrites[i]
+                for i, (k, rhs) in rewrites.items():
+                    if mon[i] >= k:
+                        break
                 lowered = list(mon)
                 lowered[i] -= k
                 for rmon, rcoeff in rhs.items():
@@ -422,7 +411,7 @@ class Ring:
         form.
         """
         num, den = self._raw_terms(source)
-        return GradedPoly(self, self.normal_form_terms(num, denominator=den))
+        return GradedPoly(self, self.normal_form_terms(num, den))
 
     def zero(self) -> "GradedPoly":
         return GradedPoly(self, Terms({}, 1, self.characteristic))
@@ -439,8 +428,7 @@ class Ring:
 
     def monomial(self, source: str) -> Monomial:
         """Parse a single monomial with coefficient 1, e.g. ``"x*y^2"``."""
-        num, den = self._integral(_parse_terms(self, source))
-        terms = self.normal_form_terms(num, denominator=den)
+        terms = self.poly(source).terms
         if len(terms) != 1:
             raise ValueError(f"{source!r} is not a single monomial")
         ((mon, coeff),) = terms.num.items()
@@ -630,7 +618,7 @@ class GradedPoly:
                 c = c1 * c2
                 acc = out.get(mon)
                 out[mon] = c if acc is None else acc + c
-        return GradedPoly(ring, ring.normal_form_terms(out, denominator=a.den * b.den))
+        return GradedPoly(ring, ring.normal_form_terms(out, a.den * b.den))
 
     def __rmul__(self, other: object) -> "GradedPoly":
         return self.__mul__(other)
@@ -708,11 +696,15 @@ class GradedPoly:
         mapping: Mapping[str, object],
         target: Ring,
     ) -> "GradedPoly":
-        """Image under generator -> polynomial substitution.
+        """Image under generator -> polynomial substitution, into a ring of
+        the same characteristic.
 
         Every generator that actually occurs must be mapped; values may be
-        polynomials in the target ring or scalars.
+        polynomials in the target ring or scalars.  Into ``Ring(0, [])``
+        it evaluates at scalars.
         """
+        if target.characteristic != self.ring.characteristic:
+            raise ValueError("substitution target has another characteristic")
         images: dict[int, GradedPoly] = {}
         for name, value in mapping.items():
             idx = self.ring._index.get(name)
@@ -720,8 +712,8 @@ class GradedPoly:
                 raise ValueError(f"substitution names unknown generator {name!r}")
             images[idx] = value if isinstance(value, GradedPoly) else target.poly(value)
         result = target.zero()
-        for mon, coeff in self.terms.items():
-            piece = target.poly(coeff)
+        for mon, n in self.terms.num.items():
+            piece = target.poly(n)
             for idx, e in enumerate(mon):
                 if e == 0:
                     continue
@@ -731,42 +723,30 @@ class GradedPoly:
                     )
                 piece = piece * images[idx] ** e
             result = result + piece
-        return result
-
-    def evaluate_scalars(self, values: Mapping[str, Scalar]) -> Scalar:
-        """Evaluate at scalar values for the generators."""
-        total = self.ring.coerce_scalar(0)
-        for mon, coeff in self.terms.items():
-            piece = coeff
-            for idx, e in enumerate(mon):
-                if e == 0:
-                    continue
-                name = self.ring.names[idx]
-                if name not in values:
-                    raise ValueError(f"no value for generator {name!r}")
-                piece = piece * values[name] ** e
-            total = total + piece
-        return total
+        den = self.terms.den
+        return result if den == 1 else result * Fraction(1, den)
 
     # ------------------------------------------------------------------
 
-    def sorted_terms(self) -> list[tuple[Monomial, Scalar]]:
-        """Terms in descending graded-lex order."""
-        return sorted(
-            self.terms.items(), key=lambda item: self.ring.sort_key(item[0]), reverse=True
-        )
-
     def __str__(self) -> str:
-        if not self.terms:
+        # descending graded-lex order; one gcd reduces each coefficient
+        ring = self.ring
+        num, den = self.terms.num, self.terms.den
+        if not num:
             return "0"
         chunks: list[str] = []
-        for mon, coeff in self.sorted_terms():
-            body, negative = _term_str(self.ring, mon, coeff)
-            if not chunks:
-                chunks.append(f"-{body}" if negative else body)
-            else:
-                chunks.append(f" - {body}" if negative else f" + {body}")
-        return "".join(chunks)
+        for mon in sorted(num, key=ring.sort_key, reverse=True):
+            n = num[mon]
+            g = gcd(n, den)
+            mag = str(abs(n) // g) if g == den else f"{abs(n) // g}/{den // g}"
+            body = ring.monomial_str(mon)
+            if not body:
+                body = mag
+            elif mag != "1":
+                body = f"{mag}*{body}"
+            chunks.append(f" - {body}" if n < 0 else f" + {body}")
+        text = "".join(chunks)
+        return text[3:] if text[1] == "+" else f"-{text[3:]}"
 
     def __repr__(self) -> str:
         return f"<GradedPoly {self}>"
@@ -854,26 +834,6 @@ def _parse_terms(ring: Ring, text: str) -> dict[Monomial, int | Fraction]:
         acc = out.get(mon)
         out[mon] = coeff if acc is None else acc + coeff
     return out
-
-
-def _coeff_magnitude(ring: Ring, coeff: Scalar) -> tuple[str, bool, bool]:
-    """(text of |coeff|, negative?, is one?) for printing."""
-    if ring.characteristic == 0:
-        negative = coeff < 0
-        mag = -coeff if negative else coeff
-        text = str(mag.numerator) if mag.denominator == 1 else f"{mag.numerator}/{mag.denominator}"
-        return text, negative, mag == 1
-    return str(coeff.value), False, coeff.value == 1
-
-
-def _term_str(ring: Ring, mon: Monomial, coeff: Scalar) -> tuple[str, bool]:
-    mag, negative, is_one = _coeff_magnitude(ring, coeff)
-    monomial = ring.monomial_str(mon)
-    if not monomial:
-        return mag, negative
-    if is_one:
-        return monomial, negative
-    return f"{mag}*{monomial}", negative
 
 
 # ----------------------------------------------------------------------

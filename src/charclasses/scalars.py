@@ -9,10 +9,10 @@ between prime-field scalars with different moduli raise ``ValueError``.
 
 These are the scalars of the package's interface, not of its polynomial
 arithmetic: a polynomial stores its coefficients as Python ints (see
-:mod:`charclasses.rings`), and a ring builds a ``Fraction`` or a
-``PrimeScalar`` only where a coefficient is read out, by
-``Ring.coerce_scalar``, ``coefficient``, ``constant_term``,
-``evaluate_scalars``, printing and the ``terms`` mapping.
+:mod:`charclasses.rings`), and prints and substitutes on those ints.
+Scalars come in through ``Ring.poly`` and ``Ring.coerce_scalar``, and go
+out through ``coefficient``, ``constant_term`` and each lookup in a
+polynomial's ``terms`` mapping.
 
 A modulus is validated once, where it enters: by :func:`validate_modulus`
 when a ``PrimeScalar`` is constructed and when a ``Ring`` of characteristic

@@ -15,8 +15,11 @@ reverse-lexicographic order extends; so each m_lambda is solved by integer
 back-substitution along ``partitions(w)`` reversed.  The table for each
 weight is computed once and memoized.  ``genus`` does not use it: it
 evaluates multiplicative sequences by Newton's identities, and this
-conversion is the independent oracle that ``verify`` and the tests hold
-that route against.
+conversion is the independent K_n oracle that ``tests/test_genus.py``
+holds that route against.  ``tests/test_acceptance.py`` and ``verify``'s
+``symmetric-oracle`` check test the conversion itself against direct
+evaluation (``verify`` also checks partition counts against a recurrence);
+neither touches the genus code.
 
 ``symfun_eval`` evaluates m_lambda by direct summation over the distinct
 permutations of the exponent vector; it is deliberately independent of the

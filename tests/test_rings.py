@@ -165,8 +165,11 @@ def test_normal_form_idempotent_on_random_polys():
 
 
 def test_confluence_under_randomized_rule_choice():
+    # the rounds fire the first rule that applies; one term at a time, with
+    # random terms and random rules, reaches the same normal form
     rng = random.Random(23)
     ring = quotient_ring()
+    spec = (ring.characteristic, list(zip(ring.names, ring.degrees)), ring.rules)
     for trial in range(200):
         raw = {
             tuple(rng.randint(0, 4) for _ in ring.names): Fraction(
@@ -174,29 +177,24 @@ def test_confluence_under_randomized_rule_choice():
             )
             for _ in range(rng.randint(1, 5))
         }
-        pick = rng.randrange(10**9)
-        scrambled = ring.normal_form_terms(
-            raw, choose=lambda app, s=pick: (s % 7919) % len(app)
-        )
-        default = ring.normal_form_terms(raw)
-        assert scrambled == default, f"trial {trial} diverged"
+        expected = oracle_reduce(spec, raw.items(), pick=rng.choice)
+        assert oracle_terms(ring.poly(raw)) == expected, f"trial {trial} diverged"
 
 
 def test_rounds_merge_like_terms_before_rewriting():
-    # x^20 under x^2 -> x*a + a^2 reaches x^(20-j)*a^j along many paths;
-    # merged per round, 100 rewrites remain, where one term at a time
-    # fires F(21) - 1 = 10945 times
+    # x^200 under x^2 -> x*a + a^2 reaches x^(200-j)*a^j along many paths;
+    # merged per round, the rewrites number about 200^2/2, where one term
+    # at a time would fire about F(201) times.  x^n = F(n)*x*a^(n-1) +
+    # F(n-1)*a^n, with F the Fibonacci numbers
     ring = Ring(0, [("x", 2), ("a", 2)], [("x^2", "x*a + a^2")])
-    calls = []
-    out = ring.normal_form_terms(
-        {(20, 0): 1}, choose=lambda applicable: calls.append(applicable) or 0
-    )
-    assert len(calls) == 100
-    x = ring.gen("x")
-    product = ring.one()
-    for _ in range(20):
-        product = product * x
-    assert ring.poly(out) == product
+    power = ring.poly({(200, 0): 1})
+    assert len(power.terms) == 2
+    assert power == (ring.gen("x") ** 100) ** 2
+    fib = [0, 1]
+    while len(fib) <= 200:
+        fib.append(fib[-1] + fib[-2])
+    assert power.coefficient((1, 199)) == fib[200]
+    assert power.coefficient((0, 200)) == fib[199]
 
 
 # ----------------------------------------------------------------------
@@ -336,17 +334,26 @@ def test_substitute():
         f.substitute({"p1": y}, dst)
     with pytest.raises(ValueError):
         f.substitute({"p1": y, "p2": y * y, "q": y}, dst)
+    with pytest.raises(ValueError, match="another characteristic"):
+        f.substitute({"p1": 1, "p2": 1}, Ring(2, []))
 
 
 def test_evaluate_scalars():
-    ring = free_ring()
-    f = ring.poly("a^2*b - 3*c")
-    value = f.evaluate_scalars(
-        {"a": Fraction(2), "b": Fraction(1, 2), "c": Fraction(5)}
-    )
-    assert value == Fraction(2) ** 2 * Fraction(1, 2) - 15
-    with pytest.raises(ValueError):
-        f.evaluate_scalars({"a": Fraction(1)})
+    # substitution into a ring with no generators evaluates at scalars
+    point = Ring(0, [])
+    g = free_ring().poly("a^2*b - 3*c + 1/6")
+    value = g.substitute({"a": Fraction(2), "b": Fraction(1, 2), "c": 5}, point)
+    assert value == point.poly(Fraction(2) ** 2 * Fraction(1, 2) - 15 + Fraction(1, 6))
+    assert value.constant_term() == Fraction(-77, 6)
+    with pytest.raises(ValueError, match="no substitution value for generator 'b'"):
+        g.substitute({"a": Fraction(1)}, point)
+    mod2 = Ring(2, [("w1", 1), ("w2", 2)], [("w1^3", "0")])
+    h = mod2.poly("w1^2 + w1*w2 + w2 + 1")
+    f2 = Ring(2, [])
+    assert h.substitute({"w1": 1, "w2": 1}, f2).constant_term() == PrimeScalar(0, 2)
+    assert h.substitute({"w1": 1, "w2": 0}, f2).constant_term() == PrimeScalar(0, 2)
+    assert h.substitute({"w1": 0, "w2": 1}, f2) == f2.zero()
+    assert h.substitute({"w1": 0, "w2": 0}, f2) == f2.one()
 
 
 # ----------------------------------------------------------------------
@@ -363,6 +370,18 @@ def test_print_canonical_order_and_signs():
     assert str(ring.gen("p1") - 1) == "p1 - 1"
     assert str(ring.poly("-p1")) == "-p1"
     assert str(ring.poly("2*p1^3")) == "2*p1^3"
+    # printing reads the int numerators: -1 over F_5 is the residue 4, and
+    # 1/2 and 1/3 are numerators 3 and 2 over 6
+    mod5 = Ring(5, [("u", 2)])
+    assert mod5.poly("-u").terms.num == {(1,): 4}
+    assert str(mod5.poly("-u")) == "4*u"
+    ring = Ring(0, [("x", 2), ("a", 2)])
+    f = ring.poly("1/2*x + 1/3*a")
+    assert (f.terms.num, f.terms.den) == ({(1, 0): 3, (0, 1): 2}, 6)
+    assert str(f) == "1/2*x + 1/3*a"
+    g = ring.poly("x - 1/4 - 5/6*x^2*a")
+    assert str(g) == "-5/6*x^2*a + x - 1/4"
+    assert ring.poly(str(g)) == g
 
 
 def round_trip_rings():
@@ -427,6 +446,16 @@ def test_parse_accepts_signs_and_implicit_coefficients():
     assert ring.poly("a*a") == ring.poly("a^2")
     assert ring.poly("2") == ring.one() * 2
     assert ring.poly("a - a").is_zero()
+
+
+def test_exponent_vectors_must_be_nonnegative_ints():
+    ring = Ring(0, [("x", 2)], [("x^3", "0")])
+    # 0.5 printed as 1 without equalling it, and 1.5 as x^1.5, which does
+    # not parse
+    for mon in [(0.5,), (1.5,), (True,), (Fraction(2),), (-1,), (1, 0), ()]:
+        with pytest.raises(ValueError, match="bad exponent vector"):
+            ring.poly({mon: 1})
+    assert ring.poly({(2,): 1}) == ring.gen("x") ** 2
 
 
 def test_monomial_helper():
@@ -522,7 +551,7 @@ def trusted_builder_cases():
 
 def assert_normal(p):
     assert all(p.terms.values())
-    assert p.ring.normal_form_terms(dict(p.terms)) == p.terms
+    assert p.ring.normal_form_terms(p.terms.num, p.terms.den) == p.terms
 
 
 @settings(derandomize=True, max_examples=120, deadline=None)
@@ -588,8 +617,9 @@ def oracle_add(p, terms, mon, c):
 
 
 def oracle_reduce(spec, pairs, pick=min):
-    """Sum (monomial, scalar) pairs, then rewrite one term at a time, the
-    term chosen by ``pick`` from the reducible ones, until none is left."""
+    """Sum (monomial, scalar) pairs, then rewrite one term at a time until
+    none is reducible.  ``pick`` chooses the term from the reducible ones,
+    then the rule from those that apply to it."""
     p, _, rules = spec
     terms = {}
     for mon, c in pairs:
@@ -602,7 +632,7 @@ def oracle_reduce(spec, pairs, pick=min):
             return terms
         mon = pick(reducible)
         c = terms.pop(mon)
-        i = min(i for i, (k, _) in rules.items() if mon[i] >= k)
+        i = pick([i for i, (k, _) in rules.items() if mon[i] >= k])
         k, rhs = rules[i]
         for rmon, rc in rhs.items():
             image = tuple(e + r - (k if j == i else 0)
@@ -667,12 +697,8 @@ def test_int_coefficients_agree_with_a_scalar_oracle(data):
     assert f * (g + h) == f * g + f * h
 
     # any rewrite order, rounds or one term at a time, lands on one form
-    raw = [(mon, c) for mon, c in raws[0]] + [(mon, c) for mon, c in raws[1]]
+    raw = dict([*raws[0], *raws[1]])
     rnd = data.draw(st.randoms(use_true_random=False))
-    scrambled = ring.normal_form_terms(
-        dict(raw), choose=lambda applicable: rnd.randrange(len(applicable))
-    )
-    assert scrambled == ring.normal_form_terms(dict(raw))
-    assert oracle_terms(ring.poly(scrambled)) == oracle_reduce(
-        spec, dict(raw).items(), pick=rnd.choice
+    assert oracle_terms(ring.poly(raw)) == oracle_reduce(
+        spec, raw.items(), pick=rnd.choice
     )
