@@ -92,12 +92,7 @@ class BundleModel(_FrozenRecord):
         """
         if cls.ring is not self.total_ring and cls.ring != self.total_ring:
             raise ValueError("class does not live in the total ring")
-        n_base = len(self.base_ring.names)
-        return GradedPoly(self.base_ring, cls.terms.subset({
-            mon[:n_base]: coeff
-            for mon, coeff in cls.terms.num.items()
-            if mon[n_base:] == self.fibre_fundamental
-        }))
+        return cls.tail_coefficient(self.base_ring, self.fibre_fundamental)
 
 
 def product_bundle(base: SpaceModel, fibre: SpaceModel) -> BundleModel:

@@ -137,10 +137,9 @@ def _log_derivative(total: GradedPoly, n: int) -> dict[int, GradedPoly]:
         raise ValueError("genus computations need characteristic 0")
     if total.constant_term() != 1:
         raise ValueError("total class must have constant term 1")
-    degrees = sorted({ring.monomial_degree(mon) for mon in total.terms})
     parts = {  # the nonzero T_j
         d // 4: total.graded_component(d)
-        for d in degrees
+        for d in sorted(total.degrees())
         if d % 4 == 0 and 0 < d <= 4 * n
     }
     derivs: dict[int, GradedPoly] = {}

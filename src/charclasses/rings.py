@@ -3,29 +3,32 @@
 A ring is presented by an ordered list of generators, each with a name of
 the form ``[A-Za-z_][A-Za-z_0-9]*`` and a positive integer degree, a
 coefficient field (the rationals, or a prime field), and an optional set of
-rewrite rules.  Every rule has the restricted shape
-
-    g^k  ->  rhs
-
-with g a single generator, k >= 2, and rhs a homogeneous polynomial of the
-same degree that no rule left-hand side divides.  One rule per generator at
-most, and no cycle of rules: a rule on g may not raise the exponent of
-another ruled generator h whose rules lead, in turn, back to g.  Order the
-ruled generators so that each comes before those its right-hand side raises,
-and put the unruled ones last.  Lexicographic order in that sequence is then
-a monomial order in which every g^k leads its rule.  The leading monomials
-are powers of distinct generators, hence pairwise coprime, so the rules are
-already a Groebner basis: rewriting ends, and any order of rewrites lands on
-the same normal form.  A self-reference such as
-t^k -> -(c_1*t^(k-1) + ... + c_k) is legal.
-
+rewrite rules g^k -> rhs: g a single generator, k >= 2, and rhs a
+homogeneous polynomial of the same degree that no rule left-hand side
+divides.  One rule per generator at most, and no cycle of rules: a rule on
+g may not raise the exponent of another ruled generator h whose rules lead,
+in turn, back to g.  Order the ruled generators so that each comes before
+those its right-hand side raises, and put the unruled ones last.
+Lexicographic order in that sequence is then a monomial order in which
+every g^k leads its rule.  The leading monomials are powers of distinct
+generators, hence pairwise coprime, so the rules are already a Groebner
+basis: rewriting ends, and any order of rewrites lands on the same normal
+form.  A self-reference such as t^k -> -(c_1*t^(k-1) + ... + c_k) is legal.
 Multiplication is strictly commutative, so generators of odd degree are only
-accepted over fields of characteristic 2 (in characteristic 0 an odd class
-would anticommute with itself).
+accepted in characteristic 2 (in characteristic 0 an odd class would
+anticommute with itself).
 
-Monomials are compared in graded-lexicographic order: total degree first,
-then exponent vectors in declared generator order, earlier generators more
-significant.  Printing lists terms in descending order.
+Each monomial is one packed int (Monagan and Pearce, CASC 2007): a field of
+``_W`` = 21 bits per generator, the first generator's most significant,
+under a top field holding the degree.  The high bit of each field is a
+guard bit, so exponents run from 0 to ``MAX_EXPONENT`` = 2**20 - 1, and two
+monomials within that bound add without a carry.  A product of monomials is
+one addition, checked by one guard-bit test (``ValueError``); the degree is
+one shift; rule g^k applies when adding 2**20 - k in the field of g sets a
+guard bit; and integer order is graded-lex order (degree, then exponents in
+declared order, earlier generators more significant), printed descending.
+Only this module knows the layout: exponent vectors (tuples) are the edge,
+where :meth:`Ring.pack` and :meth:`Ring.unpack` convert one at a time.
 
 Text syntax for polynomials: terms joined by ``+``/``-``; a term is factors
 joined by ``*``, each an integer, a fraction ``n/d``, a generator ``g`` or a
@@ -35,19 +38,18 @@ both ends; factors written side by side (``2 x``, ``a b``) are rejected.
 ``parse(print(f)) == f`` holds for every polynomial.  Bad text, a zero
 denominator included, raises ``ValueError``.
 
-Coefficients are stored as Python ints, in a :class:`Terms`: a dict from
-monomial to nonzero int numerator, over one denominator per polynomial.  In
-characteristic 0 the denominator is positive and shares no factor with all
-the numerators at once; in characteristic p the numerators are reduced to
-1..p-1 and the denominator is 1.  That pair is canonical, so equal
-polynomials have equal dicts.  Products, sums, scalar multiples, powers and
-the normal form run on ints alone.  A ring whose rule right-hand sides have
-fractions stores them as numerators over their common denominator L, and
-each rewriting round scales the numerators by L; when L is 1 it costs
-nothing.  Printing and substitution run on the ints too.  ``Fraction`` and
-``PrimeScalar`` values exist only at the edge: they come in through
-:meth:`Ring.poly` and :meth:`Ring.coerce_scalar`, and go out through
-``coefficient``, ``constant_term`` and each lookup in the ``terms`` mapping.
+Coefficients are Python ints, in a :class:`Terms`: a dict from monomial to
+nonzero numerator, over one denominator per polynomial, positive and
+sharing no factor with all the numerators at once in characteristic 0; in
+characteristic p the numerators are reduced to 1..p-1 over 1.  That pair is
+canonical, so equal polynomials have equal dicts.  Products, sums, scalar
+multiples, powers, the normal form, printing and substitution run on ints
+alone.  Rule right-hand sides with fractions are stored as numerators over
+their common denominator L, and each rewriting round scales by L (nothing
+when L is 1).  ``Fraction`` and ``PrimeScalar`` values exist only at the
+edge: they come in through :meth:`Ring.poly` and :meth:`Ring.coerce_scalar`,
+and go out through ``coefficient``, ``constant_term`` and each lookup in the
+``terms`` mapping.
 
 Polynomials are checked where they are built from outside input, by
 :meth:`Ring.poly`, which parses or coerces and then reduces to normal form.
@@ -58,19 +60,20 @@ multiples and graded components are normal by construction.  ``transport``
 moves terms without reducing them, so a target rule g^k on a generator g of
 the source needs a source rule g^j with j <= k.
 """
-
 from __future__ import annotations
 
 import re
 from collections.abc import Mapping
 from fractions import Fraction
+from functools import reduce
 from math import gcd, inf, lcm
-from operator import add, ge, itemgetter, mul
+from operator import mul, or_
 from typing import Iterable, Iterator, Union
 
 from .scalars import PrimeScalar, _unchecked, validate_modulus
 
 __all__ = [
+    "MAX_EXPONENT",
     "GradedPoly",
     "Ring",
     "Terms",
@@ -82,9 +85,9 @@ __all__ = [
 Scalar = Union[Fraction, PrimeScalar]
 Monomial = tuple[int, ...]
 
-# A sign; a run of signs leaves pieces that are empty or whitespace, and
-# the factor pattern takes the whitespace left around the others.
-_SIGN_RE = re.compile(r"([-+])")
+_W = 21  # bits per exponent field, the high one a guard bit
+MAX_EXPONENT = 2 ** (_W - 1) - 1
+
 # A generator name; Ring rejects every other name, so printed text parses.
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 # One factor: an integer, a fraction, a generator, or a generator power.
@@ -97,10 +100,8 @@ _FACTOR_RE = re.compile(
 def validate_name(name: object) -> None:
     """Reject a generator name that the text syntax cannot read back."""
     if not isinstance(name, str) or not _NAME_RE.fullmatch(name):
-        raise ValueError(
-            f"bad generator name {name!r}; expected a letter or _ "
-            "followed by letters, digits or _"
-        )
+        raise ValueError(f"bad generator name {name!r}; expected a letter or _ "
+                         "followed by letters, digits or _")
 
 
 class Ring:
@@ -109,37 +110,27 @@ class Ring:
     Immutable once constructed; construction validates the presentation and
     rejects bad input instead of repairing it.
 
-    Parameters
-    ----------
-    characteristic:
-        0 for rational coefficients, or a prime p below
-        ``scalars.MAX_MODULUS``, validated here once for every scalar of
-        the ring.
-    generators:
-        ordered iterable of (name, degree) pairs.
-    rules:
-        iterable of (lhs, rhs) pairs.  lhs is ``"g^k"`` or ``(name, k)``;
-        rhs is anything ``poly`` accepts (commonly a string or 0).
+    ``characteristic`` is 0 for rational coefficients, or a prime p below
+    ``scalars.MAX_MODULUS``, validated here once for every scalar of the
+    ring; ``generators`` are (name, degree) pairs in order; ``rules`` are
+    (lhs, rhs) pairs, lhs ``"g^k"`` or ``(name, k)`` and rhs anything
+    ``poly`` accepts (commonly a string or 0).
 
     ``rules`` maps each ruled generator's index to (k, rhs as
-    :class:`Terms`); ``_rewrites`` holds the same rules for the normal
-    form, each rhs as int numerators over ``_scale``, the common
-    denominator of all of them.  ``_limits`` holds the rule exponent k of
-    each generator up to the last ruled one, infinity where there is no
-    rule: a monomial is irreducible when no exponent reaches its limit.
+    :class:`Terms`); ``_rewrites`` lists them for the normal form as (guard
+    bit of g, packed g^k, rhs numerators over ``_scale``, the common
+    denominator of all).  ``_shift`` is the shift of the degree field,
+    ``_guard`` holds every guard bit, and adding ``_offset`` to a monomial
+    sets the guard bit of g when the exponent of g reaches its rule's k.
     """
 
     __slots__ = (
         "characteristic", "names", "degrees", "_index", "rules", "_rewrites", "_scale",
-        "_limits",
+        "_shift", "_guard", "_offset",
     )
 
-    def __init__(
-        self,
-        characteristic: int,
-        generators: Iterable[tuple[str, int]],
-        rules: Iterable[tuple[str | tuple[str, int], object]] = (),
-    ) -> None:
+    def __init__(self, characteristic: int, generators: Iterable[tuple[str, int]],
+                 rules: Iterable[tuple[str | tuple[str, int], object]] = ()) -> None:
         if characteristic != 0:
             validate_modulus(characteristic)
         index: dict[str, int] = {}
@@ -149,10 +140,8 @@ class Ring:
             if not isinstance(degree, int) or isinstance(degree, bool) or degree < 1:
                 raise ValueError(f"generator {name!r} needs a positive integer degree")
             if degree % 2 == 1 and characteristic != 2:
-                raise ValueError(
-                    f"generator {name!r} has odd degree {degree}; odd degrees "
-                    "require characteristic 2 under strict commutativity"
-                )
+                raise ValueError(f"generator {name!r} has odd degree {degree}; odd degrees "
+                                 "require characteristic 2 under strict commutativity")
             if name in index:
                 raise ValueError(f"duplicate generator name {name!r}")
             index[name] = len(degrees)
@@ -161,60 +150,57 @@ class Ring:
         self.names = tuple(index)
         self.degrees = tuple(degrees)
         self._index = index
+        self._shift = _W * len(degrees)
+        # the repunit with a 1 in the low bit of each field, moved up
+        self._guard = ((1 << self._shift) - 1) // ((1 << _W) - 1) << (_W - 1)
         self.rules: dict[int, tuple[int, Terms]] = {}
         self.rules = self._build_rules(rules)
+        self._offset = self._fields({i: MAX_EXPONENT + 1 - k for i, (k, _) in self.rules.items()})
         self._scale = lcm(*(rhs.den for _, rhs in self.rules.values()))
-        self._rewrites = {
-            idx: (k, {mon: c * (self._scale // rhs.den) for mon, c in rhs.num.items()})
-            for idx, (k, rhs) in self.rules.items()
-        }
-        ruled = max(self.rules, default=-1) + 1
-        self._limits = tuple(self.rules.get(i, (inf,))[0] for i in range(ruled))
+        self._rewrites = [
+            (1 << self._shift - _W * i - 1, self._power(i, k),
+             {mon: c * (self._scale // rhs.den) for mon, c in rhs.num.items()})
+            for i, (k, rhs) in self.rules.items()
+        ]
 
     def __reduce__(self) -> tuple:
-        rules = [((self.names[i], k), rhs) for i, (k, rhs) in self.rules.items()]
+        # exponent vectors, since each rhs Terms refers back to this ring
+        rules = [((self.names[i], k), dict(rhs.items())) for i, (k, rhs) in self.rules.items()]
         return Ring, (self.characteristic, tuple(zip(self.names, self.degrees)), rules)
 
     # ------------------------------------------------------------------
     # construction helpers
 
-    def _build_rules(
-        self, rules: Iterable[tuple[str | tuple[str, int], object]]
-    ) -> dict[int, tuple[int, Terms]]:
+    def _build_rules(self, rules: Iterable[tuple[str | tuple[str, int], object]]
+                     ) -> dict[int, tuple[int, Terms]]:
         table: dict[int, tuple[int, Terms]] = {}
         for lhs, rhs in rules:
-            if isinstance(lhs, str):
-                name, power = _parse_rule_lhs(lhs)
-            else:
-                name, power = lhs
+            name, power = _parse_rule_lhs(lhs) if isinstance(lhs, str) else lhs
             if name not in self._index:
                 raise ValueError(f"rule on unknown generator {name!r}")
             idx = self._index[name]
-            if power < 2:
-                raise ValueError(
-                    f"rule left-hand side must be g^k with k >= 2, got {name}^{power}"
-                )
+            if type(power) is not int or power < 2:
+                raise ValueError(f"rule left-hand side must be g^k with an int k >= 2, "
+                                 f"got {name}^{power}")
+            if power > MAX_EXPONENT:
+                raise _exponent_error(f"rule exponent {power}")
             if idx in table:
                 raise ValueError(f"more than one rule for generator {name!r}")
-            rhs_terms = Terms.reduced(*self._raw_terms(rhs), self.characteristic)
+            rhs_terms = Terms.reduced(*self._raw_terms(rhs), self)
             lhs_degree = power * self.degrees[idx]
-            for mon in rhs_terms:
-                if self.monomial_degree(mon) != lhs_degree:
-                    raise ValueError(
-                        f"rule {name}^{power} has an inhomogeneous right-hand side "
-                        f"(degree {self.monomial_degree(mon)} term, expected {lhs_degree})"
-                    )
+            for mon in rhs_terms.num:
+                if mon >> self._shift != lhs_degree:
+                    raise ValueError(f"rule {name}^{power} has an inhomogeneous right-hand side "
+                                     f"(degree {mon >> self._shift} term, expected {lhs_degree})")
             table[idx] = (power, rhs_terms)
         # rhs monomials must be irreducible with respect to the whole table,
         # the rule's own left-hand side included
-        for idx, (power, rhs_terms) in table.items():
+        for idx, (_, rhs_terms) in table.items():
             for mon in rhs_terms:
                 for j, (k, _) in table.items():
                     if mon[j] >= k:
-                        raise ValueError(
-                            f"right-hand side of rule on {self.names[idx]!r} contains "
-                            f"a monomial divisible by {self.names[j]}^{k}"
-                        )
+                        raise ValueError(f"right-hand side of rule on {self.names[idx]!r} "
+                                         f"contains a monomial divisible by {self.names[j]}^{k}")
         # i -> j when rewriting by i's rule can raise the exponent of another
         # ruled generator j; peel off rules with no edge left, and a cycle
         # is what remains
@@ -234,13 +220,11 @@ class Ring:
             walk = [min(edges)]
             while (step := min(edges[walk[-1]] & edges.keys())) not in walk:
                 walk.append(step)
-            raise ValueError(
-                f"rules on {self.names[walk[-1]]!r} and {self.names[step]!r} "
-                "lie on a cycle of rewrites, so rewriting need not end"
-            )
+            raise ValueError(f"rules on {self.names[walk[-1]]!r} and {self.names[step]!r} "
+                             "lie on a cycle of rewrites, so rewriting need not end")
         return table
 
-    def _raw_terms(self, source: object) -> tuple[dict[Monomial, int], int]:
+    def _raw_terms(self, source: object) -> tuple[dict[int, int], int]:
         """Parse/coerce into int numerators over a denominator, without
         applying rules."""
         if isinstance(source, GradedPoly):
@@ -253,29 +237,25 @@ class Ring:
             return (terms, 1) if self.characteristic else self._integral(terms)
         if isinstance(source, (int, Fraction, PrimeScalar)):
             n, d = self._parts(source)
-            return ({self.unit_monomial(): n} if n else {}), d
+            return ({0: n} if n else {}), d
         if isinstance(source, Mapping):
-            terms: dict[Monomial, object] = {}
+            terms: dict[int, object] = {}
             for mon, coeff in source.items():
-                mon = tuple(mon)
-                if len(mon) != len(self.names) or any(
-                    type(e) is not int or e < 0 for e in mon
-                ):
-                    raise ValueError(f"bad exponent vector {mon}")
+                mon = self.pack(mon)
                 if mon in terms:
                     coeff = self.coerce_scalar(terms[mon]) + self.coerce_scalar(coeff)
                 terms[mon] = coeff
             return self._integral(terms)
         raise TypeError(f"cannot build a polynomial from {source!r}")
 
-    def _integral(self, terms: Mapping[Monomial, object]) -> tuple[dict[Monomial, int], int]:
+    def _integral(self, terms: Mapping[int, object]) -> tuple[dict[int, int], int]:
         """Int numerators over one denominator for a mapping to scalars,
         zeros dropped; in characteristic p the numerators are reduced."""
         parts = self._parts
         if self.characteristic:
             return {mon: n for mon, c in terms.items() if (n := parts(c)[0])}, 1
         den = lcm(*(parts(c)[1] for c in terms.values()))
-        num: dict[Monomial, int] = {}
+        num: dict[int, int] = {}
         for mon, c in terms.items():
             n, d = parts(c)
             if n:
@@ -286,11 +266,9 @@ class Ring:
     # scalars
 
     def _parts(self, value: object) -> tuple[int, int]:
-        """(numerator, denominator) of an int or a scalar of this field.
-
-        The one place that checks a scalar from outside.  In characteristic
-        p the numerator is reduced and the denominator is 1.
-        """
+        """(numerator, denominator) of an int or a scalar of this field: the
+        one place that checks a scalar from outside.  In characteristic p
+        the numerator is reduced and the denominator is 1."""
         if isinstance(value, bool):
             raise TypeError("booleans are not scalars")
         p = self.characteristic
@@ -299,27 +277,18 @@ class Ring:
                 return value, 1
             if isinstance(value, Fraction):
                 return value.numerator, value.denominator
-            raise TypeError(
-                f"cannot use {value!r} as a characteristic 0 coefficient"
-            )
-        if isinstance(value, PrimeScalar):
+        elif isinstance(value, PrimeScalar):
             if value.modulus != p:
-                raise ValueError(
-                    f"scalar mod {value.modulus} in a ring of characteristic {p}"
-                )
+                raise ValueError(f"scalar mod {value.modulus} in a ring of characteristic {p}")
             return value.value, 1
-        if isinstance(value, int):
+        elif isinstance(value, int):
             return value % p, 1
-        raise TypeError(
-            f"cannot use {value!r} as a characteristic {p} coefficient"
-        )
+        raise TypeError(f"cannot use {value!r} as a characteristic {p} coefficient")
 
     def coerce_scalar(self, value: object) -> Scalar:
-        """The image of an int, or a scalar of this field, in the field.
-
-        The one int-to-scalar path of the package.  In characteristic p it
-        builds the scalar without checking the modulus again, because the
-        ring validated it.
+        """The image of an int, or a scalar of this field, in the field: the
+        one int-to-scalar path of the package.  In characteristic p it builds
+        the scalar without checking the modulus again; the ring validated it.
         """
         n, d = self._parts(value)
         return _unchecked(n, self.characteristic) if self.characteristic else Fraction(n, d)
@@ -333,73 +302,102 @@ class Ring:
     def monomial_degree(self, mon: Monomial) -> int:
         return sum(map(mul, mon, self.degrees))
 
-    def sort_key(self, mon: Monomial) -> tuple[int, Monomial]:
-        # graded-lex: degree first, then declared order, earlier names
-        # more significant
-        return (self.monomial_degree(mon), mon)
-
     def monomial_str(self, mon: Monomial) -> str:
-        factors = []
-        for name, e in zip(self.names, mon):
-            if e == 1:
-                factors.append(name)
-            elif e > 1:
-                factors.append(f"{name}^{e}")
-        return "*".join(factors)
+        return self._key_str(self.pack(mon))
+
+    def pack(self, mon: Iterable[int]) -> int:
+        """The packed int of an exponent vector, checked."""
+        mon = tuple(mon)
+        if len(mon) != len(self.names) or any(type(e) is not int or e < 0 for e in mon):
+            raise ValueError(f"bad exponent vector {mon}")
+        if any(e > MAX_EXPONENT for e in mon):
+            raise _exponent_error(f"exponent {max(mon)}")
+        return self.monomial_degree(mon) << self._shift | self._fields(dict(enumerate(mon)))
+
+    def unpack(self, key: int) -> Monomial:
+        """The exponent vector of a packed int."""
+        exps = [0] * len(self.names)
+        for i, e in self._exponents(key):
+            exps[i] = e
+        return tuple(exps)
+
+    def _fields(self, values: Mapping[int, int]) -> int:
+        """The exponent fields holding ``values[i]`` for generator i and 0
+        elsewhere, built from binary text in time linear in the fields."""
+        chunks = ["0" * _W] * len(self.names)
+        for i, v in values.items():
+            chunks[i] = format(v, f"0{_W}b")
+        return int("".join(chunks) or "0", 2)
+
+    def _exponents(self, key: int) -> Iterator[tuple[int, int]]:
+        """(generator index, exponent) for each nonzero exponent, in order."""
+        bits = format(key, f"0{self._shift}b")
+        start = len(bits) - self._shift  # past the degree field
+        pos = bits.find("1", start)
+        while pos >= 0:
+            end = pos + _W - (pos - start) % _W
+            yield (end - start) // _W - 1, int(bits[end - _W:end], 2)
+            pos = bits.find("1", end)
+
+    def _power(self, idx: int, e: int) -> int:
+        """The packed int of generator ``idx`` to the power e <= MAX_EXPONENT."""
+        return e * self.degrees[idx] << self._shift | e << self._shift - _W * (idx + 1)
+
+    def _key_str(self, key: int) -> str:
+        names = self.names
+        return "*".join(names[i] if e == 1 else f"{names[i]}^{e}" for i, e in self._exponents(key))
 
     # ------------------------------------------------------------------
     # normal form
 
-    def normal_form_terms(self, terms: Mapping[Monomial, int], denominator: int) -> Terms:
+    def normal_form_terms(self, terms: Mapping[int, int], denominator: int) -> Terms:
         """Reduce int numerators over ``denominator`` modulo the rules, in rounds.
 
-        Numerators may be zero and, in characteristic p (over 1), unreduced.
-
-        Each round rewrites every pending term once.  An irreducible term is
-        added into the result.  A reducible one is replaced by its image
-        under the first rule that applies, and the images of the whole round
-        are summed into the next round's pending dict, so like terms merge,
-        and cancelled ones drop out, before they are rewritten again.  When
-        the rules have a common denominator L other than 1, a round that
-        rewrites scales every numerator by L.
-
-        Termination: each round applies to each pending term rewrites that
-        one-term-at-a-time reduction could apply too, so the rounds end
-        because every rewrite chain ends (see the module docstring; the
-        ring rejects rule sets that cycle).
-        """
+        ``terms`` maps packed monomials within the bound to numerators,
+        which may be zero and, in characteristic p (over 1), unreduced.
+        Each round adds each irreducible term into the result and replaces
+        each reducible one by its image under the first rule that applies;
+        the images are summed into the next round, so like terms merge and
+        cancelled ones drop out before they are rewritten again.  An image
+        past ``MAX_EXPONENT`` raises ``ValueError``.  A rewriting round
+        scales by the rules' common denominator L unless L is 1.  The rounds
+        end as every rewrite chain ends (the ring rejects rules that cycle)."""
         p = self.characteristic
         rewrites = self._rewrites
-        limits = self._limits
+        guard, offset = self._guard, self._offset
         scale = self._scale
-        out: dict[Monomial, int] = {}
-        pending: Mapping[Monomial, int] = terms
+        out: dict[int, int] = {}
+        pending: Mapping[int, int] = terms
         while pending:
-            images: dict[Monomial, int] = {}
+            if not out and not reduce(or_, map(offset.__add__, pending), 0) & guard:
+                return Terms.reduced(dict(pending), denominator, self)  # all irreducible
+            images: dict[int, int] = {}
             for mon, coeff in pending.items():
                 if p:
                     coeff %= p
                 if not coeff:
                     continue
-                if not any(map(ge, mon, limits)):
+                hit = (mon + offset) & guard
+                if not hit:
                     acc = out.get(mon)
                     out[mon] = coeff if acc is None else acc + coeff
                     continue
-                for i, (k, rhs) in rewrites.items():
-                    if mon[i] >= k:
+                for bit, lhs, rhs in rewrites:
+                    if hit & bit:
                         break
-                lowered = list(mon)
-                lowered[i] -= k
+                lowered = mon - lhs
                 for rmon, rcoeff in rhs.items():
-                    pushed = tuple(map(add, lowered, rmon))
+                    pushed = lowered + rmon
                     c = coeff * rcoeff
                     acc = images.get(pushed)
                     images[pushed] = c if acc is None else acc + c
+            if reduce(or_, images, 0) & guard:
+                raise _exponent_error("an exponent")
             if images and scale != 1:
                 out = {mon: c * scale for mon, c in out.items()}
                 denominator *= scale
             pending = images
-        return Terms.reduced(out, denominator, p)
+        return Terms.reduced(out, denominator, self)
 
     # ------------------------------------------------------------------
     # polynomial factories
@@ -414,7 +412,7 @@ class Ring:
         return GradedPoly(self, self.normal_form_terms(num, den))
 
     def zero(self) -> "GradedPoly":
-        return GradedPoly(self, Terms({}, 1, self.characteristic))
+        return GradedPoly(self, Terms({}, 1, self))
 
     def one(self) -> "GradedPoly":
         return self.poly(1)
@@ -422,9 +420,7 @@ class Ring:
     def gen(self, name: str) -> "GradedPoly":
         if name not in self._index:
             raise ValueError(f"unknown generator {name!r}")
-        mon = [0] * len(self.names)
-        mon[self._index[name]] = 1
-        return self.poly({tuple(mon): 1})
+        return GradedPoly(self, self.normal_form_terms({self._power(self._index[name], 1): 1}, 1))
 
     def monomial(self, source: str) -> Monomial:
         """Parse a single monomial with coefficient 1, e.g. ``"x*y^2"``."""
@@ -434,7 +430,7 @@ class Ring:
         ((mon, coeff),) = terms.num.items()
         if coeff != 1 or terms.den != 1:
             raise ValueError(f"{source!r} has a coefficient, expected a bare monomial")
-        return mon
+        return self.unpack(mon)
 
     # ------------------------------------------------------------------
 
@@ -443,12 +439,8 @@ class Ring:
             return True
         if not isinstance(other, Ring):
             return NotImplemented
-        return (
-            self.characteristic == other.characteristic
-            and self.names == other.names
-            and self.degrees == other.degrees
-            and self.rules == other.rules
-        )
+        return (self.characteristic, self.names, self.degrees, self.rules) == (
+            other.characteristic, other.names, other.degrees, other.rules)
 
     __hash__ = None  # structural equality, so no hashing
 
@@ -458,79 +450,68 @@ class Ring:
 
 
 class Terms(Mapping):
-    """The terms of a polynomial: a read-only mapping from monomial to scalar.
+    """The terms of a polynomial: a read-only mapping from exponent vector
+    to scalar, stored as ``num``, a dict from packed monomial of ``ring`` to
+    nonzero int numerator, over one denominator ``den``.  Canonical: in
+    characteristic 0, ``den`` is positive and the gcd of ``den`` and all
+    numerators is 1; in characteristic p, numerators lie in 1..p-1 and
+    ``den`` is 1.  Iteration unpacks each monomial, and each lookup packs
+    its key and builds its scalar, a ``Fraction`` or a ``PrimeScalar``."""
 
-    Stored as ``num``, a dict from monomial to nonzero int numerator, over
-    the one denominator ``den``.  Canonical: in characteristic 0, ``den`` is
-    positive and the gcd of ``den`` and all numerators is 1; in
-    characteristic p, numerators lie in 1..p-1 and ``den`` is 1.  Each
-    lookup builds its scalar, a ``Fraction`` or a ``PrimeScalar``.
-    """
+    __slots__ = ("num", "den", "ring")
 
-    __slots__ = ("num", "den", "characteristic")
-
-    def __init__(self, num: dict[Monomial, int], den: int, characteristic: int) -> None:
+    def __init__(self, num: dict[int, int], den: int, ring: Ring) -> None:
         self.num = num
         self.den = den
-        self.characteristic = characteristic
+        self.ring = ring
 
     def __reduce__(self) -> tuple:
-        return Terms, (self.num, self.den, self.characteristic)
+        return Terms, (self.num, self.den, self.ring)
 
     @classmethod
-    def reduced(cls, num: dict[Monomial, int], den: int, characteristic: int) -> "Terms":
+    def reduced(cls, num: dict[int, int], den: int, ring: Ring) -> "Terms":
         """The canonical terms of int numerators over a positive ``den``.
-
-        It works in place, so ``num`` must not be shared.
-        """
-        if characteristic:
-            zeros = []
-            for mon, n in num.items():
-                n %= characteristic
-                if n:
-                    num[mon] = n
-                else:
-                    zeros.append(mon)
-            for mon in zeros:
-                del num[mon]
-            return cls(num, 1, characteristic)
-        _nonzero(num)
+        It works in place, so ``num`` must not be shared."""
+        p = ring.characteristic
+        if p:
+            return cls({mon: r for mon, n in num.items() if (r := n % p)}, 1, ring)
+        for mon in [mon for mon, n in num.items() if not n]:
+            del num[mon]
         if den != 1:
             g = gcd(den, *num.values())
             if g != 1:
                 num = {mon: n // g for mon, n in num.items()}
                 den //= g
-        return cls(num, den, 0)
+        return cls(num, den, ring)
 
-    def subset(self, num: dict[Monomial, int]) -> "Terms":
+    def subset(self, num: dict[int, int], ring: Ring) -> "Terms":
         """The canonical terms of some of these numerators, under the same
-        or other monomials, over the same denominator."""
+        or other monomials of ``ring``, over the same denominator."""
         if self.den == 1:
-            return Terms(num, 1, self.characteristic)
-        return Terms.reduced(num, self.den, 0)
+            return Terms(num, 1, ring)
+        return Terms.reduced(num, self.den, ring)
 
-    def __getitem__(self, mon: Monomial) -> Scalar:
-        n = self.num[mon]
-        if self.characteristic:
-            return _unchecked(n, self.characteristic)
+    def _value(self, n: int) -> Scalar:
+        if self.ring.characteristic:
+            return _unchecked(n, self.ring.characteristic)
         return Fraction(n, self.den)
 
-    def __contains__(self, mon: object) -> bool:
-        return mon in self.num
+    def __getitem__(self, mon: Monomial) -> Scalar:
+        try:
+            return self._value(self.num[self.ring.pack(mon)])
+        except (KeyError, TypeError, ValueError):
+            raise KeyError(mon) from None
 
     def __iter__(self) -> Iterator[Monomial]:
-        return iter(self.num)
+        return map(self.ring.unpack, self.num)
 
     def __len__(self) -> int:
         return len(self.num)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Terms):
-            return (
-                self.num == other.num
-                and self.den == other.den
-                and self.characteristic == other.characteristic
-            )
+            return (self.num, self.den, self.ring.characteristic) == (
+                other.num, other.den, other.ring.characteristic)
         return Mapping.__eq__(self, other)
 
     __hash__ = None
@@ -565,31 +546,22 @@ class GradedPoly:
             other = self.ring.poly(other)
         self._compatible(other)
         a, b = self.terms, other.terms
-        if a.den == b.den:
-            den = a.den
-            out = dict(a.num)
-            other_num = b.num
-        else:
-            den = lcm(a.den, b.den)
-            scale = den // a.den
-            out = {mon: n * scale for mon, n in a.num.items()}
-            scale = den // b.den
-            other_num = {mon: n * scale for mon, n in b.num.items()}
+        den = lcm(a.den, b.den)
+        out = dict(a.num) if den == a.den else {m: n * (den // a.den) for m, n in a.num.items()}
+        other_num = b.num if den == b.den else {m: n * (den // b.den) for m, n in b.num.items()}
         for mon, n in other_num.items():
             acc = out.get(mon)
             out[mon] = n if acc is None else acc + n
-        return GradedPoly(self.ring, Terms.reduced(out, den, a.characteristic))
+        return GradedPoly(self.ring, Terms.reduced(out, den, self.ring))
 
-    def __radd__(self, other: object) -> "GradedPoly":
-        return self.__add__(other)
+    __radd__ = __add__
 
     def __neg__(self) -> "GradedPoly":
         t = self.terms
-        p = t.characteristic
-        num = {mon: p - n for mon, n in t.num.items()} if p else {
-            mon: -n for mon, n in t.num.items()
-        }
-        return GradedPoly(self.ring, Terms(num, t.den, p))
+        p = self.ring.characteristic
+        num = ({mon: p - n for mon, n in t.num.items()} if p
+               else {mon: -n for mon, n in t.num.items()})
+        return GradedPoly(self.ring, Terms(num, t.den, self.ring))
 
     def __sub__(self, other: object) -> "GradedPoly":
         if not isinstance(other, GradedPoly):
@@ -606,25 +578,26 @@ class GradedPoly:
             n, d = ring._parts(other)
             if not n:
                 return ring.zero()
-            return GradedPoly(ring, Terms.reduced(
-                {mon: c * n for mon, c in a.num.items()}, a.den * d, a.characteristic
-            ))
+            scaled = {mon: c * n for mon, c in a.num.items()}
+            return GradedPoly(ring, Terms.reduced(scaled, a.den * d, ring))
         self._compatible(other)
         b = other.terms
-        out: dict[Monomial, int] = {}
+        out: dict[int, int] = {}
         for m1, c1 in a.num.items():
             for m2, c2 in b.num.items():
-                mon = tuple(map(add, m1, m2))
+                mon = m1 + m2
                 c = c1 * c2
                 acc = out.get(mon)
                 out[mon] = c if acc is None else acc + c
+        if reduce(or_, out, 0) & ring._guard:  # two monomials within the bound never carry
+            raise _exponent_error("an exponent")
         return GradedPoly(ring, ring.normal_form_terms(out, a.den * b.den))
 
     def __rmul__(self, other: object) -> "GradedPoly":
         return self.__mul__(other)
 
     def __pow__(self, n: int) -> "GradedPoly":
-        if not isinstance(n, int) or n < 0:
+        if type(n) is not int or n < 0:
             raise ValueError(f"polynomial powers must be nonnegative integers, got {n}")
         result = self.ring.one()
         square = self
@@ -658,15 +631,16 @@ class GradedPoly:
 
     def degree(self) -> int | None:
         """Degree of the top nonzero graded piece, or None for the zero poly."""
-        if not self.terms:
-            return None
-        return max(self.ring.monomial_degree(m) for m in self.terms)
+        return max(self.terms.num) >> self.ring._shift if self.terms.num else None
+
+    def degrees(self) -> list[int]:
+        """The degrees of the terms, each once, in the order of the terms."""
+        shift = self.ring._shift
+        return list(dict.fromkeys(m >> shift for m in self.terms.num))
 
     def is_homogeneous(self, k: int | None = None) -> bool:
-        degs = {self.ring.monomial_degree(m) for m in self.terms}
-        if k is None:
-            return len(degs) <= 1
-        return degs <= {k}
+        degs = self.degrees()
+        return len(degs) <= 1 if k is None else degs in ([], [k])
 
     def graded_component(self, k: int) -> "GradedPoly":
         """The degree-k part."""
@@ -674,28 +648,50 @@ class GradedPoly:
 
     def graded_components(self, degrees: Iterable[int]) -> dict[int, "GradedPoly"]:
         """The degree-k part for each k in ``degrees``, from one pass over the terms."""
-        picked: dict[int, dict[Monomial, int]] = {k: {} for k in degrees}
-        degree = self.ring.monomial_degree
+        ring, shift = self.ring, self.ring._shift
+        picked: dict[int, dict[int, int]] = {k: {} for k in degrees}
         for m, c in self.terms.num.items():
-            part = picked.get(degree(m))
+            part = picked.get(m >> shift)
             if part is not None:
                 part[m] = c
-        return {k: GradedPoly(self.ring, self.terms.subset(p)) for k, p in picked.items()}
+        return {k: GradedPoly(ring, self.terms.subset(p, ring)) for k, p in picked.items()}
+
+    def sign_twist(self, period: int) -> "GradedPoly":
+        """This polynomial with its terms of degree period/2 mod period negated."""
+        shift, half = self.ring._shift, period // 2
+        p, t = self.ring.characteristic, self.terms
+        return GradedPoly(self.ring, Terms({
+            m: (p - n if p else -n) if (m >> shift) % period == half else n
+            for m, n in t.num.items()
+        }, t.den, self.ring))
 
     def constant_term(self) -> Scalar:
-        return self.terms.get(self.ring.unit_monomial(), self.ring.coerce_scalar(0))
+        return self.terms._value(self.terms.num.get(0, 0))
 
     def coefficient(self, mon: Monomial | str) -> Scalar:
         """Coefficient of a monomial (given as exponent vector or text)."""
         if isinstance(mon, str):
             mon = self.ring.monomial(mon)
-        return self.terms.get(tuple(mon), self.ring.coerce_scalar(0))
+        return self.terms.get(mon, self.ring.coerce_scalar(0))
 
-    def substitute(
-        self,
-        mapping: Mapping[str, object],
-        target: Ring,
-    ) -> "GradedPoly":
+    def tail_coefficient(self, base: Ring, tail: Monomial) -> "GradedPoly":
+        """The coefficient, in ``base``, of the monomial ``tail`` in the
+        generators after those of ``base``, which must lead this ring with
+        the same rules, so the picked terms are in the normal form of ``base``."""
+        ring = self.ring
+        n = len(base.names)
+        if ring.names[:n] != base.names or ring.degrees[:n] != base.degrees:
+            raise ValueError("the base ring's generators do not lead this ring")
+        width = ring._shift - base._shift
+        mask = (1 << width) - 1
+        want = ring.pack((0,) * n + tuple(tail))
+        drop = want >> ring._shift << base._shift  # the tail's degree
+        want &= mask
+        return GradedPoly(base, self.terms.subset({
+            (m >> width) - drop: c for m, c in self.terms.num.items() if m & mask == want
+        }, base))
+
+    def substitute(self, mapping: Mapping[str, object], target: Ring) -> "GradedPoly":
         """Image under generator -> polynomial substitution, into a ring of
         the same characteristic.
 
@@ -712,15 +708,12 @@ class GradedPoly:
                 raise ValueError(f"substitution names unknown generator {name!r}")
             images[idx] = value if isinstance(value, GradedPoly) else target.poly(value)
         result = target.zero()
+        names = self.ring.names
         for mon, n in self.terms.num.items():
             piece = target.poly(n)
-            for idx, e in enumerate(mon):
-                if e == 0:
-                    continue
+            for idx, e in self.ring._exponents(mon):
                 if idx not in images:
-                    raise ValueError(
-                        f"no substitution value for generator {self.ring.names[idx]!r}"
-                    )
+                    raise ValueError(f"no substitution value for generator {names[idx]!r}")
                 piece = piece * images[idx] ** e
             result = result + piece
         den = self.terms.den
@@ -735,11 +728,11 @@ class GradedPoly:
         if not num:
             return "0"
         chunks: list[str] = []
-        for mon in sorted(num, key=ring.sort_key, reverse=True):
+        for mon in sorted(num, reverse=True):
             n = num[mon]
             g = gcd(n, den)
             mag = str(abs(n) // g) if g == den else f"{abs(n) // g}/{den // g}"
-            body = ring.monomial_str(mon)
+            body = ring._key_str(mon)
             if not body:
                 body = mag
             elif mag != "1":
@@ -756,15 +749,8 @@ class GradedPoly:
 # parsing and printing internals
 
 
-def _nonzero(terms: dict[Monomial, int]) -> dict[Monomial, int]:
-    """Delete the zero numerators of ``terms`` in place, and return it.
-
-    The one place where each characteristic 0 sum builder drops the terms
-    that cancelled.
-    """
-    for mon in [mon for mon, coeff in terms.items() if not coeff]:
-        del terms[mon]
-    return terms
+def _exponent_error(what: str) -> ValueError:
+    return ValueError(f"{what} exceeds MAX_EXPONENT = {MAX_EXPONENT}")
 
 
 def _parse_rule_lhs(text: str) -> tuple[str, int]:
@@ -774,66 +760,79 @@ def _parse_rule_lhs(text: str) -> tuple[str, int]:
     return m["name"], int(m["power"])
 
 
-def _parse_terms(ring: Ring, text: str) -> dict[Monomial, int | Fraction]:
-    """Parse the text syntax into an unreduced term dict.
-
-    Coefficients are ints, or Fractions in characteristic 0, not yet reduced
-    mod p; zero sums are kept.  The text is split once on signs and each
-    term on ``*``; each distinct factor text is matched once and its parse
-    memoized for the call.
-    """
+def _parse_terms(ring: Ring, text: str) -> dict[int, int | Fraction]:
+    """Parse the text syntax into an unreduced dict from packed monomial to
+    int, or Fraction in characteristic 0, not yet reduced mod p; zero sums
+    are kept.  The text is split once on signs, each ``-`` opening the
+    piece it signs.  A term is its head, the factors before its last ``*``,
+    times its last factor; heads recur, so each distinct head and factor is
+    read once, left to right, into a memoized packed monomial and
+    coefficient.  A head within the bound plus one factor cannot carry."""
     if not text.strip():
         raise ValueError("empty polynomial text")
-    parts = _SIGN_RE.split(text)
-    if not parts[-1].strip():
+    pieces = text.replace("-", "+-").split("+")
+    if not pieces[-1].lstrip("-").strip():
         raise ValueError("dangling sign in polynomial")
-    nvars = len(ring.names)
-    # factor text -> (generator index, power), or (None, coefficient)
-    memo: dict[str, tuple[int | None, int | Fraction]] = {}
-    out: dict[Monomial, int | Fraction] = {}
+    guard = ring._guard
+    memo: dict[str, tuple[int, int | Fraction]] = {}
+
+    def read(factors: str) -> tuple[int, int | Fraction]:
+        mon, coeff = 0, 1
+        for factor in factors.split("*"):
+            if (value := memo.get(factor)) is None:
+                memo[factor] = value = _factor(ring, factor)
+            if (mon := mon + value[0]) & guard:
+                raise _exponent_error("an exponent")
+            if value[1] != 1:  # a power's coefficient is 1
+                coeff = value[1] if coeff == 1 else coeff * value[1]
+        memo[factors] = mon, coeff
+        return mon, coeff
+
+    out: dict[int, int | Fraction] = {}
     negative = False
-    for sign, piece in zip(["+", *parts[1::2]], parts[0::2]):
-        negative ^= sign == "-"
-        if not piece or piece.isspace():
+    for piece in pieces:
+        if piece[:1] == "-":
+            negative = not negative
+            piece = piece[1:]
+        if not piece or piece.isspace():  # between the signs of a run
             continue
-        coeff: int | Fraction = -1 if negative else 1
-        negative = False
-        exps = [0] * nvars
-        for factor in piece.split("*"):
-            try:
-                idx, value = memo[factor]
-            except KeyError:
-                m = _FACTOR_RE.fullmatch(factor)
-                if m is None:
-                    if not factor.strip():
-                        raise ValueError("dangling '*' in polynomial")
-                    raise ValueError(f"bad factor {factor.strip()!r} in polynomial")
-                if m["name"] is not None:
-                    idx = ring._index.get(m["name"])
-                    if idx is None:
-                        raise ValueError(f"unknown generator {m['name']!r}")
-                    value = int(m["power"] or 1)
-                elif m["denom"] is None:
-                    idx, value = None, int(m["numer"])
-                elif not int(m["denom"]):
-                    raise ValueError("zero denominator in coefficient")
-                elif ring.characteristic:
-                    # prime-field coefficients are written as bare integers
-                    raise ValueError(
-                        "fractional coefficients are not accepted in "
-                        f"characteristic {ring.characteristic}"
-                    )
-                else:
-                    idx, value = None, Fraction(int(m["numer"]), int(m["denom"]))
-                memo[factor] = idx, value
-            if idx is None:
-                coeff = coeff * value
-            else:
-                exps[idx] += value
-        mon = tuple(exps)
+        head, star, last = piece.rpartition("*")
+        mon, coeff = memo.get(head) or read(head) if star else (0, 1)
+        lmon, lcoeff = memo.get(last) or read(last)
+        if (mon := mon + lmon) & guard:
+            raise _exponent_error("an exponent")
+        if lcoeff != 1:
+            coeff = coeff * lcoeff
+        if negative:
+            coeff, negative = -coeff, False
         acc = out.get(mon)
         out[mon] = coeff if acc is None else acc + coeff
     return out
+
+
+def _factor(ring: Ring, text: str) -> tuple[int, int | Fraction]:
+    """(packed power, 1) or (0, coefficient) of one factor."""
+    m = _FACTOR_RE.fullmatch(text)
+    if m is None:
+        raise ValueError(f"bad factor {text.strip()!r} in polynomial" if text.strip()
+                         else "dangling '*' in polynomial")
+    if m["name"] is not None:
+        idx = ring._index.get(m["name"])
+        if idx is None:
+            raise ValueError(f"unknown generator {m['name']!r}")
+        e = int(m["power"] or 1)
+        if e > MAX_EXPONENT:
+            raise _exponent_error(f"exponent {e}")
+        return ring._power(idx, e), 1
+    if m["denom"] is None:
+        return 0, int(m["numer"])
+    if not int(m["denom"]):
+        raise ValueError("zero denominator in coefficient")
+    if ring.characteristic:
+        # prime-field coefficients are written as bare integers
+        raise ValueError("fractional coefficients are not accepted in "
+                         f"characteristic {ring.characteristic}")
+    return 0, Fraction(int(m["numer"]), int(m["denom"]))
 
 
 # ----------------------------------------------------------------------
@@ -851,17 +850,13 @@ def tensor_ring(a: Ring, b: Ring) -> Ring:
         raise ValueError("tensor factors have different characteristics")
     overlap = set(a.names) & set(b.names)
     if overlap:
-        raise ValueError(
-            f"generator names collide in tensor product: {sorted(overlap)}; "
-            "rename before combining"
-        )
-    rules: list[tuple[tuple[str, int], dict[Monomial, Scalar]]] = []
-    pad_b = (0,) * len(b.names)
-    pad_a = (0,) * len(a.names)
-    for idx, (k, rhs) in a.rules.items():
-        rules.append(((a.names[idx], k), {mon + pad_b: c for mon, c in rhs.items()}))
-    for idx, (k, rhs) in b.rules.items():
-        rules.append(((b.names[idx], k), {pad_a + mon: c for mon, c in rhs.items()}))
+        raise ValueError(f"generator names collide in tensor product: {sorted(overlap)}; "
+                         "rename before combining")
+    pad_a, pad_b = (0,) * len(a.names), (0,) * len(b.names)
+    rules = [((a.names[i], k), {mon + pad_b: c for mon, c in rhs.items()})
+             for i, (k, rhs) in a.rules.items()]
+    rules += [((b.names[i], k), {pad_a + mon: c for mon, c in rhs.items()})
+              for i, (k, rhs) in b.rules.items()]
     gens = zip(a.names + b.names, a.degrees + b.degrees)
     return Ring(a.characteristic, gens, rules)
 
@@ -873,37 +868,42 @@ def transport(poly: GradedPoly, target: Ring) -> GradedPoly:
     target with the same degree.  The terms are moved, not reduced, so a
     target rule g^k on a generator g of the source needs a source rule g^j
     with j <= k; otherwise ``ValueError`` is raised.  Used to push classes
-    into a tensor ring and to project them back out.
-    """
+    into a tensor ring and to project them back out.  A run of source
+    generators that follow one another in the target too moves from bit s
+    to bit t as one shifted, masked int times 2^t - 2^s, added to the key.
+    The degree field leads the first run, and a run that stays put costs
+    nothing, so a pullback into a tensor ring is one step per term."""
     src = poly.ring
     if src.characteristic != target.characteristic:
-        raise ValueError(
-            f"cannot transport from characteristic {src.characteristic} "
-            f"to characteristic {target.characteristic}"
-        )
+        raise ValueError(f"cannot transport from characteristic {src.characteristic} "
+                         f"to characteristic {target.characteristic}")
     num = poly.terms.num
-    # where[j]: the source index of target generator j, or that of a padded 0
-    where = [len(src.names)] * len(target.names)
+    # [source index, target index, length], the degree field as index -1
+    runs = [[-1, -1, 1]]
     for i, (name, degree) in enumerate(zip(src.names, src.degrees)):
         idx = target._index.get(name)
         if idx is None:
-            if any(mon[i] for mon in num):
+            field = (1 << _W) - 1 << src._shift - _W * (i + 1)
+            if any(mon & field for mon in num):
                 raise ValueError(f"target ring has no generator {name!r}")
         elif target.degrees[idx] != degree:
-            raise ValueError(
-                f"generator {name!r} has degree {target.degrees[idx]} in the "
-                f"target ring, {degree} in the source"
-            )
+            raise ValueError(f"generator {name!r} has degree {target.degrees[idx]} in the "
+                             f"target ring, {degree} in the source")
         elif target.rules.get(idx, (inf,))[0] < src.rules.get(i, (inf,))[0]:
-            raise ValueError(
-                f"the target ring rewrites {name}^{target.rules[idx][0]}, "
-                "which is irreducible in the source ring"
-            )
+            raise ValueError(f"the target ring rewrites {name}^{target.rules[idx][0]}, "
+                             "which is irreducible in the source ring")
+        elif runs[-1][0] + runs[-1][2] == i and runs[-1][1] + runs[-1][2] == idx:
+            runs[-1][2] += 1
         else:
-            where[idx] = i
-    if len(where) > 1:
-        pick = itemgetter(*where)
-    else:  # itemgetter returns a tuple only for two or more indices
-        pick = lambda mon: tuple(mon[i] for i in where)  # noqa: E731
-    moved = {pick(mon + (0,)): c for mon, c in num.items()}
-    return GradedPoly(target, Terms(moved, poly.terms.den, target.characteristic))
+            runs.append([i, idx, 1])
+    keys: Iterable[int] = num
+    for i, j, n in runs:
+        s = src._shift - _W * (i + n)
+        step = (1 << target._shift - _W * (j + n)) - (1 << s)
+        if i < 0:  # nothing lies above the degree field, so no mask
+            keys = [mon + (mon >> s) * step for mon in num]
+        elif step:
+            mask = (1 << _W * n) - 1
+            keys = [k + (mon >> s & mask) * step for k, mon in zip(keys, num)]
+    moved = dict(zip(keys, num.values()))
+    return GradedPoly(target, Terms(moved, poly.terms.den, target))

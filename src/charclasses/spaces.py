@@ -24,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from .rings import GradedPoly, Monomial, Ring, Terms, tensor_ring, transport
+from .rings import GradedPoly, Monomial, Ring, tensor_ring, transport
 from .scalars import PrimeScalar
 
 __all__ = [
@@ -107,8 +107,7 @@ class SpaceModel(_FrozenRecord):
         check_fundamental(self.ring, self.fundamental, self.dimension)
         if self.total_p.constant_term() != self.ring.coerce_scalar(1):
             raise ValueError("total Pontryagin class must have constant term 1")
-        for mon in self.total_p.terms:
-            degree = self.ring.monomial_degree(mon)
+        for degree in self.total_p.degrees():
             if degree % 4:
                 raise ValueError(
                     f"total Pontryagin class has a term of degree {degree}, "
@@ -249,20 +248,9 @@ def chern_to_pontryagin(total_c: GradedPoly) -> GradedPoly:
         )
     if total_c.constant_term() != 1:
         raise ValueError("total Chern class must have constant term 1")
-    degree = ring.monomial_degree
-    for mon in total_c.terms:
-        if degree(mon) % 2 == 1:
-            raise ValueError("total Chern class has an odd-degree term")
-
-    def negate(poly: GradedPoly, period: int) -> GradedPoly:
-        """``poly`` with the terms of degree period/2 mod period negated."""
-        terms = poly.terms
-        return GradedPoly(ring, Terms({
-            mon: -coeff if degree(mon) % period == period // 2 else coeff
-            for mon, coeff in terms.num.items()
-        }, terms.den, 0))
-
-    return negate(negate(total_c, 4) * total_c, 8)
+    if any(degree % 2 for degree in total_c.degrees()):
+        raise ValueError("total Chern class has an odd-degree term")
+    return (total_c.sign_twist(4) * total_c).sign_twist(8)
 
 
 def bso_presentation(

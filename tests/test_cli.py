@@ -12,6 +12,7 @@ import pytest
 from charclasses import cli
 from charclasses.cli import main
 from charclasses.documents import space_from_document, space_to_document
+from charclasses.rings import MAX_EXPONENT
 from charclasses.scalars import MAX_MODULUS
 from charclasses.spaces import cp, hp, product_space, sphere
 
@@ -305,6 +306,42 @@ def test_signature_cost_follows_the_nonzero_classes(capsys, tmp_path, make):
     assert out == "signature = 0\n"
 
 
+def free_space_doc(total_p):
+    return {
+        "characteristic": 0,
+        "ring": {"generators": [{"name": "y", "degree": 4}], "relations": []},
+        "dimension": 4, "fundamental": "y", "total_p": total_p, "euler": "0",
+    }
+
+
+def test_signature_reads_exponents_up_to_the_bound(capsys, tmp_path):
+    path = write_json(tmp_path, "top.json", free_space_doc(f"1 + y + y^{MAX_EXPONENT}"))
+    assert run_cli(capsys, "signature", path) == (0, "signature = 1/3\n", "")
+    path = write_json(tmp_path, "past.json", free_space_doc(f"1 + y + y^{MAX_EXPONENT + 1}"))
+    code, out, err = run_cli(capsys, "signature", path)
+    assert code == 2
+    assert_one_error_line(out, err)
+    assert err == (f"error: /total_p: exponent {MAX_EXPONENT + 1} exceeds "
+                   f"MAX_EXPONENT = {MAX_EXPONENT}\n")
+
+
+def test_an_exponent_past_the_bound_exits_at_its_field_before_any_rewriting(
+    capsys, monkeypatch
+):
+    # under y^3 -> z, y^3000001 took a million rewriting rounds
+    doc = {
+        "characteristic": 0,
+        "ring": {"generators": [{"name": "y", "degree": 4}, {"name": "z", "degree": 12}],
+                 "relations": [{"lhs": "y^3", "rhs": "z"}]},
+        "dimension": 12, "fundamental": "z", "total_p": "1 + y^3000001", "euler": "z",
+    }
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    code, out, err = run_cli(capsys, "signature", "-")
+    assert code == 2
+    assert_one_error_line(out, err)
+    assert err == f"error: /total_p: exponent 3000001 exceeds MAX_EXPONENT = {MAX_EXPONENT}\n"
+
+
 def test_signature_rejects_total_p_off_multiples_of_four(capsys, tmp_path):
     # p_i lives in degree 4i; the h term used to be ignored, giving 1
     doc = space_to_document(cp(2))
@@ -384,6 +421,21 @@ def test_kappa_bad_class_monomial(capsys, tmp_path):
     assert code == 2
     assert_one_error_line(out, err)
     assert err.startswith("error: --class: unknown generator 'q7'")
+
+
+def test_kappa_reads_class_exponents_up_to_the_bound(capsys, tmp_path):
+    # e = 3*y^2 on the HP^2 fibre, so e^2 and every higher power vanish
+    doc = {"kind": "product", "base": space_to_document(sphere(12)),
+           "fibre": space_to_document(hp(2))}
+    path = write_json(tmp_path, "product.json", doc)
+    code, out, _ = run_cli(capsys, "kappa", "--bundle", path, "--class", f"e^{MAX_EXPONENT}")
+    assert (code, out) == (0, f"kappa(e^{MAX_EXPONENT}) = 0\n")
+    code, out, err = run_cli(
+        capsys, "kappa", "--bundle", path, "--class", f"e^{MAX_EXPONENT + 1}")
+    assert code == 2
+    assert_one_error_line(out, err)
+    assert err == (f"error: --class: exponent {MAX_EXPONENT + 1} exceeds "
+                   f"MAX_EXPONENT = {MAX_EXPONENT}\n")
 
 
 @pytest.mark.parametrize("cls", ["p2", "1/0", "e^", "e +", "2 e"])

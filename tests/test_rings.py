@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from charclasses.bundles import product_bundle, projectivize
-from charclasses.rings import GradedPoly, Ring, tensor_ring, transport
+from charclasses.rings import MAX_EXPONENT, GradedPoly, Ring, tensor_ring, transport
 from charclasses.scalars import PrimeScalar
 from charclasses.spaces import cp, hp
 
@@ -111,6 +111,17 @@ def test_rule_validation():
     # a chain of rules that each also lower their own generator is legal
     chain = Ring(0, [("x", 2), ("y", 2), ("z", 2)], [("x^2", "x*y"), ("y^2", "y*z")])
     assert str(chain.poly("x^3")) == "x*y*z"
+    # a (name, k) left-hand side needs an int k >= 2: with k = 2.5, x^3
+    # printed x^1.5*y^3
+    for power in (2.5, True, Fraction(3), "3", 1):
+        with pytest.raises(ValueError, match="an int k >= 2"):
+            Ring(2, [("x", 2), ("y", 1)], [(("x", power), "x*y^3")])
+    # and a k within the exponent bound
+    with pytest.raises(ValueError, match=f"exceeds MAX_EXPONENT = {MAX_EXPONENT}"):
+        Ring(0, [("x", 2)], [(("x", MAX_EXPONENT + 1), "0")])
+    top = Ring(0, [("x", 2)], [(f"x^{MAX_EXPONENT}", "0")])
+    assert str(top.poly(f"x^{MAX_EXPONENT - 1}")) == f"x^{MAX_EXPONENT - 1}"
+    assert top.gen("x") ** MAX_EXPONENT == 0
 
 
 def test_ring_structural_equality():
@@ -169,7 +180,7 @@ def test_confluence_under_randomized_rule_choice():
     # random terms and random rules, reaches the same normal form
     rng = random.Random(23)
     ring = quotient_ring()
-    spec = (ring.characteristic, list(zip(ring.names, ring.degrees)), ring.rules)
+    spec = (ring.characteristic, list(zip(ring.names, ring.degrees)), ring.rules, 3)
     for trial in range(200):
         raw = {
             tuple(rng.randint(0, 4) for _ in ring.names): Fraction(
@@ -262,6 +273,9 @@ def test_pow_validation():
     ring = free_ring()
     with pytest.raises(ValueError):
         ring.gen("a") ** -1
+    for n in (True, False, 2.0):
+        with pytest.raises(ValueError, match="nonnegative integers"):
+            ring.gen("a") ** n
     assert ring.gen("a") ** 0 == ring.one()
 
 
@@ -373,11 +387,11 @@ def test_print_canonical_order_and_signs():
     # printing reads the int numerators: -1 over F_5 is the residue 4, and
     # 1/2 and 1/3 are numerators 3 and 2 over 6
     mod5 = Ring(5, [("u", 2)])
-    assert mod5.poly("-u").terms.num == {(1,): 4}
+    assert mod5.poly("-u").terms.num == {mod5.pack((1,)): 4}
     assert str(mod5.poly("-u")) == "4*u"
     ring = Ring(0, [("x", 2), ("a", 2)])
     f = ring.poly("1/2*x + 1/3*a")
-    assert (f.terms.num, f.terms.den) == ({(1, 0): 3, (0, 1): 2}, 6)
+    assert (f.terms.num, f.terms.den) == ({ring.pack((1, 0)): 3, ring.pack((0, 1)): 2}, 6)
     assert str(f) == "1/2*x + 1/3*a"
     g = ring.poly("x - 1/4 - 5/6*x^2*a")
     assert str(g) == "-5/6*x^2*a + x - 1/4"
@@ -446,6 +460,9 @@ def test_parse_accepts_signs_and_implicit_coefficients():
     assert ring.poly("a*a") == ring.poly("a^2")
     assert ring.poly("2") == ring.one() * 2
     assert ring.poly("a - a").is_zero()
+    # terms sharing the factors before their last '*', and one long product
+    assert ring.poly("2*a*b - 2*a*c + 2*a*b - c*2") == ring.poly("4*a*b - 2*a*c - 2*c")
+    assert ring.poly("*".join(["a"] * 3000)) == ring.gen("a") ** 3000
 
 
 def test_exponent_vectors_must_be_nonnegative_ints():
@@ -456,6 +473,43 @@ def test_exponent_vectors_must_be_nonnegative_ints():
         with pytest.raises(ValueError, match="bad exponent vector"):
             ring.poly({mon: 1})
     assert ring.poly({(2,): 1}) == ring.gen("x") ** 2
+
+
+def test_exponents_reach_max_exponent_and_no_further():
+    ring = Ring(0, [("x", 2), ("y", 4)])
+    x, y = ring.gen("x"), ring.gen("y")
+    top = ring.poly(f"x^{MAX_EXPONENT}*y^{MAX_EXPONENT}")
+    assert str(top) == f"x^{MAX_EXPONENT}*y^{MAX_EXPONENT}"
+    assert top.degree() == 6 * MAX_EXPONENT
+    assert top == ring.poly({(MAX_EXPONENT, MAX_EXPONENT): 1})
+    assert top == x ** MAX_EXPONENT * y ** MAX_EXPONENT
+    assert top.coefficient((MAX_EXPONENT, MAX_EXPONENT)) == 1
+    assert top.coefficient((MAX_EXPONENT + 1, 0)) == 0
+    assert ring.monomial(str(top)) == (MAX_EXPONENT, MAX_EXPONENT)
+    # graded-lex order at the bound: degree first, then x before y
+    assert str(top + x ** MAX_EXPONENT + y ** 3 + x ** 6) == (
+        f"x^{MAX_EXPONENT}*y^{MAX_EXPONENT} + x^{MAX_EXPONENT} + x^6 + y^3")
+    over = f"exceeds MAX_EXPONENT = {MAX_EXPONENT}"
+    past = [
+        lambda: ring.poly(f"x^{MAX_EXPONENT + 1}"),
+        lambda: ring.poly(f"y^{MAX_EXPONENT + 1}"),
+        lambda: ring.poly({(0, MAX_EXPONENT + 1): 1}),
+        lambda: ring.poly(f"y^{MAX_EXPONENT}*y"),
+        # three factors whose sum would carry into the next field unseen
+        lambda: ring.poly(f"y^{MAX_EXPONENT}*y^{MAX_EXPONENT}*y^2"),
+        lambda: ring.poly(f"x^{MAX_EXPONENT}*x^{MAX_EXPONENT}*x^2"),
+        lambda: top * y,
+        lambda: x ** (MAX_EXPONENT + 1),
+        lambda: y ** (2 ** 64),
+    ]
+    for make in past:
+        with pytest.raises(ValueError, match=over):
+            make()
+    # a rewrite can raise an exponent past the bound too
+    ruled = Ring(0, [("x", 2), ("y", 2)], [("x^2", "y^2")])
+    assert ruled.poly(f"x^2*y^{MAX_EXPONENT - 2}") == ruled.poly(f"y^{MAX_EXPONENT}")
+    with pytest.raises(ValueError, match=over):
+        ruled.poly(f"x^2*y^{MAX_EXPONENT - 1}")
 
 
 def test_monomial_helper():
@@ -534,6 +588,48 @@ def test_transport_rejects_a_target_rule_stronger_than_the_source_rule():
                 transport(source.poly(text), target)
 
 
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(st.data())
+def test_transport_through_tensor_products_agrees_with_tuple_slicing(data):
+    # 1-3 factors of 0-3 generators each, exponents up to the bound
+    factors = [
+        Ring(0, [(f"g{k}_{i}", 2 * data.draw(st.integers(1, 3)))
+                 for i in range(data.draw(st.integers(0, 3)))])
+        for k in range(data.draw(st.integers(1, 3)))
+    ]
+    total = factors[0]
+    for factor in factors[1:]:
+        total = tensor_ring(total, factor)
+    # the same factors in reverse order, so each moves as its own run
+    backwards = factors[-1]
+    for factor in factors[-2::-1]:
+        backwards = tensor_ring(backwards, factor)
+
+    def draw(ring):
+        exps = st.integers(0, MAX_EXPONENT) | st.sampled_from([0, 1, MAX_EXPONENT])
+        mons = st.tuples(*[exps] * len(ring.names))
+        return ring.poly(data.draw(st.dictionaries(mons, st.integers(-9, 9), max_size=4)))
+
+    start = 0
+    for factor in factors:
+        f = draw(factor)
+        before = (0,) * start
+        after = (0,) * (len(total.names) - start - len(factor.names))
+        moved = transport(f, total)
+        assert dict(moved.terms.items()) == {
+            before + mon + after: c for mon, c in f.terms.items()}
+        assert moved.degree() == f.degree()
+        assert transport(moved, factor) == f
+        start += len(factor.names)
+    f = draw(total)
+    order = [total.names.index(name) for name in backwards.names]
+    flipped = transport(f, backwards)
+    assert dict(flipped.terms.items()) == {
+        tuple(mon[i] for i in order): c for mon, c in f.terms.items()}
+    assert flipped.degree() == f.degree()
+    assert transport(flipped, total) == f
+
+
 # ----------------------------------------------------------------------
 # the builders that store their terms unchecked
 
@@ -585,19 +681,23 @@ def test_trusted_builders_return_normal_forms(data):
 # the int representation against a scalar oracle
 
 
-# (characteristic, generators, rules as {generator index: (k, rhs terms)}):
-# a rational rule whose right-hand side has fractions, so the kernel scales
-# by a common denominator 6, and rules over F_5 and F_999983
+# (characteristic, generators, rules as {generator index: (k, rhs terms)},
+# largest exponent drawn): a rational rule whose right-hand side has
+# fractions, so the kernel scales by a common denominator 6, rules over F_5
+# and F_999983, and a free ring whose exponents reach MAX_EXPONENT // 2, so
+# that a carry between the packed fields would show, and a product of three
+# passes the bound
 ORACLE_RINGS = [
     (0, [("x", 2), ("a", 2)],
-     {0: (2, {(1, 1): Fraction(1, 2), (0, 2): Fraction(2, 3)})}),
-    (5, [("u", 2), ("v", 4)], {0: (3, {(1, 1): 2})}),
-    (999983, [("u", 2), ("v", 4)], {1: (2, {(4, 0): 3, (2, 1): 999982})}),
+     {0: (2, {(1, 1): Fraction(1, 2), (0, 2): Fraction(2, 3)})}, 3),
+    (5, [("u", 2), ("v", 4)], {0: (3, {(1, 1): 2})}, 3),
+    (999983, [("u", 2), ("v", 4)], {1: (2, {(4, 0): 3, (2, 1): 999982})}, 3),
+    (0, [("x", 2), ("y", 4), ("z", 2)], {}, MAX_EXPONENT // 2),
 ]
 
 
 def oracle_ring(spec):
-    p, gens, rules = spec
+    p, gens, rules, _ = spec
     return Ring(p, gens, [((gens[i][0], k), rhs) for i, (k, rhs) in rules.items()])
 
 
@@ -620,7 +720,7 @@ def oracle_reduce(spec, pairs, pick=min):
     """Sum (monomial, scalar) pairs, then rewrite one term at a time until
     none is reducible.  ``pick`` chooses the term from the reducible ones,
     then the rule from those that apply to it."""
-    p, _, rules = spec
+    p, _, rules, _ = spec
     terms = {}
     for mon, c in pairs:
         oracle_add(p, terms, mon, oracle_scalar(p, c))
@@ -652,6 +752,26 @@ def oracle_mul(spec, f, g):
     ])
 
 
+TOO_BIG = "an exponent exceeds MAX_EXPONENT"
+
+
+def outcome(compute):
+    """The oracle terms of ``compute()``, or TOO_BIG when it raises for an
+    exponent past the bound."""
+    try:
+        return oracle_terms(compute())
+    except ValueError as exc:
+        assert str(exc) == f"{TOO_BIG} = {MAX_EXPONENT}"
+        return TOO_BIG
+
+
+def bounded(terms):
+    """Oracle terms, or TOO_BIG when an exponent passes the bound: in these
+    free rings and rings with small exponents, the top exponent of each
+    generator in a product is the sum of those of its factors."""
+    return TOO_BIG if any(e > MAX_EXPONENT for mon in terms for e in mon) else terms
+
+
 def oracle_scalars(p):
     if p == 0:
         return st.one_of(
@@ -666,9 +786,10 @@ def oracle_scalars(p):
 @given(st.data())
 def test_int_coefficients_agree_with_a_scalar_oracle(data):
     spec = data.draw(st.sampled_from(ORACLE_RINGS))
-    p = spec[0]
+    p, top = spec[0], spec[3]
     ring = oracle_ring(spec)
-    mons = st.tuples(*[st.integers(0, 3)] * len(ring.names))
+    # the largest exponent often, so that sums of two reach 2 * top
+    mons = st.tuples(*[st.integers(0, top) | st.just(top)] * len(ring.names))
     raws = [
         data.draw(st.lists(st.tuples(mons, oracle_scalars(p)), max_size=4))
         for _ in range(3)
@@ -687,14 +808,15 @@ def test_int_coefficients_agree_with_a_scalar_oracle(data):
     assert oracle_terms(f * s) == scaled
     if not isinstance(s, PrimeScalar):  # PrimeScalar.__mul__ rejects a polynomial
         assert oracle_terms(s * f) == scaled
-    assert oracle_terms(f * g) == oracle_mul(spec, rf, rg)
-    assert oracle_terms(f ** 3) == oracle_mul(spec, oracle_mul(spec, rf, rf), rf)
+    assert outcome(lambda: f * g) == bounded(oracle_mul(spec, rf, rg))
+    assert outcome(lambda: f ** 3) == bounded(
+        oracle_mul(spec, oracle_mul(spec, rf, rf), rf))
 
     assert f + g == g + f
-    assert f * g == g * f
+    assert outcome(lambda: f * g) == outcome(lambda: g * f)
     assert (f + g) + h == f + (g + h)
-    assert (f * g) * h == f * (g * h)
-    assert f * (g + h) == f * g + f * h
+    assert outcome(lambda: (f * g) * h) == outcome(lambda: f * (g * h))
+    assert outcome(lambda: f * (g + h)) == outcome(lambda: f * g + f * h)
 
     # any rewrite order, rounds or one term at a time, lands on one form
     raw = dict([*raws[0], *raws[1]])

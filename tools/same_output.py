@@ -16,11 +16,18 @@ these rings have rule denominators other than 1), ``kappa --class
 "w1^4 + w2^2 + w1*w3"`` on a characteristic 2 product bundle whose fibre
 ring has a relation with a nonzero right-hand side and a generator with no
 relation (text; every catalog ring in characteristic 2 has only
-``x^k -> 0`` rules), the input errors of the subcommands that import
-their modules when they run (``genus --max-weight 13``, ``section5 --R
-1/0`` and ``--R x``, ``signature`` of RP^2 over F_2, which
-``evaluate_genus`` rejects, and ``bso --dimension 100001``) and ``--help``
-at the top level and for each subcommand, each distinct call once.  Each
+``x^k -> 0`` rules), ``kappa`` of a mixed class on a characteristic 2
+product bundle whose fibre has three factors, RP^2 x RP^6 x RP^6, ``bso
+--dimension 100000`` (50001 generators, the largest ring the CLI builds),
+``signature`` of a free ring whose ``total_p`` has an exponent at
+``rings.MAX_EXPONENT`` and of one with an exponent just past it, the
+input errors of the subcommands that import their modules when they run
+(``genus --max-weight 13``, ``section5 --R 1/0`` and ``--R x``,
+``signature`` of RP^2 over F_2, which ``evaluate_genus`` rejects, and
+``bso --dimension 100001``) and ``--help`` at the top level and for each
+subcommand, each distinct call once.  The call past the exponent bound
+exits 2 since that bound exists and prints a signature in a tree before
+it: it is the one intended difference against such a tree.  Each
 runs as one ``python -m charclasses`` process with ``PYTHONPATH=<tree>/src``
 and its document on stdin, one call at a time, first in PARENT_TREE and
 then in CHANGE_TREE.  Exit code, stdout bytes and
@@ -88,6 +95,26 @@ MOD2_RULES_BUNDLE = {
 }
 MOD2_RULES_CLASS = "w1^4 + w2^2 + w1*w3"
 
+# A characteristic 2 fibre of three factors, and a class mixing its w_i.
+MOD2_THREE_FACTORS = {
+    "kind": "product",
+    "base": workloads.rp_product_doc((6,), ["b"]),
+    "fibre": workloads.rp_product_doc((2, 6, 6), ["a0", "a1", "a2"]),
+}
+MOD2_THREE_FACTORS_CLASS = "w1^3*w11 + w7^2 + w2*w12"
+
+MAX_EXPONENT = 2 ** 20 - 1  # rings.MAX_EXPONENT
+
+
+def free_space(exponent: int) -> dict:
+    """Q[y], |y| = 4, of dimension 4, with a term y^exponent in total_p."""
+    return {
+        "characteristic": 0,
+        "ring": {"generators": [{"name": "y", "degree": 4}], "relations": []},
+        "dimension": 4, "fundamental": "y", "euler": "0",
+        "total_p": f"1 + y + y^{exponent}",
+    }
+
 # Each exits 2 with one error line.
 INPUT_ERRORS = (
     Op("genus max-weight 13", ("genus", "--max-weight", "13")),
@@ -118,6 +145,12 @@ def calls() -> list[Op]:
                       ("signature", "-") + workloads._fmt_args(fmt),
                       stdin=workloads._encode(FRACTIONAL_SPACE)))
     ops.append(workloads.kappa_op("mod 2 rules", MOD2_RULES_BUNDLE, MOD2_RULES_CLASS, "text"))
+    ops.append(workloads.kappa_op("mod 2 three factors", MOD2_THREE_FACTORS,
+                                  MOD2_THREE_FACTORS_CLASS, "text"))
+    ops.append(Op("bso dimension 100000", ("bso", "--dimension", "100000")))
+    for exponent in (MAX_EXPONENT, MAX_EXPONENT + 1):
+        ops.append(Op(f"signature free y^{exponent}", ("signature", "-"),
+                      stdin=workloads._encode(free_space(exponent))))
     ops += INPUT_ERRORS
     for sub in ("", "genus", "signature", "kappa", "bso", "section5", "verify"):
         args = (sub, "--help") if sub else ("--help",)
