@@ -26,8 +26,9 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
+from . import spaces  # chern_to_pontryagin is looked up there at each call
 from .rings import _NAME_RE, GradedPoly, Monomial, Ring, tensor_ring, transport
-from .spaces import SpaceModel, _FrozenRecord, chern_to_pontryagin
+from .spaces import SpaceModel, _FrozenRecord
 
 __all__ = [
     "BundleModel",
@@ -165,7 +166,7 @@ def projectivize(
         fibre_dimension=fibre_dim,
         fibre_fundamental=(k - 1,),
         vertical_euler=vertical_chern.graded_component(fibre_dim),
-        vertical_total_p=chern_to_pontryagin(vertical_chern),
+        vertical_total_p=spaces.chern_to_pontryagin(vertical_chern),
     )
 
 

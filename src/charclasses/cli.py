@@ -16,35 +16,28 @@ Each subcommand handler ``_cmd_*`` computes and returns
 ``--format json`` and ``text`` the text-format output.  Handlers never
 read ``--format`` or write stdout.  ``main`` alone picks one of the two,
 writes it with a final newline after the handler has returned, and turns
-an input error (``_InputError`` or ``DocumentError``) into one
-``error: ...`` line on stderr, exit 2 and an empty stdout.
+an ``_InputError`` into one ``error: ...`` line on stderr, exit 2 and an
+empty stdout.
 
-Every subcommand runs in its own process, so a handler imports what only
-it uses when it runs.  Because ``main`` catches ``DocumentError``, this
-module imports ``documents`` at load time, and with it ``bundles``,
-``rings``, ``scalars`` and ``spaces``; ``kappa`` and ``bso`` need no more.
-``genus`` and ``signature`` add ``genus``, ``section5`` adds
-``counterexample`` (and ``genus``), and ``verify`` adds ``checks``, which
-brings ``counterexample``, ``genus`` and ``symfun``.  A handler imports
-nothing before it has checked its own options.
+Every subcommand runs in its own process, so this module imports only
+``argparse`` and ``sys`` at load, and each handler imports what it runs
+after it has checked its own options: ``--help`` and a usage error load no
+other package module.  ``_decode`` reads and decodes a document for
+``signature`` and ``kappa``: it imports ``json`` (in ``_read_document``)
+and ``documents``, and turns a ``DocumentError`` into an ``_InputError``
+with the same message, so ``main`` catches ``_InputError`` only and
+imports ``json`` only for ``--format json``.  ``genus`` loads ``genus``
+(with ``rings`` and ``scalars``); ``signature`` adds ``documents`` and
+``spaces``; ``kappa`` and ``bso`` load ``documents``, ``rings``,
+``scalars`` and ``spaces``, and ``kappa`` adds ``bundles``; ``section5``
+loads ``counterexample``, which brings ``genus`` and ``spaces``;
+``verify`` loads ``checks``, which brings every other module.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from typing import Any
-
-from .bundles import kappa
-from .documents import (
-    DocumentError,
-    bundle_from_document,
-    ring_to_document,
-    space_from_document,
-)
-from .scalars import format_rational, parse_rational
-from .spaces import bso_presentation
 
 __all__ = ["main"]
 
@@ -60,7 +53,7 @@ class _InputError(Exception):
     """User input could not be used; maps to exit code 2."""
 
 
-def _read_document(path: str) -> Any:
+def _read_document(path: str) -> object:
     try:
         if path == "-":
             raw = sys.stdin.read(MAX_DOCUMENT_CHARS + 1)
@@ -74,6 +67,8 @@ def _read_document(path: str) -> Any:
             f"cannot read {path!r}: document exceeds "
             f"{MAX_DOCUMENT_CHARS} characters"
         )
+    import json
+
     try:
         return json.loads(raw)
     except (ValueError, RecursionError) as exc:
@@ -82,7 +77,23 @@ def _read_document(path: str) -> Any:
         raise _InputError(f"invalid JSON in {path!r}: {exc}") from exc
 
 
-Result = tuple[int, Any, str]  # (exit code, json payload, text)
+def _decode(path: str, decoder: str) -> object:
+    """The document at ``path`` decoded by ``documents.<decoder>``."""
+    # Two orders keep the peak RSS of a kappa process down.  The modules
+    # load before the document is read: loaded after it, they cost about
+    # 0.1 MiB more.  The text (1.1 MB for the largest kappa-mod2 document)
+    # is freed on return from _read_document, before the decoder builds
+    # the model: kept alive, it costs about 1 MiB more.
+    from . import documents
+
+    doc = _read_document(path)
+    try:
+        return getattr(documents, decoder)(doc)
+    except documents.DocumentError as exc:
+        raise _InputError(str(exc)) from exc
+
+
+Result = tuple[int, object, str]  # (exit code, json payload, text)
 
 
 def _cmd_genus(args: argparse.Namespace) -> Result:
@@ -106,8 +117,9 @@ def _cmd_genus(args: argparse.Namespace) -> Result:
 
 
 def _cmd_signature(args: argparse.Namespace) -> Result:
-    space = space_from_document(_read_document(args.document))
+    space = _decode(args.document, "space_from_document")
     from .genus import evaluate_genus, l_sequence
+    from .scalars import format_rational
 
     try:
         value = evaluate_genus(space, l_sequence())
@@ -117,7 +129,9 @@ def _cmd_signature(args: argparse.Namespace) -> Result:
 
 
 def _cmd_kappa(args: argparse.Namespace) -> Result:
-    bundle = bundle_from_document(_read_document(args.bundle))
+    bundle = _decode(args.bundle, "bundle_from_document")
+    from .bundles import kappa
+
     try:
         value = str(kappa(bundle, args.cls))
     except ValueError as exc:
@@ -130,6 +144,9 @@ def _cmd_bso(args: argparse.Namespace) -> Result:
         raise _InputError(
             f"--dimension must be at most {MAX_BSO_DIMENSION}, got {args.dimension}"
         )
+    from .documents import ring_to_document
+    from .spaces import bso_presentation
+
     try:
         ring = bso_presentation(
             args.dimension,
@@ -137,7 +154,7 @@ def _cmd_bso(args: argparse.Namespace) -> Result:
             euler_relation=args.assume_euler_relation,
         )
     except ValueError as exc:
-        raise _InputError(str(exc)) from exc
+        raise _InputError(f"--dimension: {exc}") from exc
     doc = ring_to_document(ring)
     lines = [f"characteristic {args.characteristic}"]
     lines.extend(
@@ -148,6 +165,8 @@ def _cmd_bso(args: argparse.Namespace) -> Result:
 
 
 def _cmd_section5(args: argparse.Namespace) -> Result:
+    from .scalars import parse_rational
+
     try:
         r_value = parse_rational(args.R)
     except (ValueError, ZeroDivisionError) as exc:
@@ -286,10 +305,12 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         code, payload, text = args.handler(args)
-    except (_InputError, DocumentError) as exc:
+    except _InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.format == "json":
+        import json
+
         text = json.dumps(payload, indent=2)
     sys.stdout.write(text + "\n")
     return code

@@ -33,18 +33,21 @@ it as a :class:`DocumentError` at ``path``.  Each such block wraps library
 calls on one field and no decoder code, so an error keeps the path of the
 field it was found in.  Checks that need no rewriting run first: a space's
 fundamental is checked against its dimension before its classes are
-parsed.
+parsed.  Only ``bundle_from_document`` imports :mod:`charclasses.bundles`,
+so decoding a space or a ring never loads it.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Any, Iterator, Mapping
+from typing import TYPE_CHECKING, Any, Iterator, Mapping
 
-from .bundles import BundleModel, product_bundle, projectivize
 from .rings import GradedPoly, Ring, validate_name
 from .scalars import validate_modulus
 from .spaces import SpaceModel, check_fundamental
+
+if TYPE_CHECKING:
+    from .bundles import BundleModel
 
 __all__ = [
     "DocumentError",
@@ -200,12 +203,14 @@ def space_to_document(space: SpaceModel) -> dict:
 
 def bundle_from_document(doc: Mapping[str, Any], path: str = "") -> BundleModel:
     """Build a BundleModel from its JSON document."""
+    from . import bundles  # its builders are looked up there at each call
+
     kind = _str_field(doc, "kind", path)
     if kind == "product":
         base = space_from_document(_field(doc, "base", path), f"{path}/base")
         fibre = space_from_document(_field(doc, "fibre", path), f"{path}/fibre")
         with _at(path):
-            return product_bundle(base, fibre)
+            return bundles.product_bundle(base, fibre)
     if kind == "projectivization":
         base_doc = _field(doc, "base", path)
         base_path = f"{path}/base"
@@ -230,7 +235,7 @@ def bundle_from_document(doc: Mapping[str, Any], path: str = "") -> BundleModel:
         with _at(f"{path}/twist"):
             validate_name(twist)
         with _at(path):
-            return projectivize(base, classes, twist=twist)
+            return bundles.projectivize(base, classes, twist=twist)
     raise DocumentError(
         f"{path}/kind", f"unknown bundle kind {kind!r}; "
         "expected 'product' or 'projectivization'"

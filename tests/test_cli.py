@@ -532,10 +532,12 @@ def test_bso_characteristic_two_json(capsys):
 
 
 def test_bso_rejects_bad_dimension(capsys):
-    code, out, err = run_cli(capsys, "bso", "--dimension", "0")
-    assert code == 2
-    assert_one_error_line(out, err)
-    assert "dimension" in err
+    for dimension in ("0", "-3"):
+        code, out, err = run_cli(capsys, "bso", "--dimension", dimension)
+        assert code == 2
+        assert_one_error_line(out, err)
+        assert "dimension" in err
+        assert err == "error: --dimension: fibre dimension must be positive\n"
 
 
 def test_bso_rejects_a_dimension_past_the_bound(capsys):
@@ -662,22 +664,54 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect(tmp_path):
         "              'charclasses.symfun', 'charclasses.counterexample',\n"
         "              'charclasses.genus'} & (set(sys.modules) - before)))\n"
     )
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
-        env=env,
+        env=package_env(),
     )
     assert done.stdout == "[]\n[]\n"
     # a kappa process, run as the benchmark runs it, never imports genus
     path = write_json(tmp_path, "proj.json", projectivization_doc())
-    done = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "charclasses", "kappa",
-         "--bundle", path, "--class", "e^3"],
-        capture_output=True, text=True, check=True, env=env,
-    )
-    assert done.stdout == "kappa(e^3) = 2*c1^2 - 8*c2\n"
-    imported = {line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()}
+    out, imported = run_importtime("kappa", "--bundle", path, "--class", "e^3")
+    assert out == "kappa(e^3) = 2*c1^2 - 8*c2\n"
     assert "charclasses.bundles" in imported
     assert "charclasses.genus" not in imported
+
+
+def package_env():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def run_importtime(*argv):
+    """stdout of ``python -m charclasses *argv`` and the modules it imported."""
+    done = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "charclasses", *argv],
+        capture_output=True, text=True, check=True, env=package_env(),
+    )
+    imported = {line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()}
+    return done.stdout, imported
+
+
+def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path):
+    # cli imports no package module at load; each handler imports what it
+    # runs, and documents imports bundles only to decode a bundle
+    out, imported = run_importtime("--help")
+    assert "verify" in out
+    package = {name for name in imported if name.startswith("charclasses.")}
+    assert package <= {"charclasses.cli", "charclasses.__main__"}
+    assert not {"json", "fractions"} & imported
+    out, imported = run_importtime("genus", "--max-weight", "3")
+    assert out.startswith("K1 = 1/3*p1\n")
+    assert "charclasses.genus" in imported
+    assert not {"charclasses.documents", "charclasses.bundles",
+                "charclasses.spaces"} & imported
+    out, imported = run_importtime("section5")
+    assert out.startswith("R = 1\n")
+    assert "charclasses.counterexample" in imported
+    assert not {"charclasses.documents", "charclasses.bundles"} & imported
+    path = write_json(tmp_path, "hp2.json", space_to_document(hp(2)))
+    out, imported = run_importtime("signature", path)
+    assert out == "signature = 1\n"
+    assert "charclasses.documents" in imported
+    assert "charclasses.bundles" not in imported

@@ -55,8 +55,9 @@ def test_tracer_hooks_read_the_package(monkeypatch):
 
 
 # Installs the tracer after importing argv[2] ("cli": only charclasses.cli;
-# "all": every submodule too), runs section5 and verify in-process, and
-# prints the span tree as path -> calls with the counters.
+# "all": every submodule too), runs section5, verify, kappa on the bundle
+# document argv[3] and signature on the space document argv[4] in-process,
+# and prints the span tree as path -> calls with the counters.
 _SPAN_TREE = """
 import contextlib, importlib, importlib.util, io, json, pkgutil, sys
 spec = importlib.util.spec_from_file_location("perfbench_tracer", sys.argv[1])
@@ -72,7 +73,9 @@ t = tracer.Tracer()
 restore = tracer.install(t)
 try:
     with contextlib.redirect_stdout(io.StringIO()):
-        codes = [cli.main(["section5"]), cli.main(["verify"])]
+        codes = [cli.main(["section5"]), cli.main(["verify"]),
+                 cli.main(["kappa", "--bundle", sys.argv[3], "--class", "e^3 + p1"]),
+                 cli.main(["signature", sys.argv[4]])]
 finally:
     tracer.uninstall(restore)
 paths, calls = [], {}
@@ -83,7 +86,24 @@ print(json.dumps({"codes": codes, "calls": calls, "counts": t.counts}))
 """
 
 
-def test_the_span_tree_does_not_depend_on_what_was_imported_first():
+# The projectivization of a rank-3 bundle over free Q[c1, c2, c3], and HP^2.
+_BUNDLE = {
+    "kind": "projectivization",
+    "base": {"characteristic": 0, "ring": {"generators": [
+        {"name": "c1", "degree": 2}, {"name": "c2", "degree": 4},
+        {"name": "c3", "degree": 6}]}},
+    "chern": ["c1", "c2", "c3"],
+}
+_SPACE = {
+    "characteristic": 0,
+    "ring": {"generators": [{"name": "y", "degree": 4}],
+             "relations": [{"lhs": "y^3", "rhs": "0"}]},
+    "dimension": 8, "fundamental": "y^2", "total_p": "1 + 2*y + 7*y^2",
+    "euler": "3*y^2",
+}
+
+
+def test_the_span_tree_does_not_depend_on_what_was_imported_first(tmp_path):
     # tracer.install patches the from-imported bindings only in modules
     # loaded before it runs; a module the CLI loads later must reach every
     # traced function through its owner's namespace, or its calls go
@@ -91,13 +111,20 @@ def test_the_span_tree_does_not_depend_on_what_was_imported_first():
     src = str(Path(charclasses.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
+    documents = []
+    for name, doc in (("bundle.json", _BUNDLE), ("space.json", _SPACE)):
+        (tmp_path / name).write_text(json.dumps(doc), encoding="utf-8")
+        documents.append(str(tmp_path / name))
     trees = [
         json.loads(subprocess.run(
-            [sys.executable, "-c", _SPAN_TREE, str(TRACER), first],
+            [sys.executable, "-c", _SPAN_TREE, str(TRACER), first, *documents],
             capture_output=True, text=True, check=True, env=env,
         ).stdout)
         for first in ("cli", "all")
     ]
-    assert trees[0]["codes"] == [0, 0]
+    assert trees[0]["codes"] == [0, 0, 0, 0]
     assert "cli.main/counterexample.run/spaces.hp" in trees[0]["calls"]
+    assert ("cli.main/documents.decode/bundles.build/spaces.chern_to_pontryagin"
+            in trees[0]["calls"])
+    assert "cli.main/genus.evaluate_genus" in trees[0]["calls"]
     assert trees[0] == trees[1]

@@ -24,14 +24,19 @@ product bundle whose fibre has three factors, RP^2 x RP^6 x RP^6, ``bso
 input errors of the subcommands that import their modules when they run
 (``genus --max-weight 13``, ``section5 --R 1/0`` and ``--R x``,
 ``signature`` of RP^2 over F_2, which ``evaluate_genus`` rejects, and
-``bso --dimension 100001``) and ``--help`` at the top level and for each
-subcommand, each distinct call once.  The call past the exponent bound
-exits 2 since that bound exists and prints a signature in a tree before
-it: it is the one intended difference against such a tree.  Each
-runs as one ``python -m charclasses`` process with ``PYTHONPATH=<tree>/src``
-and its document on stdin, one call at a time, first in PARENT_TREE and
-then in CHANGE_TREE.  Exit code, stdout bytes and
-stderr bytes must be equal.  Prints the number of calls; exits 1 and names
+``bso --dimension 100001`` and ``0``), the input errors of the document
+path (invalid JSON on stdin for ``signature`` and ``kappa``, a document
+error in a space, in a bundle and in a bundle's base, and an unknown
+generator in ``kappa --class``), the bare ``python -m charclasses`` usage
+error, and ``--help`` at the top level and for each subcommand, each
+distinct call once.  The call past the exponent bound exits 2 since that
+bound exists and prints a signature in a tree before it, and ``bso
+--dimension 0`` names ``--dimension`` in its error since the change that
+made ``cli`` load no package module at import: against trees before those
+changes, they are the intended differences.  Each runs as one ``python -m
+charclasses`` process with ``PYTHONPATH=<tree>/src`` and its document on
+stdin, one call at a time, first in PARENT_TREE and then in CHANGE_TREE.
+Exit code, stdout bytes and stderr bytes must be equal.  Prints the number of calls; exits 1 and names
 each call that differs.  The ops come from this checkout's
 ``perfbench/``, which is only read.  Standard library only.
 """
@@ -115,6 +120,22 @@ def free_space(exponent: int) -> dict:
         "total_p": f"1 + y + y^{exponent}",
     }
 
+# A projectivization over free Q[c1, c2], and HP^2 with a fundamental
+# monomial of the wrong degree.
+PROJECTIVIZATION = {
+    "kind": "projectivization",
+    "base": {"characteristic": 0, "ring": {"generators": [
+        {"name": "c1", "degree": 2}, {"name": "c2", "degree": 4}]}},
+    "chern": ["c1", "c2"],
+}
+BAD_FUNDAMENTAL = {
+    "characteristic": 0,
+    "ring": {"generators": [{"name": "y", "degree": 4}],
+             "relations": [{"lhs": "y^3", "rhs": "0"}]},
+    "dimension": 8, "fundamental": "y", "total_p": "1 + 2*y + 7*y^2",
+    "euler": "3*y^2",
+}
+
 # Each exits 2 with one error line.
 INPUT_ERRORS = (
     Op("genus max-weight 13", ("genus", "--max-weight", "13")),
@@ -123,6 +144,20 @@ INPUT_ERRORS = (
     Op("signature characteristic 2", ("signature", "-"),
        stdin=workloads._encode(workloads.rp_product_doc((2,), ["a"]))),
     Op("bso dimension 100001", ("bso", "--dimension", "100001")),
+    Op("bso dimension 0", ("bso", "--dimension", "0")),
+    Op("signature invalid JSON", ("signature", "-"), stdin=b'{"ring": '),
+    Op("kappa invalid JSON", ("kappa", "--bundle", "-", "--class", "e"), stdin=b"[1,]"),
+    Op("signature missing ring", ("signature", "-"),
+       stdin=workloads._encode({"characteristic": 0})),
+    Op("kappa empty chern", ("kappa", "--bundle", "-", "--class", "e"),
+       stdin=workloads._encode(dict(PROJECTIVIZATION, chern=[]))),
+    Op("kappa bad base fundamental", ("kappa", "--bundle", "-", "--class", "e"),
+       stdin=workloads._encode({"kind": "product", "base": BAD_FUNDAMENTAL,
+                                "fibre": workloads.space_doc(
+                                    [workloads.Factor("cp", 2)], ["h"])})),
+    Op("kappa bad class", ("kappa", "--bundle", "-", "--class", "q1"),
+       stdin=workloads._encode(PROJECTIVIZATION)),
+    Op("no subcommand", ()),
 )
 
 
