@@ -34,7 +34,9 @@ calls on one field and no decoder code, so an error keeps the path of the
 field it was found in.  Checks that need no rewriting run first: a space's
 fundamental is checked against its dimension before its classes are
 parsed.  Only ``bundle_from_document`` imports :mod:`charclasses.bundles`,
-so decoding a space or a ring never loads it.
+so decoding a space or a ring never loads it.  The encoder
+``ring_to_document`` is defined in :mod:`charclasses.spaces` and exported
+here too.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from typing import TYPE_CHECKING, Any, Iterator, Mapping
 
 from .rings import GradedPoly, Ring, validate_name
 from .scalars import validate_modulus
-from .spaces import SpaceModel, check_fundamental
+from .spaces import SpaceModel, check_fundamental, ring_to_document
 
 if TYPE_CHECKING:
     from .bundles import BundleModel
@@ -131,24 +133,6 @@ def ring_from_document(
                       _str_field(rel_doc, "rhs", rel_path)))
     with _at(path):
         return Ring(characteristic, generators, rules)
-
-
-def ring_to_document(ring: Ring) -> dict:
-    """The {"generators", "relations"} document of a ring."""
-    relations = []
-    for idx in sorted(ring.rules):
-        power, rhs = ring.rules[idx]
-        rhs_poly = GradedPoly(ring, rhs)
-        relations.append(
-            {"lhs": f"{ring.names[idx]}^{power}", "rhs": str(rhs_poly)}
-        )
-    return {
-        "generators": [
-            {"name": name, "degree": degree}
-            for name, degree in zip(ring.names, ring.degrees)
-        ],
-        "relations": relations,
-    }
 
 
 def _ring_field(doc: Mapping[str, Any], path: str) -> Ring:

@@ -16,7 +16,9 @@ classifying space: for fibre dimension 2m over the rationals the generators
 are e, p_1..p_m with the single relation e^2 = p_m (the Euler-class
 relation; it can be switched off when modeling non-smooth data), for
 dimension 2m+1 just p_1..p_m, and in characteristic 2 the generators are
-w_2..w_d with no relations.
+w_2..w_d with no relations.  ``ring_to_document`` writes a ring as the
+{"generators", "relations"} document that :mod:`charclasses.documents`
+reads; it lives here so that printing a presentation loads no decoder.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ __all__ = [
     "integrate",
     "point",
     "product_space",
+    "ring_to_document",
     "sphere",
 ]
 
@@ -279,3 +282,21 @@ def bso_presentation(
         return Ring(0, p_gens)
     rules = [(("e", 2), f"p{m}")] if euler_relation else []
     return Ring(0, [("e", 2 * m)] + p_gens, rules)
+
+
+def ring_to_document(ring: Ring) -> dict:
+    """The {"generators", "relations"} document of a ring."""
+    relations = []
+    for idx in sorted(ring.rules):
+        power, rhs = ring.rules[idx]
+        rhs_poly = GradedPoly(ring, rhs)
+        relations.append(
+            {"lhs": f"{ring.names[idx]}^{power}", "rhs": str(rhs_poly)}
+        )
+    return {
+        "generators": [
+            {"name": name, "degree": degree}
+            for name, degree in zip(ring.names, ring.degrees)
+        ],
+        "relations": relations,
+    }

@@ -1,6 +1,8 @@
 """Command-line surface: subcommands, formats, exit codes, determinism."""
 
+import gc
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -242,6 +244,26 @@ def test_document_past_the_size_bound_in_a_file(capsys, monkeypatch, tmp_path):
     assert err == f"error: cannot read {path!r}: document exceeds {size - 1} characters\n"
 
 
+def assert_too_large_to_print(out, err):
+    assert_one_error_line(out, err)
+    assert err == (
+        "error: the result is too large to print: it has an integer of more than "
+        f"{sys.get_int_max_str_digits()} digits\n"
+    )
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_signature_too_large_to_print_is_an_input_error(capsys, tmp_path, fmt):
+    # a 3000-digit p1 squares into a signature of about 6000 digits, past
+    # CPython's int-to-str limit, which the CLI keeps
+    doc = space_to_document(hp(2))
+    doc["total_p"] = "1 + " + "9" * 3000 + "*y + 7*y^2"
+    path = write_json(tmp_path, "hp2.json", doc)
+    code, out, err = run_cli(capsys, "signature", path, "--format", fmt)
+    assert code == 2
+    assert_too_large_to_print(out, err)
+
+
 def char_p_document(characteristic):
     return {
         "characteristic": characteristic,
@@ -463,6 +485,17 @@ def test_kappa_rejects_twist_names_the_parser_cannot_read(capsys, tmp_path):
     assert err.startswith("error: /twist: bad generator name 't t'")
 
 
+def test_kappa_too_large_to_print_is_an_input_error(capsys, tmp_path):
+    # kappa(e^3) = 2*c1^2 - 8*c2 squares the 3000-digit coefficient of c1;
+    # the class parsed, so the error does not name --class
+    doc = projectivization_doc()
+    doc["chern"] = ["9" * 3000 + "*c1", "c2"]
+    path = write_json(tmp_path, "proj.json", doc)
+    code, out, err = run_cli(capsys, "kappa", "--bundle", path, "--class", "e^3")
+    assert code == 2
+    assert_too_large_to_print(out, err)
+
+
 def test_kappa_bad_document(capsys, tmp_path):
     path = write_json(tmp_path, "bad.json", {"kind": "mystery"})
     code, out, err = run_cli(capsys, "kappa", "--bundle", path, "--class", "e")
@@ -590,6 +623,27 @@ def test_section5_rejects_decimal_perturbation(capsys):
     assert "--R" in err
 
 
+def test_section5_bounds_the_digits_of_the_perturbation(capsys):
+    # the report prints R times constants of up to six digits, so R of
+    # 4295 to 4300 digits would parse and then fail to print
+    limit = cli.MAX_R_DIGITS
+    assert 1000 <= limit <= 4300 - 6  # benchmark R values; CPython's default
+    for fmt in ("text", "json"):
+        code, out, err = run_cli(capsys, "section5", f"--R={'9' * limit}",
+                                 "--format", fmt)
+        assert (code, err) == (0, "")
+    assert json.loads(out)["R"] == "9" * limit + "/1"
+    for r_text in ("9" * (limit + 1), "9" * 4295, "9" * 4300,
+                   f"1/{'9' * (limit + 1)}", f"-{'9' * 4300}/7"):
+        code, out, err = run_cli(capsys, "section5", f"--R={r_text}")
+        assert code == 2
+        assert_one_error_line(out, err)
+        assert err == (
+            f"error: --R: numerator and denominator must have at most {limit} "
+            "digits each\n"
+        )
+
+
 # ----------------------------------------------------------------------
 # verify
 
@@ -677,16 +731,133 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect(tmp_path):
     assert "charclasses.genus" not in imported
 
 
+def launch(module, *argv):
+    """``python -m <module> *argv`` as a process, with its bytes captured.
+
+    Its stdout is a pipe and, with ``PYTHONUNBUFFERED`` unset, block
+    buffered: ``os._exit`` skips the interpreter's own flush, so output
+    that ``run()`` failed to flush would be lost.
+    """
+    env = package_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run([sys.executable, "-m", module, *argv],
+                          capture_output=True, env=env)
+
+
+@pytest.mark.parametrize("module", ["charclasses", "charclasses.cli"])
+def test_each_launcher_exits_with_the_code_main_returns(module):
+    done = launch(module, "genus", "--max-weight", "2")
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout == b"K1 = 1/3*p1\nK2 = 7/45*p2 - 1/45*p1^2\n"
+    done = launch(module, "genus", "--max-weight", "13")
+    assert (done.returncode, done.stdout) == (2, b"")
+    assert done.stderr == b"error: --max-weight must lie in 1..12, got 13\n"
+    done = launch(module)
+    assert (done.returncode, done.stdout) == (2, b"")
+    assert done.stderr.endswith(
+        b"error: the following arguments are required: subcommand\n")
+
+
+def test_importing_the_main_module_runs_nothing():
+    # run() ends the process it runs in, so only ``-m`` may call it
+    done = subprocess.run(
+        [sys.executable, "-c", "import charclasses.__main__; print('alive')"],
+        capture_output=True, env=package_env(),
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, b"alive\n", b"")
+
+
+def test_the_launcher_delivers_the_largest_output_whole(capsys):
+    done = launch("charclasses", "bso", "--dimension", "100000")
+    assert (done.returncode, done.stderr) == (0, b"")
+    code, out, _ = run_cli(capsys, "bso", "--dimension", "100000")
+    assert code == 0
+    assert len(done.stdout) == 1_511_186
+    assert done.stdout == out.encode()
+
+
+def garbage_left_by(capsys, *argv):
+    """What ``gc.collect()`` finds after an in-process run with gc off."""
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        code = main(list(argv))
+        found = gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+    capsys.readouterr()
+    assert code == 0
+    return found
+
+
+def free_abc_doc(dimension):
+    """Free Q[a,b,c] in degrees 4, 8, 12 with total_p 1 + a + b + c."""
+    return {
+        "characteristic": 0,
+        "ring": {"generators": [{"name": "a", "degree": 4},
+                                {"name": "b", "degree": 8},
+                                {"name": "c", "degree": 12}], "relations": []},
+        "dimension": dimension, "fundamental": f"a^{dimension // 4}",
+        "total_p": "1 + a + b + c", "euler": "0",
+    }
+
+
+def rp_product_doc(ns, names):
+    """The product of RP^n over F_2, n = 2^j - 2, so w is every monomial."""
+    top = "*".join(f"{name}^{n}" for name, n in zip(names, ns))
+    return {
+        "characteristic": 2,
+        "ring": {"generators": [{"name": name, "degree": 1} for name in names],
+                 "relations": [{"lhs": f"{name}^{n + 1}", "rhs": "0"}
+                               for name, n in zip(names, ns)]},
+        "dimension": sum(ns), "fundamental": top, "total_p": "1", "euler": top,
+        "total_w": " + ".join(
+            "*".join(f"{name}^{k}" for name, k in zip(names, exps) if k) or "1"
+            for exps in itertools.product(*(range(n + 1) for n in ns))),
+    }
+
+
+def test_the_garbage_a_run_leaves_does_not_grow_with_its_work(capsys, tmp_path):
+    # run() keeps the collector off for the whole process, which is safe
+    # only while the cyclic garbage is bounded by the input, not the work:
+    # the argument parser, and a small cycle per rule of each ring built
+    # (a rule's right-hand side refers back to its ring), so the kappa
+    # fibres compared have the same generators and rules
+    small = write_json(tmp_path, "small.json", free_abc_doc(40))
+    large = write_json(tmp_path, "large.json", free_abc_doc(160))
+    garbage_left_by(capsys, "signature", small)  # imports what it runs
+    assert (garbage_left_by(capsys, "signature", large)
+            <= garbage_left_by(capsys, "signature", small))
+    names = ["a0", "a1", "a2", "a3"]
+    small = write_json(tmp_path, "small.json", {
+        "kind": "product", "base": rp_product_doc((2,), ["b"]),
+        "fibre": rp_product_doc((2,) * 4, names)})
+    large = write_json(tmp_path, "large.json", {
+        "kind": "product", "base": rp_product_doc((2,), ["b"]),
+        "fibre": rp_product_doc((14,) * 4, names)})  # 50625 terms of w
+    garbage_left_by(capsys, "kappa", "--bundle", small, "--class", "w8")
+    assert (garbage_left_by(capsys, "kappa", "--bundle", large, "--class", "w56")
+            <= garbage_left_by(capsys, "kappa", "--bundle", small, "--class", "w8"))
+
+
+def test_main_leaves_the_collector_on(capsys):
+    assert gc.isenabled()
+    run_cli(capsys, "genus", "--max-weight", "2")
+    assert gc.isenabled()
+
+
 def package_env():
     src = str(Path(cli.__file__).resolve().parents[1])
     return dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
-def run_importtime(*argv):
-    """stdout of ``python -m charclasses *argv`` and the modules it imported."""
+def run_importtime(*argv, module="charclasses"):
+    """stdout of ``python -m <module> *argv`` and the modules it imported."""
     done = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "charclasses", *argv],
+        [sys.executable, "-X", "importtime", "-m", module, *argv],
         capture_output=True, text=True, check=True, env=package_env(),
     )
     imported = {line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()}
@@ -700,6 +871,11 @@ def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path):
     assert "verify" in out
     package = {name for name in imported if name.startswith("charclasses.")}
     assert package <= {"charclasses.cli", "charclasses.__main__"}
+    assert not {"json", "fractions"} & imported
+    out, imported = run_importtime("--help", module="charclasses.cli")
+    assert "verify" in out
+    assert {name for name in imported if name.startswith("charclasses")} == {
+        "charclasses"}
     assert not {"json", "fractions"} & imported
     out, imported = run_importtime("genus", "--max-weight", "3")
     assert out.startswith("K1 = 1/3*p1\n")
@@ -715,3 +891,7 @@ def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path):
     assert out == "signature = 1\n"
     assert "charclasses.documents" in imported
     assert "charclasses.bundles" not in imported
+    out, imported = run_importtime("bso", "--dimension", "4")
+    assert out.startswith("characteristic 0\ngenerator e degree 4\n")
+    assert "charclasses.spaces" in imported
+    assert not {"charclasses.documents", "charclasses.bundles"} & imported

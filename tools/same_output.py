@@ -24,7 +24,10 @@ product bundle whose fibre has three factors, RP^2 x RP^6 x RP^6, ``bso
 input errors of the subcommands that import their modules when they run
 (``genus --max-weight 13``, ``section5 --R 1/0`` and ``--R x``,
 ``signature`` of RP^2 over F_2, which ``evaluate_genus`` rejects, and
-``bso --dimension 100001`` and ``0``), the input errors of the document
+``bso --dimension 100001`` and ``0``), two results past CPython's
+4300-digit int-to-str limit (``section5 --R`` of 4295 nines, and
+``signature`` of HP^2 with a 3000-digit coefficient of p_1 in
+``total_p``), the input errors of the document
 path (invalid JSON on stdin for ``signature`` and ``kappa``, a document
 error in a space, in a bundle and in a bundle's base, and an unknown
 generator in ``kappa --class``), the bare ``python -m charclasses`` usage
@@ -32,9 +35,12 @@ error, and ``--help`` at the top level and for each subcommand, each
 distinct call once.  The call past the exponent bound exits 2 since that
 bound exists and prints a signature in a tree before it, and ``bso
 --dimension 0`` names ``--dimension`` in its error since the change that
-made ``cli`` load no package module at import: against trees before those
-changes, they are the intended differences.  Each runs as one ``python -m
-charclasses`` process with ``PYTHONPATH=<tree>/src`` and its document on
+made ``cli`` load no package module at import.  The two results past the
+digit limit end in a traceback with exit 1 in trees before the change that
+bounded ``--R`` and reports a result too large to print as an input
+error, and exit 2 with one ``error:`` line since.  Against trees before
+those changes, these are the intended differences.  Each runs as one
+``python -m charclasses`` process with ``PYTHONPATH=<tree>/src`` and its document on
 stdin, one call at a time, first in PARENT_TREE and then in CHANGE_TREE.
 Exit code, stdout bytes and stderr bytes must be equal.  Prints the number of calls; exits 1 and names
 each call that differs.  The ops come from this checkout's
@@ -135,6 +141,9 @@ BAD_FUNDAMENTAL = {
     "dimension": 8, "fundamental": "y", "total_p": "1 + 2*y + 7*y^2",
     "euler": "3*y^2",
 }
+# HP^2 whose p_1 has 3000 digits: its signature has about 6000.
+HUGE_SIGNATURE = dict(BAD_FUNDAMENTAL, fundamental="y^2",
+                      total_p="1 + " + "9" * 3000 + "*y + 7*y^2")
 
 # Each exits 2 with one error line.
 INPUT_ERRORS = (
@@ -158,6 +167,9 @@ INPUT_ERRORS = (
     Op("kappa bad class", ("kappa", "--bundle", "-", "--class", "q1"),
        stdin=workloads._encode(PROJECTIVIZATION)),
     Op("no subcommand", ()),
+    Op("section5 R=4295 nines", ("section5", "--R=" + "9" * 4295)),
+    Op("signature past the digit limit", ("signature", "-"),
+       stdin=workloads._encode(HUGE_SIGNATURE)),
 )
 
 
@@ -216,7 +228,7 @@ def main(argv: list[str] | None = None) -> int:
             differ += 1
             what = ", ".join(part for part, a, b in zip(("exit code", "stdout", "stderr"),
                                                       before, after) if a != b)
-            print(f"{op.label!r} differs in {what}: {' '.join(op.args)}")
+            print(f"{op.label!r} differs in {what}: {' '.join(op.args)[:200]}")
     if differ:
         print(f"{len(ops)} calls; {differ} differ")
         return 1
