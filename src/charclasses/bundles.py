@@ -141,14 +141,15 @@ def projectivize(
 
     # same generators plus t, with base rules kept, and the defining
     # relation t^k = -(c_1 t^{k-1} + ... + c_k) written on exponent vectors
-    # (each c_i is in base normal form, so no product needs reducing)
+    # (each c_i is in base normal form, so no product needs reducing), with
+    # int coefficients wherever a class is integral
     relation = {
         mon + (k - i,): -coeff
         for i, c in enumerate(classes, start=1)
-        for mon, coeff in c.terms.items()
+        for mon, coeff in c.terms.exact_items()
     }
     rules = [
-        ((base_ring.names[idx], power), {mon + (0,): c for mon, c in rhs.items()})
+        ((base_ring.names[idx], power), {mon + (0,): c for mon, c in rhs.exact_items()})
         for idx, (power, rhs) in base_ring.rules.items()
     ]
     gens = [*zip(base_ring.names, base_ring.degrees), (twist, 2)]

@@ -8,8 +8,12 @@ denominator ("3" prints as "3/1").
 
 Exit codes: 0 on success, 1 when a mathematical check fails (verify
 failures, or a section5 run whose acceptance condition does not hold),
-2 on usage or input parse errors.  Documents are read from a file path or
-from stdin when the path is ``-``.
+2 on usage or input parse errors.  A launcher whose reader closes stdout
+before the output is written (``charclasses bso --dimension 100000 | head
+-c 10``) ends with no message and exit status 141, 128 + SIGPIPE, as a
+shell reports for a tool that SIGPIPE stopped; ``main`` itself lets the
+``BrokenPipeError`` propagate to its caller.  Documents are read from a
+file path or from stdin when the path is ``-``.
 
 Each subcommand handler ``_cmd_*`` computes and returns
 ``(exit_code, payload, text)``: ``payload`` is the object printed under
@@ -27,12 +31,14 @@ document for ``signature`` and ``kappa``: it imports ``json`` (in
 ``_read_document``) and ``documents``, and turns a ``DocumentError`` into
 an ``_InputError`` with the same message, so ``main`` catches
 ``_InputError`` only and imports ``json`` only for ``--format json``.
-``genus`` loads ``genus`` (with ``rings`` and ``scalars``); ``signature``
-adds ``documents`` and ``spaces``; ``kappa`` loads ``documents``,
-``bundles``, ``rings``, ``scalars`` and ``spaces``; ``bso`` loads
-``spaces``, which brings ``rings`` and ``scalars``; ``section5`` loads
-``counterexample``, which brings ``genus`` and ``spaces``; ``verify``
-loads ``checks``, which brings every other module.
+``genus`` loads ``genus`` (with ``rings``); ``signature`` adds
+``documents``, ``spaces`` and ``scalars``; ``kappa`` loads ``documents``,
+``bundles``, ``rings`` and ``spaces``, plus ``scalars`` in characteristic
+2, where a modulus is validated, and ``fractions`` only for a fraction in
+its input; ``bso`` loads ``spaces``, which brings ``rings``, plus
+``scalars`` in characteristic 2; ``section5`` loads ``counterexample``,
+which brings ``genus``, ``spaces`` and ``scalars``; ``verify`` loads
+``checks``, which brings every other module.
 
 A process has one life cycle, and ``main`` and ``run`` split it.
 ``main(argv)`` parses, runs one handler, writes its output and returns the
@@ -41,9 +47,11 @@ so tests and tracers call it in-process.  ``run()`` is the entry of every
 launcher (``python -m charclasses``, ``python -m charclasses.cli`` and the
 ``charclasses`` console script): it turns the cyclic collector off, calls
 ``main``, flushes stdout and stderr, and ends the process with
-``os._exit`` instead of tearing the interpreter down.  That skips nothing
-a run needs: the package registers no ``atexit`` handler, holds no open
-file past its handler, and the two streams are flushed first.
+``os._exit`` instead of tearing the interpreter down; a ``BrokenPipeError``
+from writing or flushing stdout ends it the same way, with status 141.
+That skips nothing a run needs: the package registers no ``atexit``
+handler, holds no open file past its handler, and the two streams are
+flushed first.
 """
 
 from __future__ import annotations
@@ -65,6 +73,9 @@ MAX_BSO_DIMENSION = 100_000
 # report prints R times constants of up to six digits (124065/9271), and
 # CPython prints no int of more than 4300 digits by default.
 MAX_R_DIGITS = 4000
+# Exit status of a launcher whose reader closed stdout early: 128 + SIGPIPE,
+# what a shell reports for a tool that SIGPIPE stopped.
+EXIT_BROKEN_PIPE = 141
 
 
 class _InputError(Exception):
@@ -136,7 +147,7 @@ def _cmd_genus(args: argparse.Namespace) -> Result:
     from .genus import ahat_sequence, l_sequence
 
     seq = l_sequence() if args.series == "L" else ahat_sequence()
-    polys = [str(seq.k_polynomial(n)) for n in range(1, args.max_weight + 1)]
+    polys = [str(k) for k in seq.k_polynomials(args.max_weight)]
     payload = {
         "series": args.series,
         "max_weight": args.max_weight,
@@ -370,8 +381,14 @@ def run() -> None:
     with 4 x RP^2.
     """
     gc.disable()
-    code = main()
-    sys.stdout.flush()
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early, as ``| head`` does: end as a tool
+        # that SIGPIPE stopped, with nothing on stderr and the output left
+        # unflushed, which is lost anyway
+        code = EXIT_BROKEN_PIPE
     sys.stderr.flush()
     os._exit(code)
 

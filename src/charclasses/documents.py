@@ -45,7 +45,6 @@ from contextlib import contextmanager
 from typing import TYPE_CHECKING, Any, Iterator, Mapping
 
 from .rings import GradedPoly, Ring, validate_name
-from .scalars import validate_modulus
 from .spaces import SpaceModel, check_fundamental, ring_to_document
 
 if TYPE_CHECKING:
@@ -141,6 +140,8 @@ def _ring_field(doc: Mapping[str, Any], path: str) -> Ring:
     if not isinstance(value, int) or isinstance(value, bool) or value < 0:
         raise DocumentError(f"{path}/characteristic", "expected 0 or a prime")
     if value:
+        from .scalars import validate_modulus
+
         with _at(f"{path}/characteristic"):
             validate_modulus(value)
     return ring_from_document(_field(doc, "ring", path), value, f"{path}/ring")

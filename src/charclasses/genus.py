@@ -135,7 +135,7 @@ def _log_derivative(total: GradedPoly, n: int) -> dict[int, GradedPoly]:
     ring = total.ring
     if ring.characteristic != 0:
         raise ValueError("genus computations need characteristic 0")
-    if total.constant_term() != 1:
+    if not total.constant_term_is_one():
         raise ValueError("total class must have constant term 1")
     parts = {  # the nonzero T_j
         d // 4: total.graded_component(d)
@@ -203,12 +203,20 @@ class MultiplicativeSequence:
         return _exp(total_l.ring, {k: d * (Fraction(1) / scales[k - 1])
                                    for k, d in derivs.items()}, n)
 
-    def k_polynomial(self, n: int) -> GradedPoly:
-        """The weight-n polynomial K_n in p_1..p_n."""
+    def k_polynomials(self, n: int) -> list[GradedPoly]:
+        """[K_1, ..., K_n] from one kernel run in ``weight_ring(n)``.
+
+        K_m has exponent 0 on p_{m+1}..p_n, which lead the ring's order,
+        so it prints as it does in ``weight_ring(m)``.
+        """
         if n < 1:
             raise ValueError("weight polynomials start at n = 1")
         ring = weight_ring(n)
-        return self.weight_parts(sum(map(ring.gen, ring.names), ring.one()), n)[n]
+        return self.weight_parts(sum(map(ring.gen, ring.names), ring.one()), n)[1:]
+
+    def k_polynomial(self, n: int) -> GradedPoly:
+        """The weight-n polynomial K_n in p_1..p_n, in ``weight_ring(n)``."""
+        return self.k_polynomials(n)[-1]
 
     def total_class(self, total_p: GradedPoly, max_weight: int) -> GradedPoly:
         """1 + K_1 + ... + K_max_weight evaluated at a total Pontryagin class,

@@ -49,10 +49,17 @@ their common denominator L, and each rewriting round scales by L (nothing
 when L is 1).  ``Fraction`` and ``PrimeScalar`` values exist only at the
 edge: they come in through :meth:`Ring.poly` and :meth:`Ring.coerce_scalar`,
 and go out through ``coefficient``, ``constant_term`` and each lookup in the
-``terms`` mapping.
+``terms`` mapping.  So this module imports ``fractions`` and
+:mod:`charclasses.scalars` only where such a value crosses the edge: an
+``n/d`` factor in text, a ``Fraction`` or ``PrimeScalar`` argument (a
+``Fraction`` is recognised without loading ``scalars``), a coefficient
+lookup, and a ring of characteristic p, whose modulus is validated.  A
+computation on int data in characteristic 0 loads neither.
 
 Polynomials are checked where they are built from outside input, by
 :meth:`Ring.poly`, which parses or coerces and then reduces to normal form.
+:meth:`Ring.normal_form_terms` owns the dict it is given and may keep it,
+reduced in place, as the result's, so each caller passes a dict of its own.
 The constructor ``GradedPoly(ring, terms)`` checks nothing and stores
 ``terms``, a :class:`Terms`, as given: it must already be canonical and in
 normal form.  Products reduce their own terms; sums, negation, scalar
@@ -64,13 +71,15 @@ from __future__ import annotations
 
 import re
 from collections.abc import Mapping
-from fractions import Fraction
 from functools import reduce
 from math import gcd, inf, lcm
 from operator import mul, or_
-from typing import Iterable, Iterator, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, Union
 
-from .scalars import PrimeScalar, _unchecked, validate_modulus
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .scalars import PrimeScalar
 
 __all__ = [
     "MAX_EXPONENT",
@@ -82,7 +91,7 @@ __all__ = [
     "validate_name",
 ]
 
-Scalar = Union[Fraction, PrimeScalar]
+Scalar = Union["Fraction", "PrimeScalar"]
 Monomial = tuple[int, ...]
 
 _W = 21  # bits per exponent field, the high one a guard bit
@@ -132,6 +141,8 @@ class Ring:
     def __init__(self, characteristic: int, generators: Iterable[tuple[str, int]],
                  rules: Iterable[tuple[str | tuple[str, int], object]] = ()) -> None:
         if characteristic != 0:
+            from .scalars import validate_modulus
+
             validate_modulus(characteristic)
         index: dict[str, int] = {}
         degrees: list[int] = []
@@ -235,9 +246,6 @@ class Ring:
             # in characteristic p the parsed ints are left to the normal form
             terms = _parse_terms(self, source)
             return (terms, 1) if self.characteristic else self._integral(terms)
-        if isinstance(source, (int, Fraction, PrimeScalar)):
-            n, d = self._parts(source)
-            return ({0: n} if n else {}), d
         if isinstance(source, Mapping):
             terms: dict[int, object] = {}
             for mon, coeff in source.items():
@@ -246,6 +254,9 @@ class Ring:
                     coeff = self.coerce_scalar(terms[mon]) + self.coerce_scalar(coeff)
                 terms[mon] = coeff
             return self._integral(terms)
+        if isinstance(source, int) or _is_scalar(source):
+            n, d = self._parts(source)
+            return ({0: n} if n else {}), d
         raise TypeError(f"cannot build a polynomial from {source!r}")
 
     def _integral(self, terms: Mapping[int, object]) -> tuple[dict[int, int], int]:
@@ -272,17 +283,20 @@ class Ring:
         if isinstance(value, bool):
             raise TypeError("booleans are not scalars")
         p = self.characteristic
+        if isinstance(value, int):
+            return (value % p if p else value), 1
         if p == 0:
-            if isinstance(value, int):
-                return value, 1
+            from fractions import Fraction
+
             if isinstance(value, Fraction):
                 return value.numerator, value.denominator
-        elif isinstance(value, PrimeScalar):
-            if value.modulus != p:
-                raise ValueError(f"scalar mod {value.modulus} in a ring of characteristic {p}")
-            return value.value, 1
-        elif isinstance(value, int):
-            return value % p, 1
+        else:
+            from .scalars import PrimeScalar
+
+            if isinstance(value, PrimeScalar):
+                if value.modulus != p:
+                    raise ValueError(f"scalar mod {value.modulus} in a ring of characteristic {p}")
+                return value.value, 1
         raise TypeError(f"cannot use {value!r} as a characteristic {p} coefficient")
 
     def coerce_scalar(self, value: object) -> Scalar:
@@ -291,7 +305,7 @@ class Ring:
         the scalar without checking the modulus again; the ring validated it.
         """
         n, d = self._parts(value)
-        return _unchecked(n, self.characteristic) if self.characteristic else Fraction(n, d)
+        return _scalar(n, d, self.characteristic)
 
     # ------------------------------------------------------------------
     # monomials
@@ -350,27 +364,30 @@ class Ring:
     # ------------------------------------------------------------------
     # normal form
 
-    def normal_form_terms(self, terms: Mapping[int, int], denominator: int) -> Terms:
+    def normal_form_terms(self, terms: dict[int, int], denominator: int) -> Terms:
         """Reduce int numerators over ``denominator`` modulo the rules, in rounds.
 
         ``terms`` maps packed monomials within the bound to numerators,
-        which may be zero and, in characteristic p (over 1), unreduced.
-        Each round adds each irreducible term into the result and replaces
-        each reducible one by its image under the first rule that applies;
-        the images are summed into the next round, so like terms merge and
-        cancelled ones drop out before they are rewritten again.  An image
-        past ``MAX_EXPONENT`` raises ``ValueError``.  A rewriting round
-        scales by the rules' common denominator L unless L is 1.  The rounds
-        end as every rewrite chain ends (the ring rejects rules that cycle)."""
+        which may be zero and, in characteristic p (over 1), unreduced.  The
+        call owns ``terms``: every caller passes a dict of its own, which
+        may come back as the result's, reduced in place; a dict already in
+        normal form comes back unchanged.  Each round adds each irreducible
+        term into the result and replaces each reducible one by its image
+        under the first rule that applies; the images are summed into the
+        next round, so like terms merge and cancelled ones drop out before
+        they are rewritten again.  An image past ``MAX_EXPONENT`` raises
+        ``ValueError``.  A rewriting round scales by the rules' common
+        denominator L unless L is 1.  The rounds end as every rewrite chain
+        ends (the ring rejects rules that cycle)."""
         p = self.characteristic
         rewrites = self._rewrites
         guard, offset = self._guard, self._offset
         scale = self._scale
         out: dict[int, int] = {}
-        pending: Mapping[int, int] = terms
+        pending = terms
         while pending:
             if not out and not reduce(or_, map(offset.__add__, pending), 0) & guard:
-                return Terms.reduced(dict(pending), denominator, self)  # all irreducible
+                return Terms.reduced(pending, denominator, self)  # all irreducible
             images: dict[int, int] = {}
             for mon, coeff in pending.items():
                 if p:
@@ -471,10 +488,16 @@ class Terms(Mapping):
     @classmethod
     def reduced(cls, num: dict[int, int], den: int, ring: Ring) -> "Terms":
         """The canonical terms of int numerators over a positive ``den``.
-        It works in place, so ``num`` must not be shared."""
+        It works in place, so ``num`` must not be shared; numerators already
+        canonical are left as they are."""
         p = ring.characteristic
         if p:
-            return cls({mon: r for mon, n in num.items() if (r := n % p)}, 1, ring)
+            for mon in [mon for mon, n in num.items() if not 0 < n < p]:
+                if r := num[mon] % p:
+                    num[mon] = r
+                else:
+                    del num[mon]
+            return cls(num, 1, ring)
         for mon in [mon for mon, n in num.items() if not n]:
             del num[mon]
         if den != 1:
@@ -491,10 +514,16 @@ class Terms(Mapping):
             return Terms(num, 1, ring)
         return Terms.reduced(num, self.den, ring)
 
+    def exact_items(self) -> Iterator[tuple[Monomial, int | Scalar]]:
+        """(exponent vector, coefficient) pairs, as ``items()``, but with
+        each coefficient an int when ``den`` is 1: a rule right-hand side
+        another ring reads with no scalar built."""
+        if self.den == 1:
+            return zip(self, self.num.values())
+        return iter(self.items())
+
     def _value(self, n: int) -> Scalar:
-        if self.ring.characteristic:
-            return _unchecked(n, self.ring.characteristic)
-        return Fraction(n, self.den)
+        return _scalar(n, self.den, self.ring.characteristic)
 
     def __getitem__(self, mon: Monomial) -> Scalar:
         try:
@@ -615,7 +644,7 @@ class GradedPoly:
                 (self.ring is other.ring or self.ring == other.ring)
                 and self.terms == other.terms
             )
-        if isinstance(other, (int, Fraction, PrimeScalar)):
+        if isinstance(other, int) or _is_scalar(other):
             return self == self.ring.poly(other)
         return NotImplemented
 
@@ -668,6 +697,11 @@ class GradedPoly:
     def constant_term(self) -> Scalar:
         return self.terms._value(self.terms.num.get(0, 0))
 
+    def constant_term_is_one(self) -> bool:
+        """Whether the constant term is 1, read off the ints: numerator over
+        denominator is 1 only as equal ints, in every characteristic."""
+        return self.terms.num.get(0) == self.terms.den
+
     def coefficient(self, mon: Monomial | str) -> Scalar:
         """Coefficient of a monomial (given as exponent vector or text)."""
         if isinstance(mon, str):
@@ -717,7 +751,10 @@ class GradedPoly:
                 piece = piece * images[idx] ** e
             result = result + piece
         den = self.terms.den
-        return result if den == 1 else result * Fraction(1, den)
+        if den == 1:
+            return result
+        t = result.terms  # result's own dict, built by the sums above
+        return GradedPoly(target, Terms.reduced(t.num, t.den * den, target))
 
     # ------------------------------------------------------------------
 
@@ -747,6 +784,30 @@ class GradedPoly:
 
 # ----------------------------------------------------------------------
 # parsing and printing internals
+
+
+def _is_scalar(value: object) -> bool:
+    """Whether value is a ``Fraction`` or a ``PrimeScalar``.  A ``Fraction``
+    is tried first, so it never loads :mod:`charclasses.scalars`."""
+    from fractions import Fraction
+
+    if isinstance(value, Fraction):
+        return True
+    from .scalars import PrimeScalar
+
+    return isinstance(value, PrimeScalar)
+
+
+def _scalar(n: int, d: int, p: int) -> Scalar:
+    """n/d in the field of characteristic p, where d is 1 if p is not 0:
+    the one place that builds a scalar."""
+    if p:
+        from .scalars import _unchecked
+
+        return _unchecked(n, p)
+    from fractions import Fraction
+
+    return Fraction(n, d)
 
 
 def _exponent_error(what: str) -> ValueError:
@@ -832,6 +893,8 @@ def _factor(ring: Ring, text: str) -> tuple[int, int | Fraction]:
         # prime-field coefficients are written as bare integers
         raise ValueError("fractional coefficients are not accepted in "
                          f"characteristic {ring.characteristic}")
+    from fractions import Fraction
+
     return 0, Fraction(int(m["numer"]), int(m["denom"]))
 
 
@@ -853,9 +916,9 @@ def tensor_ring(a: Ring, b: Ring) -> Ring:
         raise ValueError(f"generator names collide in tensor product: {sorted(overlap)}; "
                          "rename before combining")
     pad_a, pad_b = (0,) * len(a.names), (0,) * len(b.names)
-    rules = [((a.names[i], k), {mon + pad_b: c for mon, c in rhs.items()})
+    rules = [((a.names[i], k), {mon + pad_b: c for mon, c in rhs.exact_items()})
              for i, (k, rhs) in a.rules.items()]
-    rules += [((b.names[i], k), {pad_a + mon: c for mon, c in rhs.items()})
+    rules += [((b.names[i], k), {pad_a + mon: c for mon, c in rhs.exact_items()})
               for i, (k, rhs) in b.rules.items()]
     gens = zip(a.names + b.names, a.degrees + b.degrees)
     return Ring(a.characteristic, gens, rules)
@@ -896,14 +959,21 @@ def transport(poly: GradedPoly, target: Ring) -> GradedPoly:
             runs[-1][2] += 1
         else:
             runs.append([i, idx, 1])
-    keys: Iterable[int] = num
+    moved = num
     for i, j, n in runs:
         s = src._shift - _W * (i + n)
         step = (1 << target._shift - _W * (j + n)) - (1 << s)
-        if i < 0:  # nothing lies above the degree field, so no mask
-            keys = [mon + (mon >> s) * step for mon in num]
-        elif step:
-            mask = (1 << _W * n) - 1
-            keys = [k + (mon >> s & mask) * step for k, mon in zip(keys, num)]
-    moved = dict(zip(keys, num.values()))
-    return GradedPoly(target, Terms(moved, poly.terms.den, target))
+        if step:
+            mask = (1 << _W * n) - 1 if i >= 0 else -1  # nothing lies above the degree field
+            moved = {k + (mon >> s & mask) * step: c for (k, c), mon in zip(moved.items(), num)}
+    return GradedPoly(target, Terms(dict(num) if moved is num else moved, poly.terms.den, target))
+
+
+def __getattr__(name: str):
+    # validate_modulus is read here, at call time, so it resolves on this
+    # module without loading charclasses.scalars with it
+    if name == "validate_modulus":
+        from .scalars import validate_modulus
+
+        return validate_modulus
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

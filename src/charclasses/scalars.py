@@ -12,7 +12,10 @@ arithmetic: a polynomial stores its coefficients as Python ints (see
 :mod:`charclasses.rings`), and prints and substitutes on those ints.
 Scalars come in through ``Ring.poly`` and ``Ring.coerce_scalar``, and go
 out through ``coefficient``, ``constant_term`` and each lookup in a
-polynomial's ``terms`` mapping.
+polynomial's ``terms`` mapping.  This module imports ``fractions`` only
+to parse a rational (``Fraction`` is in ``__all__`` and resolves on first
+access), so a characteristic-p computation, which loads this module for
+its modulus, loads no ``fractions``.
 
 A modulus is validated once, where it enters: by :func:`validate_modulus`
 when a ``PrimeScalar`` is constructed and when a ``Ring`` of characteristic
@@ -31,7 +34,11 @@ Canonical text forms:
 from __future__ import annotations
 
 import re
-from fractions import Fraction
+import sys
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "Fraction",
@@ -161,7 +168,9 @@ class PrimeScalar:
             return other.value
         if isinstance(other, int):
             return other
-        if isinstance(other, Fraction):
+        # a Fraction exists only once fractions is loaded, so this loads nothing
+        fractions = sys.modules.get("fractions")
+        if fractions is not None and isinstance(other, fractions.Fraction):
             raise TypeError(
                 "cannot mix characteristic 0 and prime-field scalars"
             )
@@ -248,9 +257,21 @@ def parse_rational(text: str) -> Fraction:
     stripped = text.strip()
     if not _RATIONAL_RE.match(stripped):
         raise ValueError(f"not a rational literal: {text!r}")
+    from fractions import Fraction
+
     return Fraction(stripped)
 
 
 def format_rational(q: Fraction) -> str:
     """Render a Fraction in the machine form ``"a/b"`` (so 3 becomes "3/1")."""
     return f"{q.numerator}/{q.denominator}"
+
+
+def __getattr__(name: str):
+    # Fraction stays in __all__, and resolves here, without loading
+    # fractions with this module
+    if name == "Fraction":
+        from fractions import Fraction
+
+        return Fraction
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -23,11 +23,14 @@ reads; it lives here so that printing a presentation loads no decoder.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .rings import GradedPoly, Monomial, Ring, tensor_ring, transport
-from .scalars import PrimeScalar
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .scalars import PrimeScalar
 
 __all__ = [
     "SpaceModel",
@@ -108,7 +111,7 @@ class SpaceModel(_FrozenRecord):
         if self.dimension < 0:
             raise ValueError(f"negative dimension {self.dimension}")
         check_fundamental(self.ring, self.fundamental, self.dimension)
-        if self.total_p.constant_term() != self.ring.coerce_scalar(1):
+        if not self.total_p.constant_term_is_one():
             raise ValueError("total Pontryagin class must have constant term 1")
         for degree in self.total_p.degrees():
             if degree % 4:
@@ -123,7 +126,7 @@ class SpaceModel(_FrozenRecord):
         if self.total_w is not None:
             if self.ring.characteristic != 2:
                 raise ValueError("total_w only makes sense in characteristic 2")
-            if self.total_w.constant_term() != self.ring.coerce_scalar(1):
+            if not self.total_w.constant_term_is_one():
                 raise ValueError("total Stiefel-Whitney class must start with 1")
 
 
@@ -249,7 +252,7 @@ def chern_to_pontryagin(total_c: GradedPoly) -> GradedPoly:
             "chern_to_pontryagin needs characteristic 0; in characteristic 2 "
             "work with Stiefel-Whitney classes directly"
         )
-    if total_c.constant_term() != 1:
+    if not total_c.constant_term_is_one():
         raise ValueError("total Chern class must have constant term 1")
     if any(degree % 2 for degree in total_c.degrees()):
         raise ValueError("total Chern class has an odd-degree term")

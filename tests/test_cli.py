@@ -776,6 +776,22 @@ def test_the_launcher_delivers_the_largest_output_whole(capsys):
     assert done.stdout == out.encode()
 
 
+def test_a_launcher_whose_reader_closes_early_exits_141_quietly():
+    # 128 + SIGPIPE, as a shell reports for a tool that SIGPIPE stopped; the
+    # output is 1.5 MB, far past a pipe's buffer, so the write meets the
+    # closed pipe
+    env = package_env()
+    env.pop("PYTHONUNBUFFERED", None)  # unbuffered, a short write goes unnoticed
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "charclasses", "bso", "--dimension", "100000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    head = proc.stdout.read(10)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), head, err) == (141, b"characteri", b"")
+
+
 def garbage_left_by(capsys, *argv):
     """What ``gc.collect()`` finds after an in-process run with gc off."""
     enabled = gc.isenabled()
@@ -895,3 +911,32 @@ def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path):
     assert out.startswith("characteristic 0\ngenerator e degree 4\n")
     assert "charclasses.spaces" in imported
     assert not {"charclasses.documents", "charclasses.bundles"} & imported
+
+
+def test_kappa_bso_and_genus_load_the_scalar_layer_only_at_the_edge(tmp_path):
+    # integer arithmetic all the way: Fraction and PrimeScalar are built only
+    # where a non-int scalar crosses the edge, and scalars loads fractions
+    # only to parse a rational
+    projectivization = write_json(tmp_path, "proj.json", {
+        "kind": "projectivization",
+        "base": {"characteristic": 0, "ring": {"generators": [
+            {"name": "a", "degree": 2}, {"name": "b", "degree": 4}]}},
+        "chern": ["a", "2*b - a^2", "a*b"],
+    })
+    out, imported = run_importtime("kappa", "--bundle", projectivization, "--class", "e")
+    assert out == "kappa(e) = 3\n"
+    assert "charclasses.bundles" in imported
+    assert not {"charclasses.scalars", "fractions"} & imported
+    product = write_json(tmp_path, "mod2.json", {
+        "kind": "product", "base": rp_product_doc((2,), ["b"]),
+        "fibre": rp_product_doc((2, 6), ["a0", "a1"])})
+    out, imported = run_importtime("kappa", "--bundle", product, "--class", "w8")
+    assert out == "kappa(w8) = 1\n"
+    assert "charclasses.scalars" in imported
+    assert "fractions" not in imported
+    out, imported = run_importtime("bso", "--dimension", "4")
+    assert out.startswith("characteristic 0\n")
+    assert not {"charclasses.scalars", "fractions"} & imported
+    out, imported = run_importtime("genus", "--max-weight", "3")
+    assert out.startswith("K1 = 1/3*p1\n")
+    assert "charclasses.scalars" not in imported

@@ -123,6 +123,20 @@ def test_weight_polynomials_hand_values():
     assert seq.k_polynomial(3) == r3.poly("62/945*p3 - 13/945*p2*p1 + 2/945*p1^3")
 
 
+@pytest.mark.parametrize("seq", [l_sequence(), ahat_sequence()], ids=["L", "Ahat"])
+def test_one_table_run_prints_each_weight_as_its_own_run_does(seq):
+    # K_m of weight_ring(9) has exponent 0 on p9..p(m+1), which lead the
+    # order, so its text is that of K_m built in weight_ring(m)
+    table = seq.k_polynomials(9)
+    assert len(table) == 9
+    for m, k in enumerate(table, start=1):
+        alone = seq.k_polynomial(m)
+        assert alone.ring == weight_ring(m)
+        assert str(k) == str(alone)
+        assert weight_ring(m).poly(str(k)) == alone
+    assert table[-1] == seq.k_polynomial(9)
+
+
 def test_weight_polynomial_printing_is_pinned():
     seq = l_sequence()
     assert str(seq.k_polynomial(2)) == "7/45*p2 - 1/45*p1^2"

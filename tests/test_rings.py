@@ -650,6 +650,25 @@ def assert_normal(p):
     assert p.ring.normal_form_terms(p.terms.num, p.terms.den) == p.terms
 
 
+def test_poly_leaves_the_callers_dict_as_it_was():
+    # normal_form_terms owns the dict it is given and reduces it in place,
+    # so Ring.poly must hand it a dict of its own
+    ring = Ring(0, [("x", 2), ("y", 2)], [("x^2", "y^2")])
+    given = {(1, 0): 0, (0, 1): Fraction(1, 2), (2, 0): 3, (0, 0): 0}
+    before = dict(given)
+    f = ring.poly(given)
+    assert given == before
+    assert f == ring.poly("1/2*y + 3*y^2")
+    assert dict(f.terms) == {(0, 1): Fraction(1, 2), (0, 2): Fraction(3)}
+    ring2 = Ring(2, [("u", 1), ("v", 1)], [("u^2", "0")])
+    given = {(1, 0): 3, (0, 1): 2, (1, 1): -1, (2, 0): 1}
+    before = dict(given)
+    g = ring2.poly(given)
+    assert given == before
+    assert dict(g.terms) == {(1, 0): PrimeScalar(1, 2), (1, 1): PrimeScalar(1, 2)}
+    assert g == ring2.poly("u + u*v")
+
+
 @settings(derandomize=True, max_examples=120, deadline=None)
 @given(st.data())
 def test_trusted_builders_return_normal_forms(data):

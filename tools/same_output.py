@@ -17,7 +17,12 @@ these rings have rule denominators other than 1), ``kappa --class
 ring has a relation with a nonzero right-hand side and a generator with no
 relation (text; every catalog ring in characteristic 2 has only
 ``x^k -> 0`` rules), ``kappa`` of a mixed class on a characteristic 2
-product bundle whose fibre has three factors, RP^2 x RP^6 x RP^6, ``bso
+product bundle whose fibre has three factors, RP^2 x RP^6 x RP^6,
+``kappa --class "w1^4 + w1^2*w2 + w2^2 + w1*w3 + w4 + w1*w2*w3"`` on a
+characteristic 2 product bundle whose fibre ``total_w`` is written with
+coefficients 3 and 2 and a pair of terms that cancels mod 2 (text; every
+catalog ``total_w`` has coefficients 1, so nothing there is reduced mod 2
+after parsing), ``bso
 --dimension 100000`` (50001 generators, the largest ring the CLI builds),
 ``signature`` of a free ring whose ``total_p`` has an exponent at
 ``rings.MAX_EXPONENT`` and of one with an exponent just past it, the
@@ -114,6 +119,19 @@ MOD2_THREE_FACTORS = {
 }
 MOD2_THREE_FACTORS_CLASS = "w1^3*w11 + w7^2 + w2*w12"
 
+# A characteristic 2 fibre, RP^2 x RP^2, whose total_w is written with
+# coefficients 3 and 2 and a pair u^2*v + u^2*v that cancels mod 2, so
+# the parsed numerators are reduced mod 2 before the class is used.
+MOD2_UNREDUCED_BUNDLE = {
+    "kind": "product",
+    "base": workloads.rp_product_doc((2,), ["b"]),
+    "fibre": dict(
+        workloads.rp_product_doc((2, 2), ["u", "v"]),
+        total_w="1 + 3*u + v + u*v + u^2 + 3*v^2 + 2*u^2*v + u*v^2 + u^2*v^2"
+                " + u^2*v + u^2*v"),
+}
+MOD2_UNREDUCED_CLASS = "w1^4 + w1^2*w2 + w2^2 + w1*w3 + w4 + w1*w2*w3"
+
 MAX_EXPONENT = 2 ** 20 - 1  # rings.MAX_EXPONENT
 
 
@@ -194,6 +212,8 @@ def calls() -> list[Op]:
     ops.append(workloads.kappa_op("mod 2 rules", MOD2_RULES_BUNDLE, MOD2_RULES_CLASS, "text"))
     ops.append(workloads.kappa_op("mod 2 three factors", MOD2_THREE_FACTORS,
                                   MOD2_THREE_FACTORS_CLASS, "text"))
+    ops.append(workloads.kappa_op("mod 2 unreduced total_w", MOD2_UNREDUCED_BUNDLE,
+                                  MOD2_UNREDUCED_CLASS, "text"))
     ops.append(Op("bso dimension 100000", ("bso", "--dimension", "100000")))
     for exponent in (MAX_EXPONENT, MAX_EXPONENT + 1):
         ops.append(Op(f"signature free y^{exponent}", ("signature", "-"),
