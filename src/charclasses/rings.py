@@ -51,9 +51,9 @@ edge: they come in through :meth:`Ring.poly` and :meth:`Ring.coerce_scalar`,
 and go out through ``coefficient``, ``constant_term`` and each lookup in the
 ``terms`` mapping.  So this module imports ``fractions`` and
 :mod:`charclasses.scalars` only where such a value crosses the edge: an
-``n/d`` factor in text, a ``Fraction`` or ``PrimeScalar`` argument (a
-``Fraction`` is recognised without loading ``scalars``), a coefficient
-lookup, and a ring of characteristic p, whose modulus is validated.  A
+``n/d`` factor in text, a ``Fraction`` or ``PrimeScalar`` argument (each
+is recognised without loading the other's module), a coefficient lookup,
+and a ring of characteristic p, whose modulus is validated.  A
 computation on int data in characteristic 0 loads neither.
 
 Polynomials are checked where they are built from outside input, by
@@ -70,6 +70,7 @@ the source needs a source rule g^j with j <= k.
 from __future__ import annotations
 
 import re
+import sys
 from collections.abc import Mapping
 from functools import reduce
 from math import gcd, inf, lcm
@@ -787,15 +788,12 @@ class GradedPoly:
 
 
 def _is_scalar(value: object) -> bool:
-    """Whether value is a ``Fraction`` or a ``PrimeScalar``.  A ``Fraction``
-    is tried first, so it never loads :mod:`charclasses.scalars`."""
-    from fractions import Fraction
-
-    if isinstance(value, Fraction):
-        return True
-    from .scalars import PrimeScalar
-
-    return isinstance(value, PrimeScalar)
+    """Whether value is a ``Fraction`` or a ``PrimeScalar``.  Either exists
+    only once its module is loaded, so this loads neither."""
+    fractions = sys.modules.get("fractions")
+    scalars = sys.modules.get(f"{__package__}.scalars")
+    return ((fractions is not None and isinstance(value, fractions.Fraction))
+            or (scalars is not None and isinstance(value, scalars.PrimeScalar)))
 
 
 def _scalar(n: int, d: int, p: int) -> Scalar:
