@@ -42,12 +42,12 @@ class BundleModel(_FrozenRecord):
     """A fibre bundle with enough structure to integrate along fibres.
 
     ``fibre_fundamental`` holds the exponents of the fibre's fundamental
-    monomial on the generators of ``total_ring`` after the base ones.  In
-    characteristic 2, ``vertical_total_p`` holds the fibre's ``total_p``
-    transported into the total ring, and ``kappa`` never reads it: its
-    class ring there has only w1..wd.  No ``__slots__``: the instance keeps
-    a ``__dict__``, because ``perfbench/tracer.py`` shadows ``gysin`` on
-    each instance.
+    monomial on the generators of ``total_ring`` after the base ones.  The
+    vertical classes live in a ring whose generators the total ring has:
+    the fibre's own ring for a product bundle, the total ring for a
+    projectivization; ``kappa`` moves into the total ring only the graded
+    parts it reads.  No ``__slots__``: the instance keeps a ``__dict__``,
+    because ``perfbench/tracer.py`` shadows ``gysin`` on each instance.
     """
 
     __match_args__ = (
@@ -97,18 +97,16 @@ class BundleModel(_FrozenRecord):
 
 
 def product_bundle(base: SpaceModel, fibre: SpaceModel) -> BundleModel:
-    """The trivial bundle base x fibre -> base."""
-    total = tensor_ring(base.ring, fibre.ring)
+    """The trivial bundle base x fibre -> base, whose vertical classes are
+    the fibre's own."""
     return BundleModel(
         base_ring=base.ring,
-        total_ring=total,
+        total_ring=tensor_ring(base.ring, fibre.ring),
         fibre_dimension=fibre.dimension,
         fibre_fundamental=fibre.fundamental,
-        vertical_euler=transport(fibre.euler, total),
-        vertical_total_p=transport(fibre.total_p, total),
-        vertical_total_w=(
-            transport(fibre.total_w, total) if fibre.total_w is not None else None
-        ),
+        vertical_euler=fibre.euler,
+        vertical_total_p=fibre.total_p,
+        vertical_total_w=fibre.total_w,
     )
 
 
@@ -140,20 +138,18 @@ def projectivize(
             raise ValueError(f"c_{i} must be homogeneous of degree {2 * i}")
 
     # same generators plus t, with base rules kept, and the defining
-    # relation t^k = -(c_1 t^{k-1} + ... + c_k) written on exponent vectors
-    # (each c_i is in base normal form, so no product needs reducing), with
-    # int coefficients wherever a class is integral
-    relation = {
-        mon + (k - i,): -coeff
-        for i, c in enumerate(classes, start=1)
-        for mon, coeff in c.terms.exact_items()
-    }
-    rules = [
-        ((base_ring.names[idx], power), {mon + (0,): c for mon, c in rhs.exact_items()})
-        for idx, (power, rhs) in base_ring.rules.items()
-    ]
+    # relation t^k = -(c_1 t^{k-1} + ... + c_k), formed by Horner's rule in
+    # the free ring on those generators (each c_i is in base normal form,
+    # so the relation is in the normal form of the total ring)
     gens = [*zip(base_ring.names, base_ring.degrees), (twist, 2)]
-    total = Ring(0, gens, rules + [((twist, k), relation)])
+    free = Ring(0, gens)
+    t = free.gen(twist)
+    relation = free.zero()
+    for c in classes:
+        relation = relation * t + transport(c, free)
+    rules = [((base_ring.names[idx], power), GradedPoly(base_ring, rhs))
+             for idx, (power, rhs) in base_ring.rules.items()]
+    total = Ring(0, gens, rules + [((twist, k), -relation)])
 
     # vertical Chern class sum_i c_i (1+t)^{k-i} by Horner's rule
     one_plus_t = total.one() + total.gen(twist)
@@ -213,9 +209,11 @@ def kappa(bundle: BundleModel, cls: str) -> GradedPoly:
             continue
         if total is None:
             raise ValueError("bundle carries no Stiefel-Whitney data")
-        # one pass over the total class picks every degree named in it
+        # one pass over the total class picks every degree named in it, and
+        # only those parts move into the total ring
         parts = total.graded_components(degrees.values())
-        images.update((name, parts[deg]) for name, deg in degrees.items())
+        images.update((name, transport(parts[deg], bundle.total_ring))
+                      for name, deg in degrees.items())
     return bundle.gysin(polynomial.substitute(images, bundle.total_ring))
 
 

@@ -58,6 +58,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import io
 import os
 import sys
 
@@ -374,13 +375,21 @@ def run() -> None:
     ``os._exit`` once stdout and stderr are flushed, so no collection pass
     and no interpreter teardown walks the loaded modules.  That is safe
     because the cyclic garbage a run leaves does not grow with its work:
-    it is the argument parser's few hundred objects and a small cycle per
-    rule of each ring the run builds from its input.  After ``signature``
-    of free Q[a,b,c] at dimension 160 the collector finds no more than at
-    dimension 40, and after ``kappa`` with a 4 x RP^14 fibre no more than
-    with 4 x RP^2.
+    it is the argument parser's few hundred objects (a ring is no
+    reference cycle).  After ``signature`` of free Q[a,b,c] at dimension
+    160 the collector finds no more than at dimension 40, and after
+    ``kappa`` with a 4 x RP^14 fibre no more than with 4 x RP^2.
+
+    Unbuffered (``PYTHONUNBUFFERED`` or ``-u``), stdout writes straight to
+    its file, and a write to a pipe whose reader has gone can come back
+    short with no error, which would cut the output off unnoticed.  So
+    ``run`` puts a buffered writer under stdout there: it retries a short
+    write, and the retry raises the ``BrokenPipeError``.
     """
     gc.disable()
+    if not hasattr(sys.stdout.buffer, "raw"):
+        sys.stdout = io.TextIOWrapper(io.BufferedWriter(sys.stdout.buffer),
+                                      encoding=sys.stdout.encoding, errors=sys.stdout.errors)
     try:
         code = main()
         sys.stdout.flush()

@@ -38,23 +38,26 @@ both ends; factors written side by side (``2 x``, ``a b``) are rejected.
 ``parse(print(f)) == f`` holds for every polynomial.  Bad text, a zero
 denominator included, raises ``ValueError``.
 
-Coefficients are Python ints, in a :class:`Terms`: a dict from monomial to
-nonzero numerator, over one denominator per polynomial, positive and
-sharing no factor with all the numerators at once in characteristic 0; in
-characteristic p the numerators are reduced to 1..p-1 over 1.  That pair is
-canonical, so equal polynomials have equal dicts.  Products, sums, scalar
-multiples, powers, the normal form, printing and substitution run on ints
-alone.  Rule right-hand sides with fractions are stored as numerators over
-their common denominator L, and each rewriting round scales by L (nothing
-when L is 1).  ``Fraction`` and ``PrimeScalar`` values exist only at the
-edge: they come in through :meth:`Ring.poly` and :meth:`Ring.coerce_scalar`,
-and go out through ``coefficient``, ``constant_term`` and each lookup in the
-``terms`` mapping.  So this module imports ``fractions`` and
-:mod:`charclasses.scalars` only where such a value crosses the edge: an
-``n/d`` factor in text, a ``Fraction`` or ``PrimeScalar`` argument (each
-is recognised without loading the other's module), a coefficient lookup,
-and a ring of characteristic p, whose modulus is validated.  A
-computation on int data in characteristic 0 loads neither.
+Coefficients are Python ints, in a :class:`Terms`: a dict from packed
+monomial to nonzero numerator, over one denominator per polynomial,
+positive and sharing no factor with all the numerators at once in
+characteristic 0; in characteristic p the numerators are reduced to 1..p-1
+over 1.  That pair is canonical, so equal polynomials have equal dicts.  A
+``Terms`` holds no ring, so a ring, whose rules hold their right-hand
+sides as ``Terms``, is no reference cycle.  Products, sums, scalar
+multiples, powers, the normal form, printing, substitution and the
+building of rings from rings run on ints alone.  Rule right-hand sides
+with fractions are stored as numerators over their common denominator L,
+and each rewriting round scales by L (nothing when L is 1).  ``Fraction``
+and ``PrimeScalar`` values exist only at the edge: they come in through
+:meth:`Ring.poly`, and go out through ``coefficient``, ``constant_term``
+and ``items`` of a :class:`GradedPoly`.  So this module imports
+``fractions`` and :mod:`charclasses.scalars` only where such a value
+crosses the edge: an ``n/d`` factor in text, a ``Fraction`` or
+``PrimeScalar`` argument (each is recognised without loading the other's
+module), a coefficient read out, and a ring of characteristic p, whose
+modulus is validated.  A computation on int data in characteristic 0
+loads neither.
 
 Polynomials are checked where they are built from outside input, by
 :meth:`Ring.poly`, which parses or coerces and then reduces to normal form.
@@ -124,7 +127,8 @@ class Ring:
     ``scalars.MAX_MODULUS``, validated here once for every scalar of the
     ring; ``generators`` are (name, degree) pairs in order; ``rules`` are
     (lhs, rhs) pairs, lhs ``"g^k"`` or ``(name, k)`` and rhs anything
-    ``poly`` accepts (commonly a string or 0).
+    ``poly`` accepts (commonly a string or 0), or a polynomial of another
+    ring with the same-named generators, moved in by :func:`transport`.
 
     ``rules`` maps each ruled generator's index to (k, rhs as
     :class:`Terms`); ``_rewrites`` lists them for the normal form as (guard
@@ -167,7 +171,6 @@ class Ring:
         self._guard = ((1 << self._shift) - 1) // ((1 << _W) - 1) << (_W - 1)
         self.rules: dict[int, tuple[int, Terms]] = {}
         self.rules = self._build_rules(rules)
-        self._offset = self._fields({i: MAX_EXPONENT + 1 - k for i, (k, _) in self.rules.items()})
         self._scale = lcm(*(rhs.den for _, rhs in self.rules.values()))
         self._rewrites = [
             (1 << self._shift - _W * i - 1, self._power(i, k),
@@ -176,8 +179,9 @@ class Ring:
         ]
 
     def __reduce__(self) -> tuple:
-        # exponent vectors, since each rhs Terms refers back to this ring
-        rules = [((self.names[i], k), dict(rhs.items())) for i, (k, rhs) in self.rules.items()]
+        # each rhs as text, which parses back to the same terms
+        rules = [((self.names[i], k), str(GradedPoly(self, rhs)))
+                 for i, (k, rhs) in self.rules.items()]
         return Ring, (self.characteristic, tuple(zip(self.names, self.degrees)), rules)
 
     # ------------------------------------------------------------------
@@ -185,6 +189,7 @@ class Ring:
 
     def _build_rules(self, rules: Iterable[tuple[str | tuple[str, int], object]]
                      ) -> dict[int, tuple[int, Terms]]:
+        """The rule table, checked; it sets ``_offset``, which the check reads."""
         table: dict[int, tuple[int, Terms]] = {}
         for lhs, rhs in rules:
             name, power = _parse_rule_lhs(lhs) if isinstance(lhs, str) else lhs
@@ -198,26 +203,31 @@ class Ring:
                 raise _exponent_error(f"rule exponent {power}")
             if idx in table:
                 raise ValueError(f"more than one rule for generator {name!r}")
-            rhs_terms = Terms.reduced(*self._raw_terms(rhs), self)
+            rhs_terms = (transport(rhs, self).terms if isinstance(rhs, GradedPoly)
+                         else Terms.reduced(*self._raw_terms(rhs), self.characteristic))
             lhs_degree = power * self.degrees[idx]
             for mon in rhs_terms.num:
                 if mon >> self._shift != lhs_degree:
                     raise ValueError(f"rule {name}^{power} has an inhomogeneous right-hand side "
                                      f"(degree {mon >> self._shift} term, expected {lhs_degree})")
             table[idx] = (power, rhs_terms)
+        offset = self._fields({i: MAX_EXPONENT + 1 - k for i, (k, _) in table.items()})
+        self._offset = offset
         # rhs monomials must be irreducible with respect to the whole table,
-        # the rule's own left-hand side included
+        # the rule's own left-hand side included; the first rule in the
+        # table that divides one is named
         for idx, (_, rhs_terms) in table.items():
-            for mon in rhs_terms:
-                for j, (k, _) in table.items():
-                    if mon[j] >= k:
-                        raise ValueError(f"right-hand side of rule on {self.names[idx]!r} "
-                                         f"contains a monomial divisible by {self.names[j]}^{k}")
+            for mon in rhs_terms.num:
+                if hit := (mon + offset) & self._guard:
+                    j, k = next((j, k) for j, (k, _) in table.items()
+                                if hit >> self._shift - _W * j - 1 & 1)
+                    raise ValueError(f"right-hand side of rule on {self.names[idx]!r} "
+                                     f"contains a monomial divisible by {self.names[j]}^{k}")
         # i -> j when rewriting by i's rule can raise the exponent of another
         # ruled generator j; peel off rules with no edge left, and a cycle
         # is what remains
         edges = {
-            i: {j for mon in rhs for j, e in enumerate(mon) if e and j != i and j in table}
+            i: {j for mon in rhs.num for j, _ in self._exponents(mon) if j != i and j in table}
             for i, (_, rhs) in table.items()
         }
         while True:
@@ -248,13 +258,7 @@ class Ring:
             terms = _parse_terms(self, source)
             return (terms, 1) if self.characteristic else self._integral(terms)
         if isinstance(source, Mapping):
-            terms: dict[int, object] = {}
-            for mon, coeff in source.items():
-                mon = self.pack(mon)
-                if mon in terms:
-                    coeff = self.coerce_scalar(terms[mon]) + self.coerce_scalar(coeff)
-                terms[mon] = coeff
-            return self._integral(terms)
+            return self._integral({self.pack(mon): c for mon, c in source.items()})
         if isinstance(source, int) or _is_scalar(source):
             n, d = self._parts(source)
             return ({0: n} if n else {}), d
@@ -299,14 +303,6 @@ class Ring:
                     raise ValueError(f"scalar mod {value.modulus} in a ring of characteristic {p}")
                 return value.value, 1
         raise TypeError(f"cannot use {value!r} as a characteristic {p} coefficient")
-
-    def coerce_scalar(self, value: object) -> Scalar:
-        """The image of an int, or a scalar of this field, in the field: the
-        one int-to-scalar path of the package.  In characteristic p it builds
-        the scalar without checking the modulus again; the ring validated it.
-        """
-        n, d = self._parts(value)
-        return _scalar(n, d, self.characteristic)
 
     # ------------------------------------------------------------------
     # monomials
@@ -388,7 +384,7 @@ class Ring:
         pending = terms
         while pending:
             if not out and not reduce(or_, map(offset.__add__, pending), 0) & guard:
-                return Terms.reduced(pending, denominator, self)  # all irreducible
+                return Terms.reduced(pending, denominator, p)  # all irreducible
             images: dict[int, int] = {}
             for mon, coeff in pending.items():
                 if p:
@@ -415,7 +411,7 @@ class Ring:
                 out = {mon: c * scale for mon, c in out.items()}
                 denominator *= scale
             pending = images
-        return Terms.reduced(out, denominator, self)
+        return Terms.reduced(out, denominator, p)
 
     # ------------------------------------------------------------------
     # polynomial factories
@@ -430,7 +426,7 @@ class Ring:
         return GradedPoly(self, self.normal_form_terms(num, den))
 
     def zero(self) -> "GradedPoly":
-        return GradedPoly(self, Terms({}, 1, self))
+        return GradedPoly(self, Terms({}, 1, self.characteristic))
 
     def one(self) -> "GradedPoly":
         return self.poly(1)
@@ -467,38 +463,37 @@ class Ring:
         return f"Ring(char {self.characteristic}; {gens}; {len(self.rules)} rules)"
 
 
-class Terms(Mapping):
-    """The terms of a polynomial: a read-only mapping from exponent vector
-    to scalar, stored as ``num``, a dict from packed monomial of ``ring`` to
-    nonzero int numerator, over one denominator ``den``.  Canonical: in
-    characteristic 0, ``den`` is positive and the gcd of ``den`` and all
-    numerators is 1; in characteristic p, numerators lie in 1..p-1 and
-    ``den`` is 1.  Iteration unpacks each monomial, and each lookup packs
-    its key and builds its scalar, a ``Fraction`` or a ``PrimeScalar``."""
+class Terms:
+    """The terms of a polynomial in characteristic ``p``: ``num``, a dict
+    from packed monomial to nonzero int numerator, over one denominator
+    ``den``.  Canonical: in characteristic 0, ``den`` is positive and the
+    gcd of ``den`` and all numerators is 1; in characteristic p, numerators
+    lie in 1..p-1 and ``den`` is 1.  It holds no ring: only a
+    :class:`GradedPoly` reads its monomials as exponent vectors and its
+    numerators as scalars."""
 
-    __slots__ = ("num", "den", "ring")
+    __slots__ = ("num", "den", "p")
 
-    def __init__(self, num: dict[int, int], den: int, ring: Ring) -> None:
+    def __init__(self, num: dict[int, int], den: int, p: int) -> None:
         self.num = num
         self.den = den
-        self.ring = ring
+        self.p = p
 
     def __reduce__(self) -> tuple:
-        return Terms, (self.num, self.den, self.ring)
+        return Terms, (self.num, self.den, self.p)
 
     @classmethod
-    def reduced(cls, num: dict[int, int], den: int, ring: Ring) -> "Terms":
+    def reduced(cls, num: dict[int, int], den: int, p: int) -> "Terms":
         """The canonical terms of int numerators over a positive ``den``.
         It works in place, so ``num`` must not be shared; numerators already
         canonical are left as they are."""
-        p = ring.characteristic
         if p:
             for mon in [mon for mon, n in num.items() if not 0 < n < p]:
                 if r := num[mon] % p:
                     num[mon] = r
                 else:
                     del num[mon]
-            return cls(num, 1, ring)
+            return cls(num, 1, p)
         for mon in [mon for mon, n in num.items() if not n]:
             del num[mon]
         if den != 1:
@@ -506,43 +501,22 @@ class Terms(Mapping):
             if g != 1:
                 num = {mon: n // g for mon, n in num.items()}
                 den //= g
-        return cls(num, den, ring)
+        return cls(num, den, p)
 
-    def subset(self, num: dict[int, int], ring: Ring) -> "Terms":
+    def subset(self, num: dict[int, int]) -> "Terms":
         """The canonical terms of some of these numerators, under the same
-        or other monomials of ``ring``, over the same denominator."""
+        or other monomials, over the same denominator."""
         if self.den == 1:
-            return Terms(num, 1, ring)
-        return Terms.reduced(num, self.den, ring)
-
-    def exact_items(self) -> Iterator[tuple[Monomial, int | Scalar]]:
-        """(exponent vector, coefficient) pairs, as ``items()``, but with
-        each coefficient an int when ``den`` is 1: a rule right-hand side
-        another ring reads with no scalar built."""
-        if self.den == 1:
-            return zip(self, self.num.values())
-        return iter(self.items())
-
-    def _value(self, n: int) -> Scalar:
-        return _scalar(n, self.den, self.ring.characteristic)
-
-    def __getitem__(self, mon: Monomial) -> Scalar:
-        try:
-            return self._value(self.num[self.ring.pack(mon)])
-        except (KeyError, TypeError, ValueError):
-            raise KeyError(mon) from None
-
-    def __iter__(self) -> Iterator[Monomial]:
-        return map(self.ring.unpack, self.num)
+            return Terms(num, 1, self.p)
+        return Terms.reduced(num, self.den, self.p)
 
     def __len__(self) -> int:
         return len(self.num)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, Terms):
-            return (self.num, self.den, self.ring.characteristic) == (
-                other.num, other.den, other.ring.characteristic)
-        return Mapping.__eq__(self, other)
+        if not isinstance(other, Terms):
+            return NotImplemented
+        return (self.num, self.den, self.p) == (other.num, other.den, other.p)
 
     __hash__ = None
 
@@ -582,7 +556,7 @@ class GradedPoly:
         for mon, n in other_num.items():
             acc = out.get(mon)
             out[mon] = n if acc is None else acc + n
-        return GradedPoly(self.ring, Terms.reduced(out, den, self.ring))
+        return GradedPoly(self.ring, Terms.reduced(out, den, self.ring.characteristic))
 
     __radd__ = __add__
 
@@ -591,7 +565,7 @@ class GradedPoly:
         p = self.ring.characteristic
         num = ({mon: p - n for mon, n in t.num.items()} if p
                else {mon: -n for mon, n in t.num.items()})
-        return GradedPoly(self.ring, Terms(num, t.den, self.ring))
+        return GradedPoly(self.ring, Terms(num, t.den, p))
 
     def __sub__(self, other: object) -> "GradedPoly":
         if not isinstance(other, GradedPoly):
@@ -609,7 +583,7 @@ class GradedPoly:
             if not n:
                 return ring.zero()
             scaled = {mon: c * n for mon, c in a.num.items()}
-            return GradedPoly(ring, Terms.reduced(scaled, a.den * d, ring))
+            return GradedPoly(ring, Terms.reduced(scaled, a.den * d, ring.characteristic))
         self._compatible(other)
         b = other.terms
         out: dict[int, int] = {}
@@ -684,7 +658,7 @@ class GradedPoly:
             part = picked.get(m >> shift)
             if part is not None:
                 part[m] = c
-        return {k: GradedPoly(ring, self.terms.subset(p, ring)) for k, p in picked.items()}
+        return {k: GradedPoly(ring, self.terms.subset(p)) for k, p in picked.items()}
 
     def sign_twist(self, period: int) -> "GradedPoly":
         """This polynomial with its terms of degree period/2 mod period negated."""
@@ -693,10 +667,10 @@ class GradedPoly:
         return GradedPoly(self.ring, Terms({
             m: (p - n if p else -n) if (m >> shift) % period == half else n
             for m, n in t.num.items()
-        }, t.den, self.ring))
+        }, t.den, p))
 
     def constant_term(self) -> Scalar:
-        return self.terms._value(self.terms.num.get(0, 0))
+        return self._scalar(self.terms.num.get(0, 0))
 
     def constant_term_is_one(self) -> bool:
         """Whether the constant term is 1, read off the ints: numerator over
@@ -704,10 +678,32 @@ class GradedPoly:
         return self.terms.num.get(0) == self.terms.den
 
     def coefficient(self, mon: Monomial | str) -> Scalar:
-        """Coefficient of a monomial (given as exponent vector or text)."""
+        """Coefficient of a monomial (given as exponent vector or text); zero
+        for an exponent vector that is not one of the ring's."""
         if isinstance(mon, str):
             mon = self.ring.monomial(mon)
-        return self.terms.get(mon, self.ring.coerce_scalar(0))
+        try:
+            n = self.terms.num.get(self.ring.pack(mon), 0)
+        except (TypeError, ValueError):  # not an exponent vector of this ring
+            n = 0
+        return self._scalar(n)
+
+    def items(self) -> Iterator[tuple[Monomial, Scalar]]:
+        """(exponent vector, coefficient) for each term, in the order of the terms."""
+        unpack, scalar = self.ring.unpack, self._scalar
+        return ((unpack(mon), scalar(n)) for mon, n in self.terms.num.items())
+
+    def _scalar(self, n: int) -> Scalar:
+        """n over the denominator, in the field: the one place that builds
+        a scalar, without checking the modulus again."""
+        p = self.ring.characteristic
+        if p:
+            from .scalars import _unchecked
+
+            return _unchecked(n, p)
+        from fractions import Fraction
+
+        return Fraction(n, self.terms.den)
 
     def tail_coefficient(self, base: Ring, tail: Monomial) -> "GradedPoly":
         """The coefficient, in ``base``, of the monomial ``tail`` in the
@@ -724,7 +720,7 @@ class GradedPoly:
         want &= mask
         return GradedPoly(base, self.terms.subset({
             (m >> width) - drop: c for m, c in self.terms.num.items() if m & mask == want
-        }, base))
+        }))
 
     def substitute(self, mapping: Mapping[str, object], target: Ring) -> "GradedPoly":
         """Image under generator -> polynomial substitution, into a ring of
@@ -755,7 +751,7 @@ class GradedPoly:
         if den == 1:
             return result
         t = result.terms  # result's own dict, built by the sums above
-        return GradedPoly(target, Terms.reduced(t.num, t.den * den, target))
+        return GradedPoly(target, Terms.reduced(t.num, t.den * den, target.characteristic))
 
     # ------------------------------------------------------------------
 
@@ -794,18 +790,6 @@ def _is_scalar(value: object) -> bool:
     scalars = sys.modules.get(f"{__package__}.scalars")
     return ((fractions is not None and isinstance(value, fractions.Fraction))
             or (scalars is not None and isinstance(value, scalars.PrimeScalar)))
-
-
-def _scalar(n: int, d: int, p: int) -> Scalar:
-    """n/d in the field of characteristic p, where d is 1 if p is not 0:
-    the one place that builds a scalar."""
-    if p:
-        from .scalars import _unchecked
-
-        return _unchecked(n, p)
-    from fractions import Fraction
-
-    return Fraction(n, d)
 
 
 def _exponent_error(what: str) -> ValueError:
@@ -904,8 +888,8 @@ def tensor_ring(a: Ring, b: Ring) -> Ring:
     """Tensor product over the common coefficient field.
 
     Generator lists are concatenated (a's first) and must be disjoint by
-    name; rules carry over unchanged.  This is the Kunneth presentation for
-    product spaces.
+    name; rules carry over unchanged, moved by :func:`transport`.  This is
+    the Kunneth presentation for product spaces.
     """
     if a.characteristic != b.characteristic:
         raise ValueError("tensor factors have different characteristics")
@@ -913,11 +897,8 @@ def tensor_ring(a: Ring, b: Ring) -> Ring:
     if overlap:
         raise ValueError(f"generator names collide in tensor product: {sorted(overlap)}; "
                          "rename before combining")
-    pad_a, pad_b = (0,) * len(a.names), (0,) * len(b.names)
-    rules = [((a.names[i], k), {mon + pad_b: c for mon, c in rhs.exact_items()})
-             for i, (k, rhs) in a.rules.items()]
-    rules += [((b.names[i], k), {pad_a + mon: c for mon, c in rhs.exact_items()})
-              for i, (k, rhs) in b.rules.items()]
+    rules = [((r.names[i], k), GradedPoly(r, rhs))
+             for r in (a, b) for i, (k, rhs) in r.rules.items()]
     gens = zip(a.names + b.names, a.degrees + b.degrees)
     return Ring(a.characteristic, gens, rules)
 
@@ -964,14 +945,6 @@ def transport(poly: GradedPoly, target: Ring) -> GradedPoly:
         if step:
             mask = (1 << _W * n) - 1 if i >= 0 else -1  # nothing lies above the degree field
             moved = {k + (mon >> s & mask) * step: c for (k, c), mon in zip(moved.items(), num)}
-    return GradedPoly(target, Terms(dict(num) if moved is num else moved, poly.terms.den, target))
+    return GradedPoly(target, Terms(dict(num) if moved is num else moved, poly.terms.den,
+                                    target.characteristic))
 
-
-def __getattr__(name: str):
-    # validate_modulus is read here, at call time, so it resolves on this
-    # module without loading charclasses.scalars with it
-    if name == "validate_modulus":
-        from .scalars import validate_modulus
-
-        return validate_modulus
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -10,12 +10,11 @@ between prime-field scalars with different moduli raise ``ValueError``.
 These are the scalars of the package's interface, not of its polynomial
 arithmetic: a polynomial stores its coefficients as Python ints (see
 :mod:`charclasses.rings`), and prints and substitutes on those ints.
-Scalars come in through ``Ring.poly`` and ``Ring.coerce_scalar``, and go
-out through ``coefficient``, ``constant_term`` and each lookup in a
-polynomial's ``terms`` mapping.  This module imports ``fractions`` only
-to parse a rational (``Fraction`` is in ``__all__`` and resolves on first
-access), so a characteristic-p computation, which loads this module for
-its modulus, loads no ``fractions``.
+Scalars come in through ``Ring.poly``, and go out through a polynomial's
+``coefficient``, ``constant_term`` and ``items``.  This module imports
+``fractions`` only to parse a rational (``Fraction`` is in ``__all__`` and
+resolves on first access), so a characteristic-p computation, which loads
+this module for its modulus, loads no ``fractions``.
 
 A modulus is validated once, where it enters: by :func:`validate_modulus`
 when a ``PrimeScalar`` is constructed and when a ``Ring`` of characteristic

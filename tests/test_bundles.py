@@ -47,11 +47,24 @@ def test_product_bundle_gysin_keeps_base_factor():
 def test_product_bundle_vertical_data_is_fibre_data():
     fibre = hp(2)
     bundle = product_bundle(sphere(12), fibre)
-    total = bundle.total_ring
-    y = total.gen("y")
+    y = fibre.ring.gen("y")
     assert bundle.vertical_euler == y * y * 3
-    assert bundle.vertical_total_p == total.poly("1 + 2*y + 7*y^2")
+    assert bundle.vertical_total_p == fibre.ring.poly("1 + 2*y + 7*y^2")
     assert bundle.fibre_dimension == 8
+
+
+def test_product_bundle_moves_none_of_the_fibre_classes(monkeypatch):
+    # kappa moves only the graded parts it reads into the total ring; the
+    # bundle keeps the fibre's classes as they are
+    def refuse(poly, target):
+        raise AssertionError("product_bundle transported a class")
+
+    monkeypatch.setattr(bundles, "transport", refuse)
+    fibre = hp(2)
+    bundle = product_bundle(sphere(12), fibre)
+    assert bundle.vertical_euler is fibre.euler
+    assert bundle.vertical_total_p is fibre.total_p
+    assert bundle.vertical_total_w is None
 
 
 def test_product_bundle_rejects_foreign_classes():
@@ -68,9 +81,9 @@ def test_gysin_lowers_degree_by_fibre_dimension():
         pushed = bundle.gysin(cls)
         if pushed.is_zero():
             continue
-        for mon in pushed.terms:
+        for mon, _ in pushed.items():
             src_degrees = {
-                bundle.total_ring.monomial_degree(m) for m in cls.terms
+                bundle.total_ring.monomial_degree(m) for m, _ in cls.items()
             }
             assert (
                 bundle.base_ring.monomial_degree(mon) + bundle.fibre_dimension

@@ -792,6 +792,23 @@ def test_a_launcher_whose_reader_closes_early_exits_141_quietly():
     assert (proc.wait(), head, err) == (141, b"characteri", b"")
 
 
+def test_an_unbuffered_launcher_whose_reader_closes_early_exits_141_quietly():
+    # unbuffered, stdout writes straight to the pipe, and a write that the
+    # closed pipe cuts short returns without error; the launcher buffers
+    # stdout again, so the short write is retried and the pipe error shows
+    env = dict(package_env(), PYTHONUNBUFFERED="1")
+    argv = [sys.executable, "-m", "charclasses", "bso", "--dimension", "100000"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    head = proc.stdout.read(10)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), head, err) == (141, b"characteri", b"")
+    # and a reader that stays gets the whole output
+    done = subprocess.run(argv, capture_output=True, env=env)
+    assert (done.returncode, len(done.stdout), done.stderr) == (0, 1_511_186, b"")
+
+
 def garbage_left_by(capsys, *argv):
     """What ``gc.collect()`` finds after an in-process run with gc off."""
     enabled = gc.isenabled()

@@ -376,7 +376,7 @@ def partition_route_k_polynomial(q, n):
             epoly = monomial_to_elementary(lam, n)
             # elementary_ring(n) and weight_ring(n) both declare their
             # generators from index n down to 1, so exponent vectors agree
-            total = total + ring.poly(dict(epoly.terms)) * coeff
+            total = total + ring.poly(dict(epoly.items())) * coeff
     return total
 
 

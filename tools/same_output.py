@@ -12,7 +12,10 @@ S^4000 has no nonzero power sum), ``kappa --class "1/3*e^3 - 5/7*e*p1"``
 on a projectivization whose base relation and Chern classes carry
 fractions and ``signature`` of a space whose relation and ``total_p``
 carry fractions (text and json; every catalog call has integral rules,
-these rings have rule denominators other than 1), ``kappa --class
+these rings have rule denominators other than 1), ``kappa --class "1/3*p1^4
++ p2*p1^2 - 5/7*e + 2*p4 - p3*p1 + p2^2"`` on the product bundle over CP^2
+whose fibre is that space (text; the tensor ring takes over the fibre's
+fractional rule, which no catalog ring has), ``kappa --class
 "w1^4 + w2^2 + w1*w3"`` on a characteristic 2 product bundle whose fibre
 ring has a relation with a nonzero right-hand side and a generator with no
 relation (text; every catalog ring in characteristic 2 has only
@@ -110,6 +113,14 @@ MOD2_RULES_BUNDLE = {
     },
 }
 MOD2_RULES_CLASS = "w1^4 + w2^2 + w1*w3"
+
+# The product bundle over CP^2 whose fibre has the fractional rule a^3 -> 1/2*a*b.
+FRACTIONAL_FIBRE_BUNDLE = {
+    "kind": "product",
+    "base": workloads.space_doc([Factor("cp", 2)], ["h"]),
+    "fibre": FRACTIONAL_SPACE,
+}
+FRACTIONAL_FIBRE_CLASS = "1/3*p1^4 + p2*p1^2 - 5/7*e + 2*p4 - p3*p1 + p2^2"
 
 # A characteristic 2 fibre of three factors, and a class mixing its w_i.
 MOD2_THREE_FACTORS = {
@@ -209,6 +220,8 @@ def calls() -> list[Op]:
         ops.append(Op(f"signature fractional rules {fmt}",
                       ("signature", "-") + workloads._fmt_args(fmt),
                       stdin=workloads._encode(FRACTIONAL_SPACE)))
+    ops.append(workloads.kappa_op("fractional fibre rules", FRACTIONAL_FIBRE_BUNDLE,
+                                  FRACTIONAL_FIBRE_CLASS, "text"))
     ops.append(workloads.kappa_op("mod 2 rules", MOD2_RULES_BUNDLE, MOD2_RULES_CLASS, "text"))
     ops.append(workloads.kappa_op("mod 2 three factors", MOD2_THREE_FACTORS,
                                   MOD2_THREE_FACTORS_CLASS, "text"))
