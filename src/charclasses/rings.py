@@ -169,7 +169,7 @@ class Ring:
         self._shift = _W * len(degrees)
         # the repunit with a 1 in the low bit of each field, moved up
         self._guard = ((1 << self._shift) - 1) // ((1 << _W) - 1) << (_W - 1)
-        self.rules: dict[int, tuple[int, Terms]] = {}
+        self.rules: dict[int, tuple[int, Terms]] = {}  # == and transport read it while building
         self.rules = self._build_rules(rules)
         self._scale = lcm(*(rhs.den for _, rhs in self.rules.values()))
         self._rewrites = [
