@@ -21,7 +21,6 @@ __version__ = "0.1.0"
 
 # exported name -> the submodule that defines it
 _EXPORTS = {
-    "BundleModel": "bundles",
     "kappa": "bundles",
     "product_bundle": "bundles",
     "projectivize": "bundles",

@@ -1,112 +1,53 @@
 """Fibre bundles with computable Gysin maps and kappa classes.
 
-A :class:`BundleModel` holds the total-space ring, the pullback embedding
-of the base, the vertical tangent data (Euler class, total Pontryagin
-class, and in characteristic 2 the total Stiefel-Whitney class), and the
-fibre's fundamental monomial on the generators that follow the base ones.
-Fibre integration ``gysin`` reads off its coefficient, for either kind of
-bundle, lowering degree by the fibre dimension.
+A bundle is a :class:`charclasses.spaces.SpaceModel` whose base ring has
+generators.  Its ``gysin`` reads off the coefficient of the fibre's
+fundamental monomial, lowering degree by the fibre dimension, and a closed
+manifold is the family over the point.
 
-* ``product_bundle(base, fibre)``: the trivial bundle on the Kunneth ring.
+* ``product_bundle(base, fibre)``: the trivial bundle on the Kunneth ring,
+  whose vertical classes stay in the fibre's ring.
 * ``projectivize(base, chern)``: the complex projectivization of a rank-k
   bundle with Chern classes c_1..c_k.  The total ring appends a degree-2
   generator t with the defining relation
   t^k = -(c_1 t^{k-1} + ... + c_k), the vertical tangent Chern class is
   sum_i c_i (1+t)^{k-i}, and the fibre's fundamental monomial is t^{k-1}.
 
-``kappa(bundle, c)`` pushes a characteristic class of the vertical tangent
+``kappa(space, c)`` pushes a characteristic class of the vertical tangent
 bundle down to the base: kappa_c = gysin(c evaluated on the vertical data).
 The class c is any polynomial in e and p_1..p_{d/2} (characteristic 0) or
 in w_1..w_d (characteristic 2), for fibre dimension d.  The transfer
 identity gysin(e(T_v) * pullback(a) * q) is a special case, and kappa of
-the Euler class alone is the fibre's Euler characteristic.
+the Euler class alone is the fibre's Euler characteristic.  Over the
+point kappa_c is the characteristic number: the integral of c.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from . import spaces  # chern_to_pontryagin is looked up there at each call
-from .rings import _NAME_RE, GradedPoly, Monomial, Ring, tensor_ring, transport
-from .spaces import SpaceModel, _FrozenRecord
+from .rings import _NAME_RE, GradedPoly, Ring, tensor_ring, transport
+from .spaces import SpaceModel
 
 __all__ = [
-    "BundleModel",
     "kappa",
     "product_bundle",
     "projectivize",
 ]
 
 
-class BundleModel(_FrozenRecord):
-    """A fibre bundle with enough structure to integrate along fibres.
-
-    ``fibre_fundamental`` holds the exponents of the fibre's fundamental
-    monomial on the generators of ``total_ring`` after the base ones.  The
-    vertical classes live in a ring whose generators the total ring has:
-    the fibre's own ring for a product bundle, the total ring for a
-    projectivization; ``kappa`` moves into the total ring only the graded
-    parts it reads.  No ``__slots__``: the instance keeps a ``__dict__``,
-    because ``perfbench/tracer.py`` shadows ``gysin`` on each instance.
-    """
-
-    __match_args__ = (
-        "base_ring",
-        "total_ring",
-        "fibre_dimension",
-        "fibre_fundamental",
-        "vertical_euler",
-        "vertical_total_p",
-        "vertical_total_w",
-    )
-
-    def __init__(
-        self,
-        base_ring: Ring,
-        total_ring: Ring,
-        fibre_dimension: int,
-        fibre_fundamental: Monomial,
-        vertical_euler: GradedPoly,
-        vertical_total_p: GradedPoly,
-        vertical_total_w: Optional[GradedPoly] = None,
-    ) -> None:
-        self.__dict__.update(
-            base_ring=base_ring,
-            total_ring=total_ring,
-            fibre_dimension=fibre_dimension,
-            fibre_fundamental=fibre_fundamental,
-            vertical_euler=vertical_euler,
-            vertical_total_p=vertical_total_p,
-            vertical_total_w=vertical_total_w,
-        )
-
-    def pullback(self, cls: GradedPoly) -> GradedPoly:
-        """Image of a base class in the total ring."""
-        return transport(cls, self.total_ring)
-
-    def gysin(self, cls: GradedPoly) -> GradedPoly:
-        """Fibre integration: the coefficient of the fibre's fundamental monomial.
-
-        The total ring's rules on base generators are the base's own, and
-        the fibre part of every picked term is the same, so the base parts
-        are distinct and already in the base's normal form.
-        """
-        if cls.ring is not self.total_ring and cls.ring != self.total_ring:
-            raise ValueError("class does not live in the total ring")
-        return cls.tail_coefficient(self.base_ring, self.fibre_fundamental)
-
-
-def product_bundle(base: SpaceModel, fibre: SpaceModel) -> BundleModel:
+def product_bundle(base: SpaceModel, fibre: SpaceModel) -> SpaceModel:
     """The trivial bundle base x fibre -> base, whose vertical classes are
     the fibre's own."""
-    return BundleModel(
+    return SpaceModel(
+        ring=tensor_ring(base.ring, fibre.ring),
+        dimension=fibre.dimension,
+        fundamental=fibre.fundamental,
+        total_p=fibre.total_p,
+        euler=fibre.euler,
+        total_w=fibre.total_w,
         base_ring=base.ring,
-        total_ring=tensor_ring(base.ring, fibre.ring),
-        fibre_dimension=fibre.dimension,
-        fibre_fundamental=fibre.fundamental,
-        vertical_euler=fibre.euler,
-        vertical_total_p=fibre.total_p,
-        vertical_total_w=fibre.total_w,
     )
 
 
@@ -114,7 +55,7 @@ def projectivize(
     base: Ring | SpaceModel,
     chern: Sequence[GradedPoly | str | int],
     twist: str = "t",
-) -> BundleModel:
+) -> SpaceModel:
     """Projectivization of a rank-k complex bundle over the base.
 
     ``chern`` lists c_1..c_k in the base ring (strings are parsed there).
@@ -157,17 +98,17 @@ def projectivize(
     for c in classes:
         vertical_chern = vertical_chern * one_plus_t + transport(c, total)
     fibre_dim = 2 * (k - 1)
-    return BundleModel(
+    return SpaceModel(
+        ring=total,
+        dimension=fibre_dim,
+        fundamental=(k - 1,),
+        total_p=spaces.chern_to_pontryagin(vertical_chern),
+        euler=vertical_chern.graded_component(fibre_dim),
         base_ring=base_ring,
-        total_ring=total,
-        fibre_dimension=fibre_dim,
-        fibre_fundamental=(k - 1,),
-        vertical_euler=vertical_chern.graded_component(fibre_dim),
-        vertical_total_p=spaces.chern_to_pontryagin(vertical_chern),
     )
 
 
-def kappa(bundle: BundleModel, cls: str) -> GradedPoly:
+def kappa(bundle: SpaceModel, cls: str) -> GradedPoly:
     """The kappa class of a vertical characteristic class.
 
     ``cls`` is a polynomial, in the text syntax of :mod:`charclasses.rings`,
@@ -175,22 +116,22 @@ def kappa(bundle: BundleModel, cls: str) -> GradedPoly:
     characteristic 0, w1..wd in characteristic 2, e.g. ``"e^3 + 2*e*p1"``.
     It is parsed in the free ring on the vertical classes it names (any
     other name is an unknown generator), evaluated on the vertical tangent
-    data and pushed down.
+    data and pushed down: into the point ring on a closed manifold.
     """
-    d = bundle.fibre_dimension
-    characteristic = bundle.total_ring.characteristic
+    d = bundle.dimension
+    characteristic = bundle.ring.characteristic
     # each vertical total class with the named classes read off it, name ->
     # degree, for the names in the text only: d may be far larger than the text
     named = set(_NAME_RE.findall(cls))
     if characteristic == 0:
         groups = [
-            (bundle.vertical_euler, {"e": d} if "e" in named else {}),
-            (bundle.vertical_total_p,
+            (bundle.euler, {"e": d} if "e" in named else {}),
+            (bundle.total_p,
              {f"p{i}": 4 * i for i in _indices(named, "p", d // 2)}),
         ]
     elif characteristic == 2:
         groups = [
-            (bundle.vertical_total_w, {f"w{i}": i for i in _indices(named, "w", d)})
+            (bundle.total_w, {f"w{i}": i for i in _indices(named, "w", d)})
         ]
     else:
         raise ValueError(
@@ -212,9 +153,9 @@ def kappa(bundle: BundleModel, cls: str) -> GradedPoly:
         # one pass over the total class picks every degree named in it, and
         # only those parts move into the total ring
         parts = total.graded_components(degrees.values())
-        images.update((name, transport(parts[deg], bundle.total_ring))
+        images.update((name, transport(parts[deg], bundle.ring))
                       for name, deg in degrees.items())
-    return bundle.gysin(polynomial.substitute(images, bundle.total_ring))
+    return bundle.gysin(polynomial.substitute(images, bundle.ring))
 
 
 def _indices(names: set[str], letter: str, top: int) -> list[int]:

@@ -124,7 +124,7 @@ def _projection_formula_instances(count: int, seed: int) -> int:
     for i in range(count):
         bundle = bundles[i % len(bundles)]
         a = _random_poly(rng, bundle.base_ring, 12)
-        x = _random_poly(rng, bundle.total_ring, 14)
+        x = _random_poly(rng, bundle.ring, 14)
         left = bundle.gysin(bundle.pullback(a) * x)
         right = a * bundle.gysin(x)
         _ensure(

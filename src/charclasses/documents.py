@@ -42,13 +42,10 @@ here too.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Any, Iterator, Mapping
+from typing import Any, Iterator, Mapping
 
 from .rings import GradedPoly, Ring, validate_name
-from .spaces import SpaceModel, check_fundamental, ring_to_document
-
-if TYPE_CHECKING:
-    from .bundles import BundleModel
+from .spaces import SpaceModel, check_closed, check_fundamental, ring_to_document
 
 __all__ = [
     "DocumentError",
@@ -172,7 +169,8 @@ def space_from_document(doc: Mapping[str, Any], path: str = "") -> SpaceModel:
 
 
 def space_to_document(space: SpaceModel) -> dict:
-    """The JSON document of a SpaceModel (inverse of space_from_document)."""
+    """The JSON document of a closed manifold (inverse of space_from_document)."""
+    check_closed(space)
     doc = {
         "characteristic": space.ring.characteristic,
         "ring": ring_to_document(space.ring),
@@ -186,8 +184,8 @@ def space_to_document(space: SpaceModel) -> dict:
     return doc
 
 
-def bundle_from_document(doc: Mapping[str, Any], path: str = "") -> BundleModel:
-    """Build a BundleModel from its JSON document."""
+def bundle_from_document(doc: Mapping[str, Any], path: str = "") -> SpaceModel:
+    """Build a bundle, a SpaceModel over a base, from its JSON document."""
     from . import bundles  # its builders are looked up there at each call
 
     kind = _str_field(doc, "kind", path)

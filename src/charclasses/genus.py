@@ -239,12 +239,13 @@ def ahat_sequence() -> MultiplicativeSequence:
 
 def evaluate_genus(space, seq: MultiplicativeSequence) -> Fraction:
     """Pair the top weight polynomial of the sequence with the fundamental
-    class: the genus of the space.  Zero when the dimension is not a
-    multiple of four.
+    class: the genus of a closed manifold.  Zero when the dimension is not
+    a multiple of four.
     """
+    from .spaces import integrate  # imported here: a genus table needs no space
+
     if space.ring.characteristic != 0:
         raise ValueError("genus evaluation needs characteristic 0")
-    if space.dimension % 4 != 0:
-        return Fraction(0)
-    n = space.dimension // 4
-    return seq.weight_parts(space.total_p, n)[n].coefficient(space.fundamental)
+    n, rest = divmod(space.dimension, 4)
+    top = space.ring.zero() if rest else seq.weight_parts(space.total_p, n)[n]
+    return integrate(space, top)

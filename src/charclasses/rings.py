@@ -914,7 +914,10 @@ def transport(poly: GradedPoly, target: Ring) -> GradedPoly:
     generators that follow one another in the target too moves from bit s
     to bit t as one shifted, masked int times 2^t - 2^s, added to the key.
     The degree field leads the first run, and a run that stays put costs
-    nothing, so a pullback into a tensor ring is one step per term."""
+    nothing, so a pullback into a tensor ring is one step per term.  A
+    polynomial of the target ring itself comes back as it is."""
+    if poly.ring is target:
+        return poly
     src = poly.ring
     if src.characteristic != target.characteristic:
         raise ValueError(f"cannot transport from characteristic {src.characteristic} "

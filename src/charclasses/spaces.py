@@ -1,10 +1,12 @@
-"""Cohomology models of closed manifolds and classifying-space presentations.
+"""Cohomology models of manifolds and their families, and classifying-space
+presentations.
 
-A :class:`SpaceModel` packages a ring presentation of the cohomology, the
-dimension, the monomial dual to the fundamental class, and tangent data:
-the total Pontryagin class, the Euler class, and (in characteristic 2) the
-total Stiefel-Whitney class.  Integration over the space is reading off the
-coefficient of the fundamental monomial.
+A :class:`SpaceModel` packages a ring presentation of a total space over a
+base ring, the fibre dimension, the fibre's fundamental monomial, and the
+vertical tangent data: the total Pontryagin class, the Euler class, and
+(in characteristic 2) the total Stiefel-Whitney class.  A closed manifold
+is the family over the point, and integrating over it is the constant
+term of ``gysin``, the coefficient of the fundamental monomial.
 
 Built-in models: even spheres, and complex and quaternionic projective
 spaces, whose tangent data is computed from its closed form.  Odd-dimensional
@@ -35,6 +37,7 @@ if TYPE_CHECKING:
 __all__ = [
     "SpaceModel",
     "bso_presentation",
+    "check_closed",
     "check_fundamental",
     "chern_to_pontryagin",
     "cp",
@@ -47,17 +50,72 @@ __all__ = [
 ]
 
 
-class _FrozenRecord:
-    """An immutable record of the fields named in ``__match_args__``.
+class SpaceModel:
+    """Vertical tangent data over a base: a fibre bundle, or a closed
+    manifold over the point.
 
-    ``==`` and ``repr`` go field by field, and assigning or deleting any
-    attribute raises ``AttributeError``.  A subclass's ``__init__`` writes
-    its fields into the instance ``__dict__``; copies and pickles restore
-    that dict as it is, without running ``__init__`` again.
+    ``ring`` is the total space's, its generators led by those of
+    ``base_ring`` (the point by default) under the same rules.
+    ``dimension`` is the fibre's, and ``fundamental`` holds the exponents
+    of the fibre's fundamental monomial on the generators after the base's.
+    The classes live in ``ring`` or in a ring whose generators it has.
+
+    Immutable: ``==`` and ``repr`` go field by field, and assigning or
+    deleting an attribute raises ``AttributeError``.  ``__init__`` writes
+    the fields into the instance ``__dict__``, which copies and pickles
+    restore as it is, and where ``perfbench/tracer.py`` shadows ``gysin``
+    on each bundle.
     """
 
-    __match_args__: tuple[str, ...] = ()
-    __hash__ = None  # the records hold a Ring, which has no hash
+    __match_args__ = ("ring", "dimension", "fundamental", "total_p", "euler", "total_w",
+                      "base_ring")
+    __hash__ = None  # the record holds a Ring, which has no hash
+
+    def __init__(
+        self,
+        ring: Ring,
+        dimension: int,
+        fundamental: Monomial,
+        total_p: GradedPoly,
+        euler: GradedPoly,
+        total_w: Optional[GradedPoly] = None,
+        base_ring: Optional[Ring] = None,
+    ) -> None:
+        self.__dict__.update(
+            ring=ring,
+            dimension=dimension,
+            fundamental=fundamental,
+            total_p=total_p,
+            euler=euler,
+            total_w=total_w,
+            base_ring=Ring(ring.characteristic, []) if base_ring is None else base_ring,
+        )
+        self.__post_init__()
+
+    # validation keeps this name because perfbench/tracer.py wraps it, and
+    # tests/test_tracer_targets.py checks that it is here
+    def __post_init__(self) -> None:
+        if self.dimension < 0:
+            raise ValueError(f"negative dimension {self.dimension}")
+        check_fundamental(self.ring, self.fundamental, self.dimension,
+                          len(self.base_ring.names))
+        if not self.total_p.constant_term_is_one():
+            raise ValueError("total Pontryagin class must have constant term 1")
+        for degree in self.total_p.degrees():
+            if degree % 4:
+                raise ValueError(
+                    f"total Pontryagin class has a term of degree {degree}, "
+                    "not a multiple of 4"
+                )
+        if not self.euler.is_zero() and not self.euler.is_homogeneous(self.dimension):
+            raise ValueError(
+                f"Euler class must be homogeneous of degree {self.dimension}"
+            )
+        if self.total_w is not None:
+            if self.ring.characteristic != 2:
+                raise ValueError("total_w only makes sense in characteristic 2")
+            if not self.total_w.constant_term_is_one():
+                raise ValueError("total Stiefel-Whitney class must start with 1")
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__match_args__)
@@ -80,74 +138,54 @@ class _FrozenRecord:
         )
         return f"{type(self).__qualname__}({fields})"
 
+    def pullback(self, cls: GradedPoly) -> GradedPoly:
+        """Image of a base class in the total ring."""
+        return transport(cls, self.ring)
 
-class SpaceModel(_FrozenRecord):
-    """A closed manifold presented through its cohomology ring."""
+    def gysin(self, cls: GradedPoly) -> GradedPoly:
+        """Fibre integration: the coefficient of the fibre's fundamental monomial.
 
-    __match_args__ = ("ring", "dimension", "fundamental", "total_p", "euler", "total_w")
-
-    def __init__(
-        self,
-        ring: Ring,
-        dimension: int,
-        fundamental: Monomial,
-        total_p: GradedPoly,
-        euler: GradedPoly,
-        total_w: Optional[GradedPoly] = None,
-    ) -> None:
-        self.__dict__.update(
-            ring=ring,
-            dimension=dimension,
-            fundamental=fundamental,
-            total_p=total_p,
-            euler=euler,
-            total_w=total_w,
-        )
-        self.__post_init__()
-
-    # validation keeps this name because perfbench/tracer.py wraps it, and
-    # tests/test_tracer_targets.py checks that it is here
-    def __post_init__(self) -> None:
-        if self.dimension < 0:
-            raise ValueError(f"negative dimension {self.dimension}")
-        check_fundamental(self.ring, self.fundamental, self.dimension)
-        if not self.total_p.constant_term_is_one():
-            raise ValueError("total Pontryagin class must have constant term 1")
-        for degree in self.total_p.degrees():
-            if degree % 4:
-                raise ValueError(
-                    f"total Pontryagin class has a term of degree {degree}, "
-                    "not a multiple of 4"
-                )
-        if not self.euler.is_zero() and not self.euler.is_homogeneous(self.dimension):
-            raise ValueError(
-                f"Euler class must be homogeneous of degree {self.dimension}"
-            )
-        if self.total_w is not None:
-            if self.ring.characteristic != 2:
-                raise ValueError("total_w only makes sense in characteristic 2")
-            if not self.total_w.constant_term_is_one():
-                raise ValueError("total Stiefel-Whitney class must start with 1")
+        The total ring's rules on base generators are the base's own, and
+        the fibre part of every picked term is the same, so the base parts
+        are distinct and already in the base's normal form.
+        """
+        if cls.ring is not self.ring and cls.ring != self.ring:
+            raise ValueError("class does not live in the total ring")
+        return cls.tail_coefficient(self.base_ring, self.fundamental)
 
 
-def check_fundamental(ring: Ring, fundamental: Monomial, dimension: int) -> None:
-    """Reject a fundamental monomial whose degree is not the dimension.
+def check_fundamental(ring: Ring, fundamental: Monomial, dimension: int,
+                      base_gens: int = 0) -> None:
+    """Reject a fundamental monomial whose degree, on the generators after
+    the first ``base_gens``, is not the dimension.
 
     It needs no rewriting, so a document decoder can run it before it
     parses the space's classes.
     """
-    degree = ring.monomial_degree(fundamental)
+    degrees = ring.degrees[base_gens:]
+    if len(fundamental) != len(degrees):
+        raise ValueError(f"expected {len(degrees)} exponents in the fundamental monomial")
+    degree = sum(e * d for e, d in zip(fundamental, degrees))
     if degree != dimension:
         raise ValueError(f"fundamental monomial has degree {degree}, expected {dimension}")
 
 
+def check_closed(space: SpaceModel) -> None:
+    """Reject a family over a base with generators where a closed manifold,
+    the family over the point, is read."""
+    if space.base_ring.names:
+        raise ValueError("expected a closed manifold, not a family over a base")
+
+
 def integrate(space: SpaceModel, cls: GradedPoly) -> Fraction | PrimeScalar:
-    """Pair a class with the fundamental class.
+    """Pair a class with the fundamental class of a closed manifold: the
+    constant term of its pushforward to the point.
 
     Zero whenever the degree does not match the dimension, because only the
     fundamental monomial is inspected.
     """
-    return cls.coefficient(space.fundamental)
+    check_closed(space)
+    return space.gysin(cls).constant_term()
 
 
 def point(characteristic: int = 0) -> SpaceModel:
@@ -223,6 +261,8 @@ def product_space(a: SpaceModel, b: SpaceModel) -> SpaceModel:
     Generator names must already be disjoint; rebuild a factor with renamed
     generators if they collide.
     """
+    check_closed(a)
+    check_closed(b)
     ring = tensor_ring(a.ring, b.ring)
     total_w = None
     if a.total_w is not None and b.total_w is not None:

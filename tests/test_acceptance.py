@@ -189,7 +189,7 @@ def test_criterion_5_kappa_identities():
     for i in range(1000):
         b = instances[i % 2]
         a = _random_poly(rng, b.base_ring)
-        x = _random_poly(rng, b.total_ring)
+        x = _random_poly(rng, b.ring)
         assert b.gysin(b.pullback(a) * x) == a * b.gysin(x), f"instance {i}"
 
     # kappa of a product bundle vanishes whenever the output degree is

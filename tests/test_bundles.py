@@ -8,9 +8,17 @@ import pytest
 from charclasses import bundles
 from charclasses.bundles import kappa, product_bundle, projectivize
 from charclasses.documents import space_from_document, space_to_document
-from charclasses.genus import ahat_sequence, l_sequence
+from charclasses.genus import ahat_sequence, evaluate_genus, l_sequence
 from charclasses.rings import GradedPoly, Ring
-from charclasses.spaces import SpaceModel, cp, hp, point, sphere
+from charclasses.spaces import (
+    SpaceModel,
+    cp,
+    hp,
+    integrate,
+    point,
+    product_space,
+    sphere,
+)
 
 
 def random_poly(rng, ring, max_exp=2, n_terms=3):
@@ -27,7 +35,7 @@ def random_poly(rng, ring, max_exp=2, n_terms=3):
 
 def test_product_bundle_gysin_normalization():
     bundle = product_bundle(sphere(12), hp(2))
-    total = bundle.total_ring
+    total = bundle.ring
     fibre_class = total.gen("y") ** 2
     assert bundle.gysin(fibre_class) == bundle.base_ring.one()
     assert bundle.gysin(total.gen("y")).is_zero()
@@ -36,7 +44,7 @@ def test_product_bundle_gysin_normalization():
 
 def test_product_bundle_gysin_keeps_base_factor():
     bundle = product_bundle(sphere(12), hp(2))
-    total = bundle.total_ring
+    total = bundle.ring
     x = total.gen("x")
     y = total.gen("y")
     assert bundle.gysin(x * y * y * Fraction(3, 7)) == (
@@ -48,9 +56,9 @@ def test_product_bundle_vertical_data_is_fibre_data():
     fibre = hp(2)
     bundle = product_bundle(sphere(12), fibre)
     y = fibre.ring.gen("y")
-    assert bundle.vertical_euler == y * y * 3
-    assert bundle.vertical_total_p == fibre.ring.poly("1 + 2*y + 7*y^2")
-    assert bundle.fibre_dimension == 8
+    assert bundle.euler == y * y * 3
+    assert bundle.total_p == fibre.ring.poly("1 + 2*y + 7*y^2")
+    assert bundle.dimension == 8
 
 
 def test_product_bundle_moves_none_of_the_fibre_classes(monkeypatch):
@@ -62,9 +70,9 @@ def test_product_bundle_moves_none_of_the_fibre_classes(monkeypatch):
     monkeypatch.setattr(bundles, "transport", refuse)
     fibre = hp(2)
     bundle = product_bundle(sphere(12), fibre)
-    assert bundle.vertical_euler is fibre.euler
-    assert bundle.vertical_total_p is fibre.total_p
-    assert bundle.vertical_total_w is None
+    assert bundle.euler is fibre.euler
+    assert bundle.total_p is fibre.total_p
+    assert bundle.total_w is None
 
 
 def test_product_bundle_rejects_foreign_classes():
@@ -77,16 +85,16 @@ def test_gysin_lowers_degree_by_fibre_dimension():
     rng = random.Random(8)
     bundle = product_bundle(hp(2, gen="b"), cp(2))
     for _ in range(50):
-        cls = random_poly(rng, bundle.total_ring)
+        cls = random_poly(rng, bundle.ring)
         pushed = bundle.gysin(cls)
         if pushed.is_zero():
             continue
         for mon, _ in pushed.items():
             src_degrees = {
-                bundle.total_ring.monomial_degree(m) for m, _ in cls.items()
+                bundle.ring.monomial_degree(m) for m, _ in cls.items()
             }
             assert (
-                bundle.base_ring.monomial_degree(mon) + bundle.fibre_dimension
+                bundle.base_ring.monomial_degree(mon) + bundle.dimension
                 in src_degrees
             )
 
@@ -98,18 +106,18 @@ def test_gysin_lowers_degree_by_fibre_dimension():
 def test_projectivize_defining_relation():
     base = Ring(0, [("c1", 2), ("c2", 4)])
     bundle = projectivize(base, ["c1", "c2"])
-    total = bundle.total_ring
+    total = bundle.ring
     t = total.gen("t")
     c1 = total.gen("c1")
     c2 = total.gen("c2")
     assert t * t == -(c1 * t) - c2
-    assert bundle.fibre_dimension == 2
+    assert bundle.dimension == 2
 
 
 def test_projectivize_gysin_normalization():
     base = Ring(0, [("c1", 2), ("c2", 4), ("c3", 6)])
     bundle = projectivize(base, ["c1", "c2", "c3"])
-    total = bundle.total_ring
+    total = bundle.ring
     t = total.gen("t")
     assert bundle.gysin(t * t) == bundle.base_ring.one()
     assert bundle.gysin(t).is_zero()
@@ -121,27 +129,27 @@ def test_projectivize_over_trivial_chern_classes():
     # trivial rank-2 bundle over a point: total space is CP^1
     base = Ring(0, [])
     bundle = projectivize(base, [0, 0])
-    total = bundle.total_ring
+    total = bundle.ring
     t = total.gen("t")
     assert (t * t).is_zero()
-    assert bundle.vertical_euler == t * 2
+    assert bundle.euler == t * 2
     assert kappa(bundle, "e") == base.one() * 2
 
 
 def test_projectivize_vertical_euler_is_top_chern():
     base = Ring(0, [("c1", 2), ("c2", 4)])
     bundle = projectivize(base, ["c1", "c2"])
-    total = bundle.total_ring
+    total = bundle.ring
     t = total.gen("t")
     c1 = total.gen("c1")
     # rank 2: vertical tangent is a line bundle with e = 2t + c1
-    assert bundle.vertical_euler == t * 2 + c1
+    assert bundle.euler == t * 2 + c1
 
 
 def test_projectivize_keeps_base_relations():
     base = cp(2)
     bundle = projectivize(base, [base.ring.gen("h"), base.ring.gen("h") ** 2])
-    total = bundle.total_ring
+    total = bundle.ring
     h = total.gen("h")
     assert (h ** 3).is_zero()
     pushed = bundle.gysin(total.gen("t") * h)
@@ -164,7 +172,7 @@ def test_projectivize_validation():
 def test_projectivize_twist_rename():
     base = Ring(0, [("t", 2)])
     bundle = projectivize(base, ["t", "t^2"], twist="s")
-    assert bundle.total_ring.names == ("t", "s")
+    assert bundle.ring.names == ("t", "s")
 
 
 # ----------------------------------------------------------------------
@@ -181,7 +189,7 @@ def test_projection_formula_random_instances():
     for i in range(200):
         bundle = bundles[i % 2]
         a = random_poly(rng, bundle.base_ring)
-        x = random_poly(rng, bundle.total_ring)
+        x = random_poly(rng, bundle.ring)
         assert bundle.gysin(bundle.pullback(a) * x) == a * bundle.gysin(x)
 
 
@@ -214,8 +222,8 @@ def test_kappa_euler_cubed_hand_expansion():
     # t-coefficient is 2(c1^2 - 4 c2)
     base = Ring(0, [("c1", 2), ("c2", 4)])
     bundle = projectivize(base, ["c1", "c2"])
-    e = bundle.vertical_euler
-    total = bundle.total_ring
+    e = bundle.euler
+    total = bundle.ring
     c1 = total.gen("c1")
     c2 = total.gen("c2")
     assert e * e == c1 * c1 - c2 * 4
@@ -309,7 +317,7 @@ def test_kappa_of_l_classes_is_the_fibre_signature(rank):
     # trivial local system, kappa of L_i is sign(F) for 4i = d and 0 above
     base = Ring(0, [(f"c{i}", 2 * i) for i in range(1, rank + 1)])
     bundle = projectivize(base, [f"c{i}" for i in range(1, rank + 1)])
-    d = bundle.fibre_dimension
+    d = bundle.dimension
     signature = 1 if rank % 2 == 1 else 0  # sign(CP^(rank-1))
     for i in range(1, d // 2 + 1):
         value = kappa(bundle, str(l_sequence().k_polynomial(i)))
@@ -319,6 +327,17 @@ def test_kappa_of_l_classes_is_the_fibre_signature(rank):
 def test_kappa_of_l_class_on_a_product_bundle():
     bundle = product_bundle(sphere(12), hp(2))
     assert kappa(bundle, str(l_sequence().k_polynomial(2))) == bundle.base_ring.one()
+
+
+def test_kappa_over_the_point_is_the_characteristic_number():
+    # a closed manifold is the family over the point: kappa of the L class
+    # of its dimension is its signature, and kappa of e its Euler number
+    for space in (hp(2), cp(2), cp(4), product_space(cp(2), hp(2))):
+        one = space.base_ring.one()
+        assert space.base_ring.names == ()
+        top = str(l_sequence().k_polynomial(space.dimension // 4))
+        assert kappa(space, top) == one * evaluate_genus(space, l_sequence())
+        assert kappa(space, "e") == one * integrate(space, space.euler)
 
 
 def test_kappa_of_ahat_class_is_not_a_signature():
@@ -391,10 +410,10 @@ def test_kappa_vertical_chern_top_component_vanishes_above_fibre():
     # the fibre dimension: its degree-2k component reduces to zero
     base = Ring(0, [("c1", 2), ("c2", 4)])
     bundle = projectivize(base, ["c1", "c2"])
-    e = bundle.vertical_euler
-    t = bundle.total_ring.gen("t")
-    c1 = bundle.total_ring.gen("c1")
-    c2 = bundle.total_ring.gen("c2")
+    e = bundle.euler
+    t = bundle.ring.gen("t")
+    c1 = bundle.ring.gen("c1")
+    c2 = bundle.ring.gen("c2")
     # c(T_v) = (1+t)^2 + c1 (1+t) + c2 has degree-4 part t^2 + c1 t + c2 = 0
     degree_four = (
         t * t + c1 * t + c2

@@ -855,9 +855,10 @@ def rp_product_doc(ns, names):
 def test_the_garbage_a_run_leaves_does_not_grow_with_its_work(capsys, tmp_path):
     # run() keeps the collector off for the whole process, which is safe
     # only while the cyclic garbage is bounded by the input, not the work:
-    # the argument parser, and a small cycle per rule of each ring built
-    # (a rule's right-hand side refers back to its ring), so the kappa
-    # fibres compared have the same generators and rules
+    # the argument parser holds cycles, and no ring does (a rule keeps
+    # packed terms, not a polynomial that refers back to its ring); the
+    # kappa fibres compared have the same generators and rules, so only
+    # the work differs
     small = write_json(tmp_path, "small.json", free_abc_doc(40))
     large = write_json(tmp_path, "large.json", free_abc_doc(160))
     garbage_left_by(capsys, "signature", small)  # imports what it runs

@@ -96,6 +96,13 @@ def test_space_round_trip_characteristic_two():
     assert rebuilt.total_w == space.total_w
 
 
+def test_space_to_document_rejects_a_family_over_a_base():
+    bundle = bundle_from_document({"kind": "product", "base": space_to_document(sphere(12)),
+                                   "fibre": hp2_document()})
+    with pytest.raises(ValueError, match="closed manifold"):
+        space_to_document(bundle)
+
+
 def test_space_document_accepts_handwritten_form():
     space = space_from_document(hp2_document())
     assert space.dimension == 8
@@ -159,7 +166,7 @@ def test_product_bundle_document():
         "fibre": hp2_document(),
     }
     bundle = bundle_from_document(doc)
-    assert bundle.fibre_dimension == 8
+    assert bundle.dimension == 8
     assert kappa(bundle, "e") == bundle.base_ring.one() * 3
 
 
@@ -179,7 +186,7 @@ def test_projectivization_document_with_bare_ring_base():
         "chern": ["c1", "c2"],
     }
     bundle = bundle_from_document(doc)
-    assert bundle.total_ring.names == ("c1", "c2", "t")
+    assert bundle.ring.names == ("c1", "c2", "t")
     assert str(kappa(bundle, "e^3")) == "2*c1^2 - 8*c2"
 
 
@@ -191,7 +198,7 @@ def test_projectivization_document_with_space_base_and_twist():
         "twist": "u",
     }
     bundle = bundle_from_document(doc)
-    assert bundle.total_ring.names == ("y", "u")
+    assert bundle.ring.names == ("y", "u")
 
 
 def test_bundle_document_errors():

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from charclasses.bundles import projectivize
 from charclasses.genus import (
     MultiplicativeSequence,
     ahat_sequence,
@@ -228,6 +229,15 @@ def test_genus_evaluation_signatures():
     assert evaluate_genus(cp(2), l_sequence()) == 1
     assert evaluate_genus(product_space(hp(2), hp(2, gen="z")), l_sequence()) == 1
     assert evaluate_genus(point(), l_sequence()) == 1
+
+
+def test_genus_rejects_a_family_over_a_base():
+    # the fundamental of a projectivization holds the exponent of t only,
+    # so reading it as a closed manifold's would pair to 0
+    for chern in (["3*h", "3*h^2"], ["3*h", "3*h^2", "0"]):
+        bundle = projectivize(cp(2), chern)
+        with pytest.raises(ValueError, match="closed manifold"):
+            evaluate_genus(bundle, l_sequence())
 
 
 def test_genus_of_off_dimension_space_is_zero():

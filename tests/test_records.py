@@ -1,9 +1,10 @@
 """Value semantics of the package's record classes.
 
-``PrimeScalar``, ``SpaceModel``, ``BundleModel``, ``CheckResult`` and
+``PrimeScalar``, ``SpaceModel``, ``CheckResult`` and
 ``CounterexampleReport`` are immutable values: construction validates,
 fields cannot be assigned or deleted, ``==`` and ``repr`` go field by
-field, and copies and pickles round-trip to equal values.
+field, and copies and pickles round-trip to equal values.  A bundle is a
+``SpaceModel`` over a base; its samples keep the id ``BundleModel``.
 """
 
 import copy
@@ -78,6 +79,24 @@ def test_space_model_construction_validates():
         )
 
 
+def test_space_model_validation_runs_on_every_family():
+    bundle = projectivize(cp(2), ["3*h", "3*h^2", "0"])  # fibre CP^2
+    data = {name: getattr(bundle, name) for name in fields(bundle)}
+    t = bundle.ring.gen("t")
+    with pytest.raises(ValueError, match="Euler class must be homogeneous of degree 4"):
+        SpaceModel(**{**data, "euler": t})
+    # the tail fundamental t^1 has degree 2, not the fibre dimension 4
+    with pytest.raises(ValueError, match="fundamental monomial has degree 2, expected 4"):
+        SpaceModel(**{**data, "fundamental": (1,)})
+    # the exponents of h and t: the base's generator has none in it
+    with pytest.raises(ValueError, match="expected 1 exponents"):
+        SpaceModel(**{**data, "fundamental": (0, 2)})
+    for built in (bundle, product_bundle(cp(2), sphere(2))):
+        assert type(built) is SpaceModel
+        again = SpaceModel(**{name: getattr(built, name) for name in fields(built)})
+        assert again == built
+
+
 def test_fields_are_read_only(kind):
     record = RECORDS[kind]()
     for name in fields(record):
@@ -100,7 +119,8 @@ def test_equality_is_field_wise(kind):
 def test_repr_lists_the_fields(kind):
     record = RECORDS[kind]()
     shown = ", ".join(f"{name}={getattr(record, name)!r}" for name in fields(record))
-    assert repr(record) == f"{kind}({shown})"
+    name = "SpaceModel" if kind == "BundleModel" else kind
+    assert repr(record) == f"{name}({shown})"
 
 
 def test_prime_scalar_repr_and_hash():
@@ -144,6 +164,6 @@ def test_a_copied_prime_scalar_still_computes():
 def test_a_copied_bundle_still_pushes_down():
     bundle = RECORDS["BundleModel"]()
     again = pickle.loads(pickle.dumps(bundle))
-    t = again.total_ring.gen("t")
-    assert again.gysin(t ** 2) == bundle.gysin(bundle.total_ring.gen("t") ** 2)
+    t = again.ring.gen("t")
+    assert again.gysin(t ** 2) == bundle.gysin(bundle.ring.gen("t") ** 2)
     assert again.gysin(t ** 2) == again.base_ring.poly("-3*h")

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from charclasses.bundles import product_bundle, projectivize
 from charclasses.genus import ahat_sequence, evaluate_genus, l_sequence
 from charclasses.rings import Ring
 from charclasses.spaces import (
@@ -172,6 +173,12 @@ def test_integrate_reads_fundamental_coefficient():
     assert integrate(plane, plane.ring.one()) == 0
 
 
+def test_integrate_rejects_a_family_over_a_base():
+    bundle = projectivize(cp(2), ["3*h", "3*h^2"])
+    with pytest.raises(ValueError, match="closed manifold"):
+        integrate(bundle, bundle.ring.gen("t"))
+
+
 def test_product_space_kunneth():
     total = product_space(sphere(12), hp(2))
     assert total.dimension == 20
@@ -188,6 +195,14 @@ def test_product_space_fundamental_is_tensor_of_factors():
     total = product_space(cp(2), cp(2, gen="k"))
     assert total.fundamental == total.ring.monomial("h^2*k^2")
     assert integrate(total, total.ring.poly("h^2*k^2")) == 1
+
+
+def test_product_space_rejects_a_family_over_a_base():
+    bundle = product_bundle(sphere(12), hp(2))
+    with pytest.raises(ValueError, match="closed manifold"):
+        product_space(bundle, cp(2))
+    with pytest.raises(ValueError, match="closed manifold"):
+        product_space(cp(2), bundle)
 
 
 def test_product_space_name_collision():
