@@ -36,7 +36,8 @@ power ``g^k``, e.g. ``-71/14175*p1^2*p2``.  Fractions are accepted in
 characteristic 0 only.  Whitespace is allowed around every operator and at
 both ends; factors written side by side (``2 x``, ``a b``) are rejected.
 ``parse(print(f)) == f`` holds for every polynomial.  Bad text, a zero
-denominator included, raises ``ValueError``.
+denominator included, raises ``ValueError``.  Text is split on signs one
+window at a time, so the split's scratch stays within a window's size.
 
 Coefficients are Python ints, in a :class:`Terms`: a dict from packed
 monomial to nonzero numerator, over one denominator per polynomial,
@@ -100,6 +101,7 @@ Monomial = tuple[int, ...]
 
 _W = 21  # bits per exponent field, the high one a guard bit
 MAX_EXPONENT = 2 ** (_W - 1) - 1
+_WINDOW = 1 << 16  # characters of polynomial text that _parse_terms splits at a time
 
 # A generator name; Ring rejects every other name, so printed text parses.
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
@@ -678,15 +680,18 @@ class GradedPoly:
         return self.terms.num.get(0) == self.terms.den
 
     def coefficient(self, mon: Monomial | str) -> Scalar:
-        """Coefficient of a monomial (given as exponent vector or text); zero
-        for an exponent vector that is not one of the ring's."""
+        """Coefficient of a monomial (exponent vector or text): 0 past
+        ``MAX_EXPONENT``, which no term reaches; a malformed vector raises."""
         if isinstance(mon, str):
             mon = self.ring.monomial(mon)
+        mon = tuple(mon)
         try:
-            n = self.terms.num.get(self.ring.pack(mon), 0)
-        except (TypeError, ValueError):  # not an exponent vector of this ring
-            n = 0
-        return self._scalar(n)
+            key = self.ring.pack(mon)
+        except ValueError:  # malformed, or past MAX_EXPONENT
+            if len(mon) != len(self.ring.names) or any(type(e) is not int or e < 0 for e in mon):
+                raise
+            return self._scalar(0)
+        return self._scalar(self.terms.num.get(key, 0))
 
     def items(self) -> Iterator[tuple[Monomial, Scalar]]:
         """(exponent vector, coefficient) for each term, in the order of the terms."""
@@ -806,15 +811,15 @@ def _parse_rule_lhs(text: str) -> tuple[str, int]:
 def _parse_terms(ring: Ring, text: str) -> dict[int, int | Fraction]:
     """Parse the text syntax into an unreduced dict from packed monomial to
     int, or Fraction in characteristic 0, not yet reduced mod p; zero sums
-    are kept.  The text is split once on signs, each ``-`` opening the
-    piece it signs.  A term is its head, the factors before its last ``*``,
-    times its last factor; heads recur, so each distinct head and factor is
-    read once, left to right, into a memoized packed monomial and
+    are kept.  Windows of the text, each cut just before the first sign
+    past ``_WINDOW`` characters, are split on signs in turn, each ``-``
+    opening the piece it signs.  A term is its head, the factors before its
+    last ``*``, times its last factor; heads recur, so each distinct head and
+    factor is read once, left to right, into a memoized packed monomial and
     coefficient.  A head within the bound plus one factor cannot carry."""
-    if not text.strip():
+    if not text or text.isspace():
         raise ValueError("empty polynomial text")
-    pieces = text.replace("-", "+-").split("+")
-    if not pieces[-1].lstrip("-").strip():
+    if (text[-_WINDOW:].rstrip() or text.rstrip())[-1] in "+-":
         raise ValueError("dangling sign in polynomial")
     guard = ring._guard
     memo: dict[str, tuple[int, int | Fraction]] = {}
@@ -833,23 +838,28 @@ def _parse_terms(ring: Ring, text: str) -> dict[int, int | Fraction]:
 
     out: dict[int, int | Fraction] = {}
     negative = False
-    for piece in pieces:
-        if piece[:1] == "-":
-            negative = not negative
-            piece = piece[1:]
-        if not piece or piece.isspace():  # between the signs of a run
-            continue
-        head, star, last = piece.rpartition("*")
-        mon, coeff = memo.get(head) or read(head) if star else (0, 1)
-        lmon, lcoeff = memo.get(last) or read(last)
-        if (mon := mon + lmon) & guard:
-            raise _exponent_error("an exponent")
-        if lcoeff != 1:
-            coeff = coeff * lcoeff
-        if negative:
-            coeff, negative = -coeff, False
-        acc = out.get(mon)
-        out[mon] = coeff if acc is None else acc + coeff
+    start, size = 0, len(text)
+    while start < size:
+        cut = re.compile("[+-]").search(text, start + _WINDOW) if start + _WINDOW < size else None
+        end = cut.start() if cut else size
+        for piece in text[start:end].replace("-", "+-").split("+"):
+            if piece[:1] == "-":
+                negative = not negative
+                piece = piece[1:]
+            if not piece or piece.isspace():  # between the signs of a run
+                continue
+            head, star, last = piece.rpartition("*")
+            mon, coeff = memo.get(head) or read(head) if star else (0, 1)
+            lmon, lcoeff = memo.get(last) or read(last)
+            if (mon := mon + lmon) & guard:
+                raise _exponent_error("an exponent")
+            if lcoeff != 1:
+                coeff = coeff * lcoeff
+            if negative:
+                coeff, negative = -coeff, False
+            acc = out.get(mon)
+            out[mon] = coeff if acc is None else acc + coeff
+        start = end
     return out
 
 

@@ -2,15 +2,18 @@
 
 import copy
 import gc
+import itertools
 import pickle
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from charclasses import rings
 from charclasses.bundles import product_bundle, projectivize
 from charclasses.rings import MAX_EXPONENT, GradedPoly, Ring, tensor_ring, transport
 from charclasses.scalars import PrimeScalar
@@ -398,6 +401,19 @@ def test_constant_term_and_coefficient():
         f.coefficient("2*a")
 
 
+def test_coefficient_rejects_a_malformed_exponent_vector():
+    euler = hp(2).euler  # 3*y^2
+    assert euler.coefficient((2,)) == 3
+    assert euler.coefficient((1,)) == 0
+    for bad in [(2, 0), (-1,), (2.0,), (True,), (), (MAX_EXPONENT + 1, 0)]:
+        with pytest.raises(ValueError, match=re.escape(f"bad exponent vector {bad}")):
+            euler.coefficient(bad)
+    with pytest.raises(TypeError):
+        euler.coefficient(2)
+    # well-formed, but past the bound: no polynomial has the term
+    assert euler.coefficient((MAX_EXPONENT + 1,)) == 0
+
+
 def test_substitute():
     src = Ring(0, [("p1", 4), ("p2", 8)])
     dst = Ring(0, [("y", 4)], [("y^3", "0")])
@@ -524,6 +540,71 @@ def test_parse_accepts_signs_and_implicit_coefficients():
     # terms sharing the factors before their last '*', and one long product
     assert ring.poly("2*a*b - 2*a*c + 2*a*b - c*2") == ring.poly("4*a*b - 2*a*c - 2*c")
     assert ring.poly("*".join(["a"] * 3000)) == ring.gen("a") ** 3000
+
+
+@st.composite
+def polynomial_texts(draw):
+    """Text over x, y (degree 2) and z (degree 4): integer, fraction and
+    power factors, sign runs and uneven whitespace, and now and then a bad
+    factor, an unknown generator, a zero denominator, an exponent past the
+    bound or a trailing sign."""
+    space = st.sampled_from(["", "", " ", "  ", "\t", " \n "])
+    good = st.one_of(st.integers(0, 99).map(str),
+                     st.builds("{}/{}".format, st.integers(0, 99), st.integers(1, 9)),
+                     st.builds("{}^{}".format, st.sampled_from("xyz"), st.integers(0, 9)),
+                     st.sampled_from("xyz"))
+    bad = st.sampled_from(["q", "w^2", "2x", "x^", "", "3/0", f"x^{MAX_EXPONENT}",
+                           f"y^{MAX_EXPONENT + 1}"])
+
+    def term():
+        factors = [draw(bad if draw(st.integers(0, 24)) == 0 else good)
+                   for _ in range(draw(st.integers(1, 3)))]
+        return "*".join(draw(space) + f + draw(space) for f in factors)
+
+    sign = st.sampled_from(["+", "-", "- -", "+ -", "--", "-+-"])
+    text = draw(space) + (draw(sign) if draw(st.booleans()) else "") + term()
+    for _ in range(draw(st.integers(0, 8))):
+        text += draw(space) + draw(sign) + draw(space) + term()
+    if draw(st.integers(0, 9)) == 0:
+        text += draw(space) + draw(sign)
+    return text + draw(space)
+
+
+def parse_outcome(ring, text):
+    try:
+        return rings._parse_terms(ring, text)
+    except ValueError as error:
+        return type(error), str(error)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(polynomial_texts())
+def test_parse_is_the_same_whatever_the_window(text):
+    for p in (0, 2):
+        ring = Ring(p, [("x", 2), ("y", 2), ("z", 4)])
+        whole = parse_outcome(ring, text)  # one window: the text is shorter
+        for window in (1, 2, 3, 7):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(rings, "_WINDOW", window)
+                assert parse_outcome(ring, text) == whole, (p, window)
+
+
+def test_parse_scratch_does_not_grow_with_the_text():
+    # the total Stiefel-Whitney class of (RP^14)^4 over F_2, each monomial
+    # of exponents up to 14 once: 50625 terms, about 1.09 MB of text
+    names = ["a0", "a1", "a2", "a3"]
+    ring = Ring(2, [(n, 1) for n in names], [(f"{n}^15", "0") for n in names])
+    text = " + ".join("*".join(n if e == 1 else f"{n}^{e}" for n, e in zip(names, exps) if e)
+                      or "1" for exps in itertools.product(range(15), repeat=4))
+    tracemalloc.start()
+    try:
+        total_w = ring.poly(text)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(total_w.terms.num) == 15 ** 4
+    # a whole-text split held about 5 bytes per character at once
+    assert peak - kept < 2 * len(text)
 
 
 def test_exponent_vectors_must_be_nonnegative_ints():

@@ -11,7 +11,10 @@ from BENCHMARK.json, so both sides run as long as the benchmark does.  Runs are 
 ``--out`` if it exists, and the summary is rebuilt over all its runs: for
 each (workload, trace) group and metric, each side's median and quartiles,
 and how many pairs the change won ("better" is read from BENCHMARK.json;
-ties count for neither side).  Standard library only.
+ties count for neither side).  The same is given under ``unscaled`` for
+the seconds each run reports before its ``Speedometer`` scaling, with each
+side's median machine speed, since the calibration can move with the tree
+under test.  Standard library only.
 """
 
 from __future__ import annotations
@@ -42,28 +45,45 @@ def quartiles(values: list[float]) -> dict[str, float]:
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def compare(parent: list[float], change: list[float], better: str | None) -> dict:
+    """Each side's quartiles, and the pairs the change won and lost."""
+    sign = 1 if (better or "lower") == "lower" else -1
+    return {"parent": quartiles(parent), "change": quartiles(change),
+            "change_wins": sum(sign * (a - b) > 0 for a, b in zip(parent, change)),
+            "change_losses": sum(sign * (a - b) < 0 for a, b in zip(parent, change))}
+
+
+def unscaled(run: dict) -> dict[str, float]:
+    """The run's ``unscaled seconds and machine speed: {...}`` line, read."""
+    line = run.get("unscaled") or ""
+    return json.loads(line.partition(": ")[2]) if line.startswith("unscaled") else {}
+
+
 def summarise(runs: list[dict], spec: dict) -> list[dict]:
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
     groups: dict[tuple[str, int], dict[int, dict[str, dict]]] = {}
     for run in runs:
         pairs = groups.setdefault((run["workload"], run["trace"]), {})
-        pairs.setdefault(run["pair"], {})[run["side"]] = run["result"]["metrics"]
+        pairs.setdefault(run["pair"], {})[run["side"]] = run
     summary = []
     for (workload, trace), pairs in sorted(groups.items()):
         complete = [p for _, p in sorted(pairs.items()) if len(p) == 2]
         metrics = {}
-        for name in complete[0]["parent"] if complete else ():
-            parent = [p["parent"][name]["value"] for p in complete]
-            change = [p["change"][name]["value"] for p in complete]
-            sign = 1 if better.get(name, "lower") == "lower" else -1
-            wins = sum(sign * (a - b) > 0 for a, b in zip(parent, change))
-            losses = sum(sign * (a - b) < 0 for a, b in zip(parent, change))
-            metrics[name] = {"unit": complete[0]["parent"][name]["unit"],
-                             "better": better.get(name), "parent": quartiles(parent),
-                             "change": quartiles(change), "change_wins": wins,
-                             "change_losses": losses}
+        for name, first in complete[0]["parent"]["result"]["metrics"].items() if complete else ():
+            values = [[p[side]["result"]["metrics"][name]["value"] for p in complete]
+                      for side in ("parent", "change")]
+            metrics[name] = {"unit": first["unit"], "better": better.get(name),
+                             **compare(*values, better.get(name))}
+        raw = [{side: unscaled(p[side]) for side in p} for p in complete]
+        raw = [p for p in raw if p["parent"] and p["change"]]
+        times = {}
+        for name in raw[0]["parent"] if raw else ():
+            values = [[p[side][name] for p in raw] for side in ("parent", "change")]
+            times[name] = ({"parent": statistics.median(values[0]),
+                            "change": statistics.median(values[1])} if name == "speed"
+                           else {"unit": "s", "better": "lower", **compare(*values, "lower")})
         summary.append({"workload": workload, "trace": trace, "pairs": len(complete),
-                        "metrics": metrics})
+                        "metrics": metrics, "unscaled": dict(times, pairs=len(raw))})
     return summary
 
 

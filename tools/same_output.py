@@ -25,7 +25,15 @@ product bundle whose fibre has three factors, RP^2 x RP^6 x RP^6,
 characteristic 2 product bundle whose fibre ``total_w`` is written with
 coefficients 3 and 2 and a pair of terms that cancels mod 2 (text; every
 catalog ``total_w`` has coefficients 1, so nothing there is reduced mod 2
-after parsing), ``bso
+after parsing), three ``kappa`` calls (text) on a characteristic 2
+product bundle over RP^2 whose fibre is RP^6 x RP^6 x RP^14 x RP^14 and
+whose 0.3 MB ``total_w`` is written with ``-`` signs, sign runs, uneven
+spaces and one run of 40001 signs, longer than a 64 Ki-character parse
+window, so that a window is cut inside a run (every catalog ``total_w`` is
+joined by `` + ``): the class ``w40 + w1*w40 + w2*w40 + w1*w39``, the same
+``total_w`` with an unknown generator past its first window ahead of a
+bad factor (the first error is the one reported), and the same ending in
+a dangling sign after a bad factor (the dangling sign is reported), ``bso
 --dimension 100000`` (50001 generators, the largest ring the CLI builds),
 ``signature`` of a free ring whose ``total_p`` has an exponent at
 ``rings.MAX_EXPONENT`` and of one with an exponent just past it, the
@@ -143,6 +151,37 @@ MOD2_UNREDUCED_BUNDLE = {
 }
 MOD2_UNREDUCED_CLASS = "w1^4 + w1^2*w2 + w2^2 + w1*w3 + w4 + w1*w2*w3"
 
+# Separators cycled between the terms of a characteristic 2 total_w, where
+# a sign changes nothing; the middle one is a run of 40001 signs, longer than
+# a 64 Ki parse window, so that some window is cut inside a run whatever the
+# cuts before it.
+SIGN_RUNS = (" - ", "+ -", " -  - ", "\t+\t", "-+-", " +\n - ", "--", "  +  ")
+
+
+def signed_fibre(ns: tuple[int, ...], names: list[str], edit=lambda terms: terms,
+                 tail: str = "") -> dict:
+    """The product of RP^n_i over F_2, its total_w joined by SIGN_RUNS after
+    ``edit`` maps the list of its terms, and ``tail`` appended."""
+    doc = workloads.rp_product_doc(ns, names)
+    terms = edit(doc["total_w"].split(" + "))
+    parts = [terms[0]]
+    for i, term in enumerate(terms[1:]):
+        parts += [" -" * 40001 + " " if i == len(terms) // 2 else SIGN_RUNS[i % len(SIGN_RUNS)],
+                  term]
+    return dict(doc, total_w="".join(parts) + tail)
+
+
+MOD2_FIBRE = ((6, 6, 14, 14), ["a0", "a1", "a2", "a3"])
+MOD2_SIGNED_CLASS = "w40 + w1*w40 + w2*w40 + w1*w39"
+MOD2_SIGNED_FIBRES = {
+    "signed total_w": signed_fibre(*MOD2_FIBRE),
+    # the first error lies past the first window, ahead of a second one
+    "unknown generator past a window": signed_fibre(
+        *MOD2_FIBRE, lambda t: t[:8000] + ["a0*q1"] + t[8000:9000] + ["2x"] + t[9000:]),
+    "dangling sign after a bad factor": signed_fibre(
+        *MOD2_FIBRE, lambda t: t[:5] + ["a1*2x"] + t[5:], tail=" + a0 - "),
+}
+
 MAX_EXPONENT = 2 ** 20 - 1  # rings.MAX_EXPONENT
 
 
@@ -227,6 +266,10 @@ def calls() -> list[Op]:
                                   MOD2_THREE_FACTORS_CLASS, "text"))
     ops.append(workloads.kappa_op("mod 2 unreduced total_w", MOD2_UNREDUCED_BUNDLE,
                                   MOD2_UNREDUCED_CLASS, "text"))
+    for label, fibre in MOD2_SIGNED_FIBRES.items():
+        bundle = {"kind": "product", "base": workloads.rp_product_doc((2,), ["b"]),
+                  "fibre": fibre}
+        ops.append(workloads.kappa_op(label, bundle, MOD2_SIGNED_CLASS, "text"))
     ops.append(Op("bso dimension 100000", ("bso", "--dimension", "100000")))
     for exponent in (MAX_EXPONENT, MAX_EXPONENT + 1):
         ops.append(Op(f"signature free y^{exponent}", ("signature", "-"),
