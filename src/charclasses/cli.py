@@ -168,7 +168,8 @@ def _cmd_signature(args: argparse.Namespace) -> Result:
     try:
         value = evaluate_genus(space, l_sequence())
     except ValueError as exc:
-        raise _InputError(str(exc)) from exc
+        where = "/characteristic: " if space.ring.characteristic else ""
+        raise _InputError(f"{where}{exc}") from exc
     text = _printed(value)
     return 0, {"signature": format_rational(value)}, f"signature = {text}"
 

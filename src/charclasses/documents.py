@@ -33,8 +33,12 @@ it as a :class:`DocumentError` at ``path``.  Each such block wraps library
 calls on one field and no decoder code, so an error keeps the path of the
 field it was found in.  Checks that need no rewriting run first: a space's
 fundamental is checked against its dimension before its classes are
-parsed.  Only ``bundle_from_document`` imports :mod:`charclasses.bundles`,
-so decoding a space or a ring never loads it.  The encoder
+parsed.  A product bundle is read for its kappa classes, so the decoder
+also rejects a base of characteristic other than 0 or 2, and, in
+characteristic 2, a fibre without "total_w": ``kappa`` would find either
+only when it runs, and the error would not name the field.  Only
+``bundle_from_document`` imports :mod:`charclasses.bundles`, so decoding
+a space or a ring never loads it.  The encoder
 ``ring_to_document`` is defined in :mod:`charclasses.spaces` and exported
 here too.
 """
@@ -191,9 +195,17 @@ def bundle_from_document(doc: Mapping[str, Any], path: str = "") -> SpaceModel:
     kind = _str_field(doc, "kind", path)
     if kind == "product":
         base = space_from_document(_field(doc, "base", path), f"{path}/base")
+        characteristic = base.ring.characteristic
+        if characteristic not in (0, 2):
+            raise DocumentError(f"{path}/base/characteristic", "no kappa classes in "
+                                f"characteristic {characteristic}; use 0 or 2")
         fibre = space_from_document(_field(doc, "fibre", path), f"{path}/fibre")
         with _at(path):
-            return bundles.product_bundle(base, fibre)
+            bundle = bundles.product_bundle(base, fibre)
+        if characteristic == 2 and bundle.total_w is None:
+            raise DocumentError(f"{path}/fibre/total_w", "missing required field: "
+                                "kappa in characteristic 2 reads the fibre's w classes")
+        return bundle
     if kind == "projectivization":
         base_doc = _field(doc, "base", path)
         base_path = f"{path}/base"

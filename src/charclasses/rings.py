@@ -29,6 +29,9 @@ guard bit; and integer order is graded-lex order (degree, then exponents in
 declared order, earlier generators more significant), printed descending.
 Only this module knows the layout: exponent vectors (tuples) are the edge,
 where :meth:`Ring.pack` and :meth:`Ring.unpack` convert one at a time.
+``Ring._power`` places every exponent (``pack`` sums its values, and the
+parser reads each factor through it), and :func:`transport` is the only
+code that re-keys terms from one ring's layout to another's.
 
 Text syntax for polynomials: terms joined by ``+``/``-``; a term is factors
 joined by ``*``, each an integer, a fraction ``n/d``, a generator ``g`` or a
@@ -44,9 +47,11 @@ monomial to nonzero numerator, over one denominator per polynomial,
 positive and sharing no factor with all the numerators at once in
 characteristic 0; in characteristic p the numerators are reduced to 1..p-1
 over 1.  That pair is canonical, so equal polynomials have equal dicts.  A
-``Terms`` holds no ring, so a ring, whose rules hold their right-hand
-sides as ``Terms``, is no reference cycle.  Products, sums, scalar
-multiples, powers, the normal form, printing, substitution and the
+``Terms`` holds numerators and a denominator only: the characteristic is
+its ring's, and equality compares the rings, characteristic first, before
+the terms.  Nor does it hold a ring, so a ring, whose rules hold their
+right-hand sides as ``Terms``, is no reference cycle.  Products, sums,
+scalar multiples, powers, the normal form, printing, substitution and the
 building of rings from rings run on ints alone.  Rule right-hand sides
 with fractions are stored as numerators over their common denominator L,
 and each rewriting round scales by L (nothing when L is 1).  ``Fraction``
@@ -213,8 +218,8 @@ class Ring:
                     raise ValueError(f"rule {name}^{power} has an inhomogeneous right-hand side "
                                      f"(degree {mon >> self._shift} term, expected {lhs_degree})")
             table[idx] = (power, rhs_terms)
-        offset = self._fields({i: MAX_EXPONENT + 1 - k for i, (k, _) in table.items()})
-        self._offset = offset
+        self._offset = offset = sum(MAX_EXPONENT + 1 - k << self._shift - _W * (i + 1)
+                                    for i, (k, _) in table.items())
         # rhs monomials must be irreducible with respect to the whole table,
         # the rule's own left-hand side included; the first rule in the
         # table that divides one is named
@@ -325,7 +330,7 @@ class Ring:
             raise ValueError(f"bad exponent vector {mon}")
         if any(e > MAX_EXPONENT for e in mon):
             raise _exponent_error(f"exponent {max(mon)}")
-        return self.monomial_degree(mon) << self._shift | self._fields(dict(enumerate(mon)))
+        return sum(self._power(i, e) for i, e in enumerate(mon) if e)
 
     def unpack(self, key: int) -> Monomial:
         """The exponent vector of a packed int."""
@@ -333,14 +338,6 @@ class Ring:
         for i, e in self._exponents(key):
             exps[i] = e
         return tuple(exps)
-
-    def _fields(self, values: Mapping[int, int]) -> int:
-        """The exponent fields holding ``values[i]`` for generator i and 0
-        elsewhere, built from binary text in time linear in the fields."""
-        chunks = ["0" * _W] * len(self.names)
-        for i, v in values.items():
-            chunks[i] = format(v, f"0{_W}b")
-        return int("".join(chunks) or "0", 2)
 
     def _exponents(self, key: int) -> Iterator[tuple[int, int]]:
         """(generator index, exponent) for each nonzero exponent, in order."""
@@ -428,7 +425,7 @@ class Ring:
         return GradedPoly(self, self.normal_form_terms(num, den))
 
     def zero(self) -> "GradedPoly":
-        return GradedPoly(self, Terms({}, 1, self.characteristic))
+        return GradedPoly(self, Terms({}, 1))
 
     def one(self) -> "GradedPoly":
         return self.poly(1)
@@ -466,23 +463,22 @@ class Ring:
 
 
 class Terms:
-    """The terms of a polynomial in characteristic ``p``: ``num``, a dict
-    from packed monomial to nonzero int numerator, over one denominator
-    ``den``.  Canonical: in characteristic 0, ``den`` is positive and the
-    gcd of ``den`` and all numerators is 1; in characteristic p, numerators
-    lie in 1..p-1 and ``den`` is 1.  It holds no ring: only a
+    """The terms of a polynomial: ``num``, a dict from packed monomial to
+    nonzero int numerator, over one denominator ``den``.  Canonical: in
+    characteristic 0, ``den`` is positive and the gcd of ``den`` and all
+    numerators is 1; in characteristic p, numerators lie in 1..p-1 and
+    ``den`` is 1.  It holds neither a ring nor its characteristic: only a
     :class:`GradedPoly` reads its monomials as exponent vectors and its
     numerators as scalars."""
 
-    __slots__ = ("num", "den", "p")
+    __slots__ = ("num", "den")
 
-    def __init__(self, num: dict[int, int], den: int, p: int) -> None:
+    def __init__(self, num: dict[int, int], den: int) -> None:
         self.num = num
         self.den = den
-        self.p = p
 
     def __reduce__(self) -> tuple:
-        return Terms, (self.num, self.den, self.p)
+        return Terms, (self.num, self.den)
 
     @classmethod
     def reduced(cls, num: dict[int, int], den: int, p: int) -> "Terms":
@@ -495,7 +491,7 @@ class Terms:
                     num[mon] = r
                 else:
                     del num[mon]
-            return cls(num, 1, p)
+            return cls(num, 1)
         for mon in [mon for mon, n in num.items() if not n]:
             del num[mon]
         if den != 1:
@@ -503,14 +499,14 @@ class Terms:
             if g != 1:
                 num = {mon: n // g for mon, n in num.items()}
                 den //= g
-        return cls(num, den, p)
+        return cls(num, den)
 
     def subset(self, num: dict[int, int]) -> "Terms":
         """The canonical terms of some of these numerators, under the same
         or other monomials, over the same denominator."""
         if self.den == 1:
-            return Terms(num, 1, self.p)
-        return Terms.reduced(num, self.den, self.p)
+            return Terms(num, 1)
+        return Terms.reduced(num, self.den, 0)  # terms of characteristic p are over 1
 
     def __len__(self) -> int:
         return len(self.num)
@@ -518,7 +514,7 @@ class Terms:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Terms):
             return NotImplemented
-        return (self.num, self.den, self.p) == (other.num, other.den, other.p)
+        return (self.num, self.den) == (other.num, other.den)
 
     __hash__ = None
 
@@ -567,7 +563,7 @@ class GradedPoly:
         p = self.ring.characteristic
         num = ({mon: p - n for mon, n in t.num.items()} if p
                else {mon: -n for mon, n in t.num.items()})
-        return GradedPoly(self.ring, Terms(num, t.den, p))
+        return GradedPoly(self.ring, Terms(num, t.den))
 
     def __sub__(self, other: object) -> "GradedPoly":
         if not isinstance(other, GradedPoly):
@@ -669,7 +665,7 @@ class GradedPoly:
         return GradedPoly(self.ring, Terms({
             m: (p - n if p else -n) if (m >> shift) % period == half else n
             for m, n in t.num.items()
-        }, t.den, p))
+        }, t.den))
 
     def constant_term(self) -> Scalar:
         return self._scalar(self.terms.num.get(0, 0))
@@ -710,21 +706,17 @@ class GradedPoly:
 
         return Fraction(n, self.terms.den)
 
-    def tail_coefficient(self, base: Ring, tail: Monomial) -> "GradedPoly":
-        """The coefficient, in ``base``, of the monomial ``tail`` in the
-        generators after those of ``base``, which must lead this ring with
-        the same rules, so the picked terms are in the normal form of ``base``."""
+    def tail_coefficient(self, tail: Monomial) -> "GradedPoly":
+        """The coefficient of the monomial ``tail`` in the last generators
+        of this ring: the terms whose last exponents are ``tail``, divided
+        by it, in this ring.  Each quotient divides an irreducible
+        monomial, so it is irreducible too."""
         ring = self.ring
-        n = len(base.names)
-        if ring.names[:n] != base.names or ring.degrees[:n] != base.degrees:
-            raise ValueError("the base ring's generators do not lead this ring")
-        width = ring._shift - base._shift
-        mask = (1 << width) - 1
-        want = ring.pack((0,) * n + tuple(tail))
-        drop = want >> ring._shift << base._shift  # the tail's degree
-        want &= mask
-        return GradedPoly(base, self.terms.subset({
-            (m >> width) - drop: c for m, c in self.terms.num.items() if m & mask == want
+        key = ring.pack((0,) * (len(ring.names) - len(tail)) + tuple(tail))
+        mask = (1 << _W * len(tail)) - 1
+        want = key & mask
+        return GradedPoly(ring, self.terms.subset({
+            m - key: c for m, c in self.terms.num.items() if m & mask == want
         }))
 
     def substitute(self, mapping: Mapping[str, object], target: Ring) -> "GradedPoly":
@@ -919,8 +911,9 @@ def transport(poly: GradedPoly, target: Ring) -> GradedPoly:
     Each generator that actually occurs in the polynomial must exist in the
     target with the same degree.  The terms are moved, not reduced, so a
     target rule g^k on a generator g of the source needs a source rule g^j
-    with j <= k; otherwise ``ValueError`` is raised.  Used to push classes
-    into a tensor ring and to project them back out.  A run of source
+    with j <= k; otherwise ``ValueError`` is raised.  It pulls classes back
+    into a tensor ring or a family's total ring, and moves a pushforward,
+    which holds base generators only, into the base ring.  A run of source
     generators that follow one another in the target too moves from bit s
     to bit t as one shifted, masked int times 2^t - 2^s, added to the key.
     The degree field leads the first run, and a run that stays put costs
@@ -958,6 +951,5 @@ def transport(poly: GradedPoly, target: Ring) -> GradedPoly:
         if step:
             mask = (1 << _W * n) - 1 if i >= 0 else -1  # nothing lies above the degree field
             moved = {k + (mon >> s & mask) * step: c for (k, c), mon in zip(moved.items(), num)}
-    return GradedPoly(target, Terms(dict(num) if moved is num else moved, poly.terms.den,
-                                    target.characteristic))
+    return GradedPoly(target, Terms(dict(num) if moved is num else moved, poly.terms.den))
 

@@ -55,10 +55,12 @@ class SpaceModel:
     manifold over the point.
 
     ``ring`` is the total space's, its generators led by those of
-    ``base_ring`` (the point by default) under the same rules.
-    ``dimension`` is the fibre's, and ``fundamental`` holds the exponents
-    of the fibre's fundamental monomial on the generators after the base's.
-    The classes live in ``ring`` or in a ring whose generators it has.
+    ``base_ring`` (the point by default) under the same rules.  The record
+    checks that once, when it is built, so ``gysin`` moves its result into
+    the base without reducing it again.  ``dimension`` is the fibre's, and
+    ``fundamental`` holds the exponents of the fibre's fundamental monomial
+    on the generators after the base's.  The classes live in ``ring`` or in
+    a ring whose generators it has.
 
     Immutable: ``==`` and ``repr`` go field by field, and assigning or
     deleting an attribute raises ``AttributeError``.  ``__init__`` writes
@@ -97,8 +99,21 @@ class SpaceModel:
     def __post_init__(self) -> None:
         if self.dimension < 0:
             raise ValueError(f"negative dimension {self.dimension}")
-        check_fundamental(self.ring, self.fundamental, self.dimension,
-                          len(self.base_ring.names))
+        base, ring = self.base_ring, self.ring
+        n = len(base.names)
+        if (base.characteristic, base.names, base.degrees) != (
+                ring.characteristic, ring.names[:n], ring.degrees[:n]):
+            raise ValueError(f"base ring {base!r} does not lead the total ring {ring!r} "
+                             "with its characteristic, generators and degrees")
+        # with the exponents equal, transport, which checks them, moves each
+        # base rule's right-hand side into the total ring
+        exponents = {i: k for i, (k, _) in ring.rules.items() if i < n}
+        if exponents != {i: k for i, (k, _) in base.rules.items()} or any(
+                transport(GradedPoly(base, rhs), ring).terms != ring.rules[i][1]
+                for i, (_, rhs) in base.rules.items()):
+            raise ValueError(f"base ring {base!r} has other rules on its generators "
+                             f"than the total ring {ring!r}")
+        check_fundamental(ring, self.fundamental, self.dimension, n)
         if not self.total_p.constant_term_is_one():
             raise ValueError("total Pontryagin class must have constant term 1")
         for degree in self.total_p.degrees():
@@ -143,15 +158,17 @@ class SpaceModel:
         return transport(cls, self.ring)
 
     def gysin(self, cls: GradedPoly) -> GradedPoly:
-        """Fibre integration: the coefficient of the fibre's fundamental monomial.
+        """Fibre integration: the coefficient of the fibre's fundamental
+        monomial, moved into the base ring by ``transport``.
 
-        The total ring's rules on base generators are the base's own, and
-        the fibre part of every picked term is the same, so the base parts
-        are distinct and already in the base's normal form.
+        The coefficient is irreducible in the total ring and holds base
+        generators only; the record checked when it was built that the
+        base's rules on them are the total ring's, so the coefficient is
+        in the base's normal form as it is moved.
         """
         if cls.ring is not self.ring and cls.ring != self.ring:
             raise ValueError("class does not live in the total ring")
-        return cls.tail_coefficient(self.base_ring, self.fundamental)
+        return transport(cls.tail_coefficient(self.fundamental), self.base_ring)
 
 
 def check_fundamental(ring: Ring, fundamental: Monomial, dimension: int,
@@ -284,7 +301,9 @@ def chern_to_pontryagin(total_c: GradedPoly) -> GradedPoly:
     sum_i (-1)^i p_i = c-bar * c, so p_i is (-1)^i times the degree-4i
     component of that product.  Both signs are twists of terms by degree:
     c-bar negates degrees 2 mod 4, the result degrees 4 mod 8.  Components
-    of degree 2 mod 4 of the product cancel identically.
+    of degree 2 mod 4 of the product cancel identically.  A ring of
+    characteristic 0 has generators of even degree only, so every term of
+    ``total_c`` has even degree.
     """
     ring = total_c.ring
     if ring.characteristic != 0:
@@ -294,8 +313,6 @@ def chern_to_pontryagin(total_c: GradedPoly) -> GradedPoly:
         )
     if not total_c.constant_term_is_one():
         raise ValueError("total Chern class must have constant term 1")
-    if any(degree % 2 for degree in total_c.degrees()):
-        raise ValueError("total Chern class has an odd-degree term")
     return (total_c.sign_twist(4) * total_c).sign_twist(8)
 
 

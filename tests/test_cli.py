@@ -298,6 +298,17 @@ def test_large_prime_characteristic_decodes():
     assert space.ring.characteristic == 2**61 - 1
 
 
+@pytest.mark.parametrize("characteristic", [2, 3])
+def test_signature_in_characteristic_p_names_the_characteristic(
+    capsys, tmp_path, characteristic
+):
+    path = write_json(tmp_path, "space.json", char_p_document(characteristic))
+    code, out, err = run_cli(capsys, "signature", path)
+    assert code == 2
+    assert out == ""
+    assert err == "error: /characteristic: genus evaluation needs characteristic 0\n"
+
+
 @pytest.mark.parametrize(
     "make, expected",
     [
@@ -504,6 +515,32 @@ def test_kappa_bad_document(capsys, tmp_path):
     assert "/kind" in err
 
 
+def test_kappa_reports_a_product_base_of_characteristic_3_at_the_base(capsys, tmp_path):
+    fibre = char_p_document(3)
+    fibre["ring"] = {"generators": [{"name": "z", "degree": 4}],
+                     "relations": [{"lhs": "z^3", "rhs": "0"}]}
+    fibre.update(fundamental="z^2", euler="3*z^2")
+    doc = {"kind": "product", "base": char_p_document(3), "fibre": fibre}
+    path = write_json(tmp_path, "bundle.json", doc)
+    code, out, err = run_cli(capsys, "kappa", "--bundle", path, "--class", "e")
+    assert code == 2
+    assert out == ""
+    assert err == ("error: /base/characteristic: no kappa classes in "
+                   "characteristic 3; use 0 or 2\n")
+
+
+def test_kappa_reports_a_mod_2_fibre_without_total_w_at_the_fibre(capsys, tmp_path):
+    fibre = rp_product_doc((2,), ["a"])
+    del fibre["total_w"]
+    doc = {"kind": "product", "base": rp_product_doc((2,), ["b"]), "fibre": fibre}
+    path = write_json(tmp_path, "bundle.json", doc)
+    code, out, err = run_cli(capsys, "kappa", "--bundle", path, "--class", "w1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: /fibre/total_w: missing required field")
+    assert_one_error_line(out, err)
+
+
 @pytest.mark.parametrize(
     "document, cls, expected",
     [
@@ -664,6 +701,29 @@ def test_verify_json_summary(capsys):
     payload = json.loads(out)
     assert payload["passed"] is True
     assert all(check["passed"] for check in payload["checks"])
+
+
+def test_verify_reports_a_failing_check_and_exits_1(capsys, monkeypatch):
+    from charclasses import checks
+
+    def failing():
+        checks._ensure(1 + 1 == 3, "arithmetic is off")
+        return "unreachable"
+
+    monkeypatch.setattr(checks, "_CHECKS", [
+        (check_id, failing if check_id == "sign-HP2-equals-1" else func)
+        for check_id, func in checks._CHECKS
+    ])
+    code, out, _ = run_cli(capsys, "verify")
+    assert code == 1
+    assert "FAIL sign-HP2-equals-1: CheckFailure: arithmetic is off\n" in out
+    assert sum(line.startswith("FAIL ") for line in out.splitlines()) == 1
+    code, out, _ = run_cli(capsys, "verify", "--format", "json")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["passed"] is False
+    assert {"id": "sign-HP2-equals-1", "passed": False,
+            "detail": "CheckFailure: arithmetic is off"} in payload["checks"]
 
 
 def test_repeated_runs_are_byte_identical(capsys):

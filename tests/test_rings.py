@@ -740,6 +740,32 @@ def test_transport_rejects_a_target_rule_stronger_than_the_source_rule():
                 transport(source.poly(text), target)
 
 
+def test_transport_rejects_another_characteristic_or_degree():
+    y = Ring(0, [("y", 4)]).gen("y")
+    with pytest.raises(ValueError, match="from characteristic 0 to characteristic 2"):
+        transport(y, Ring(2, [("y", 4)]))
+    with pytest.raises(ValueError, match="'y' has degree 8 in the target ring, 4 in the source"):
+        transport(y, Ring(0, [("x", 2), ("y", 8)]))
+
+
+def test_tail_coefficient_divides_by_the_tail_in_its_own_ring():
+    ring = Ring(0, [("c1", 2), ("c2", 4), ("t", 2), ("u", 2)],
+                [("t^3", "0"), ("u^2", "0")])
+    f = ring.poly("1/2*c1*t^2*u + c2*t^2*u - 3*t^2*u + c1*t*u + c2^2*t^2 + 5")
+    assert f.tail_coefficient((2, 1)) == ring.poly("1/2*c1 + c2 - 3")
+    assert f.tail_coefficient((2, 1)).ring is ring
+    assert f.tail_coefficient((0, 0)) == ring.poly(5)
+    assert f.tail_coefficient(()) == f
+    assert f.tail_coefficient((1, 0)) == ring.zero()
+    with pytest.raises(ValueError, match="bad exponent vector"):
+        f.tail_coefficient((0,) * 5)
+
+
+def test_gen_rejects_an_unknown_name():
+    with pytest.raises(ValueError, match="unknown generator 'z'"):
+        Ring(0, [("y", 4)]).gen("z")
+
+
 @settings(derandomize=True, max_examples=80, deadline=None)
 @given(st.data())
 def test_transport_through_tensor_products_agrees_with_tuple_slicing(data):

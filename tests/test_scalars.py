@@ -286,3 +286,10 @@ def test_arithmetic_never_revalidates_the_modulus(monkeypatch):
     assert f ** 3 == expected["normal form"]
     assert ring.poly("x^3") == ring.poly("y^3")
     assert (f * 2).coefficient("x") == expected["scaled coefficient"]
+
+
+@pytest.mark.parametrize("modulus", [2, 7, 999983])
+def test_prime_scalar_truth_is_being_nonzero(modulus):
+    assert not PrimeScalar(0, modulus)
+    assert PrimeScalar(1, modulus)
+    assert PrimeScalar(modulus - 1, modulus)

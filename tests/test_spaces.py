@@ -7,6 +7,7 @@ import pytest
 from charclasses.bundles import product_bundle, projectivize
 from charclasses.genus import ahat_sequence, evaluate_genus, l_sequence
 from charclasses.rings import Ring
+from charclasses.scalars import PrimeScalar
 from charclasses.spaces import (
     SpaceModel,
     bso_presentation,
@@ -83,6 +84,51 @@ def test_space_model_rejects_stiefel_whitney_outside_char_two():
             euler=ring.zero(),
             total_w=ring.one(),
         )
+
+
+def family(base, ring):
+    """A family over ``base`` with total ring ``ring``, whose last
+    generator x of degree 2 is the fibre's."""
+    return SpaceModel(ring=ring, dimension=2, fundamental=(1,), total_p=ring.one(),
+                      euler=ring.gen("x"), base_ring=base)
+
+
+def test_space_model_checks_its_base_once_when_built():
+    # y^5 = 0 in the total ring but y^2 = 0 in the base, so the coefficient
+    # of x in y^3*x would be a nonzero base class that is 0 in the base
+    base = Ring(0, [("y", 4)], [("y^2", "0")])
+    with pytest.raises(ValueError, match=r"base ring Ring\(char 0; y\(4\); 1 rules\) has "
+                                         "other rules"):
+        family(base, Ring(0, [("y", 4), ("x", 2)], [("y^5", "0"), ("x^2", "0")]))
+    bad_totals = (
+        Ring(0, [("y", 4), ("x", 2)], [("y^3", "0"), ("x^2", "0")]),  # a weaker rule
+        Ring(0, [("y", 4), ("x", 2)], [("x^2", "0")]),  # no rule
+        Ring(0, [("y", 4), ("z", 8), ("x", 2)],  # another right-hand side
+             [("y^2", "z"), ("z^2", "0"), ("x^2", "0")]),
+    )
+    for ring in bad_totals:
+        with pytest.raises(ValueError, match="other rules"):
+            family(base, ring)
+    total = Ring(0, [("y", 4), ("x", 2)], [("y^2", "0"), ("x^2", "0")])
+    with pytest.raises(ValueError, match="with its characteristic, generators and degrees"):
+        family(Ring(0, [("y", 8)], [("y^2", "0")]), total)
+    with pytest.raises(ValueError, match="with its characteristic, generators and degrees"):
+        family(Ring(0, [("x", 2)]), total)
+    with pytest.raises(ValueError, match="with its characteristic, generators and degrees"):
+        family(Ring(3, [("y", 4)], [("y^2", "0")]), total)
+    assert family(base, total).gysin(total.poly("y*x + 3*x + y")) == base.poly("y + 3")
+
+
+def test_gysin_over_a_base_rule_with_a_nonzero_right_hand_side():
+    # z^2 -> y*z and y^3 -> 0 in the base; the pushforward is in its normal form
+    base_ring = Ring(0, [("y", 4), ("z", 4)], [("z^2", "y*z"), ("y^3", "0")])
+    total = Ring(0, [("y", 4), ("z", 4), ("x", 2)],
+                 [("z^2", "y*z"), ("y^3", "0"), ("x^2", "0")])
+    bundle = family(base_ring, total)
+    pushed = bundle.gysin(total.poly("z^3*x + 2*z*x - y^2*x + x^2"))
+    assert pushed.ring is base_ring
+    assert pushed == base_ring.poly("z^3 + 2*z - y^2")
+    assert str(pushed) == "y^2*z - y^2 + 2*z"
 
 
 # ----------------------------------------------------------------------
@@ -203,6 +249,23 @@ def test_product_space_rejects_a_family_over_a_base():
         product_space(bundle, cp(2))
     with pytest.raises(ValueError, match="closed manifold"):
         product_space(cp(2), bundle)
+
+
+def rp(n, gen):
+    """RP^n over F_2, n even: a in degree 1 with a^(n+1) = 0, and
+    w = (1 + a)^(n+1)."""
+    ring = Ring(2, [(gen, 1)], [((gen, n + 1), 0)])
+    a = ring.gen(gen)
+    return SpaceModel(ring=ring, dimension=n, fundamental=(n,), total_p=ring.one(),
+                      euler=a ** n, total_w=(ring.one() + a) ** (n + 1))
+
+
+def test_product_space_of_two_characteristic_2_spaces_multiplies_w():
+    total = product_space(rp(2, "a"), rp(4, "b"))
+    ring = total.ring
+    assert total.total_w == ring.poly("1 + a + a^2") * ring.poly("1 + b + b^4")
+    assert integrate(total, total.total_w.graded_component(6)) == PrimeScalar(1, 2)
+    assert integrate(total, total.euler) == PrimeScalar(1, 2)
 
 
 def test_product_space_name_collision():

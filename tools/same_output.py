@@ -33,7 +33,12 @@ window, so that a window is cut inside a run (every catalog ``total_w`` is
 joined by `` + ``): the class ``w40 + w1*w40 + w2*w40 + w1*w39``, the same
 ``total_w`` with an unknown generator past its first window ahead of a
 bad factor (the first error is the one reported), and the same ending in
-a dangling sign after a bad factor (the dangling sign is reported), ``bso
+a dangling sign after a bad factor (the dangling sign is reported),
+``kappa`` (text) on two product bundles whose base has a relation with a
+nonzero right-hand side, over Q with the fractional space above as base and
+CP^2 as fibre, and over F_2 with the fibre ring of the characteristic 2
+bundle above as base and RP^2 as fibre (every catalog product bundle's base
+has only ``x^k -> 0`` rules), ``bso
 --dimension 100000`` (50001 generators, the largest ring the CLI builds),
 ``signature`` of a free ring whose ``total_p`` has an exponent at
 ``rings.MAX_EXPONENT`` and of one with an exponent just past it, the
@@ -45,8 +50,10 @@ input errors of the subcommands that import their modules when they run
 ``signature`` of HP^2 with a 3000-digit coefficient of p_1 in
 ``total_p``), the input errors of the document
 path (invalid JSON on stdin for ``signature`` and ``kappa``, a document
-error in a space, in a bundle and in a bundle's base, and an unknown
-generator in ``kappa --class``), the bare ``python -m charclasses`` usage
+error in a space, in a bundle and in a bundle's base, an unknown
+generator in ``kappa --class``, a product bundle of characteristic 3, and
+``kappa --class w1`` on a characteristic 2 product bundle whose fibre has
+no ``total_w``), the bare ``python -m charclasses`` usage
 error, and ``--help`` at the top level and for each subcommand, each
 distinct call once.  The call past the exponent bound exits 2 since that
 bound exists and prints a signature in a tree before it, and ``bso
@@ -54,8 +61,13 @@ bound exists and prints a signature in a tree before it, and ``bso
 made ``cli`` load no package module at import.  The two results past the
 digit limit end in a traceback with exit 1 in trees before the change that
 bounded ``--R`` and reports a result too large to print as an input
-error, and exit 2 with one ``error:`` line since.  Against trees before
-those changes, these are the intended differences.  Each runs as one
+error, and exit 2 with one ``error:`` line since.  Since the change that
+checks a family's base once, when its record is built, the characteristic
+3 product bundle is reported at ``/base/characteristic`` and the fibre
+without ``total_w`` at ``/fibre/total_w``, where trees before it blamed
+``--class`` for both, and ``signature`` of RP^2 over F_2 names
+``/characteristic``.  Against trees before those changes, these are the
+intended differences.  Each runs as one
 ``python -m charclasses`` process with ``PYTHONPATH=<tree>/src`` and its document on
 stdin, one call at a time, first in PARENT_TREE and then in CHANGE_TREE.
 Exit code, stdout bytes and stderr bytes must be equal.  Prints the number of calls; exits 1 and names
@@ -151,6 +163,17 @@ MOD2_UNREDUCED_BUNDLE = {
 }
 MOD2_UNREDUCED_CLASS = "w1^4 + w1^2*w2 + w2^2 + w1*w3 + w4 + w1*w2*w3"
 
+# Product bundles whose base has a relation with a nonzero right-hand
+# side: a^3 -> 1/2*a*b over Q, and u^3 -> u*v over F_2.
+NONZERO_BASE_RULES = (
+    ("base rules over Q", {"kind": "product", "base": FRACTIONAL_SPACE,
+                           "fibre": workloads.space_doc([Factor("cp", 2)], ["h"])},
+     "e + 2*p1"),
+    ("base rules over F_2", {"kind": "product", "base": MOD2_RULES_BUNDLE["fibre"],
+                             "fibre": workloads.rp_product_doc((2,), ["b"])},
+     "w2 + w1^3"),
+)
+
 # Separators cycled between the terms of a characteristic 2 total_w, where
 # a sign changes nothing; the middle one is a run of 40001 signs, longer than
 # a 64 Ki parse window, so that some window is cut inside a run whatever the
@@ -234,6 +257,15 @@ INPUT_ERRORS = (
                                     [workloads.Factor("cp", 2)], ["h"])})),
     Op("kappa bad class", ("kappa", "--bundle", "-", "--class", "q1"),
        stdin=workloads._encode(PROJECTIVIZATION)),
+    Op("kappa characteristic 3", ("kappa", "--bundle", "-", "--class", "e"),
+       stdin=workloads._encode({
+           "kind": "product", "base": dict(BAD_FUNDAMENTAL, characteristic=3, fundamental="y^2"),
+           "fibre": dict(workloads.space_doc([Factor("hp", 2)], ["z"]), characteristic=3)})),
+    Op("kappa mod 2 fibre without total_w", ("kappa", "--bundle", "-", "--class", "w1"),
+       stdin=workloads._encode({
+           "kind": "product", "base": workloads.rp_product_doc((2,), ["b"]),
+           "fibre": {k: v for k, v in workloads.rp_product_doc((2,), ["a"]).items()
+                     if k != "total_w"}})),
     Op("no subcommand", ()),
     Op("section5 R=4295 nines", ("section5", "--R=" + "9" * 4295)),
     Op("signature past the digit limit", ("signature", "-"),
@@ -266,6 +298,8 @@ def calls() -> list[Op]:
                                   MOD2_THREE_FACTORS_CLASS, "text"))
     ops.append(workloads.kappa_op("mod 2 unreduced total_w", MOD2_UNREDUCED_BUNDLE,
                                   MOD2_UNREDUCED_CLASS, "text"))
+    for label, bundle, cls in NONZERO_BASE_RULES:
+        ops.append(workloads.kappa_op(label, bundle, cls, "text"))
     for label, fibre in MOD2_SIGNED_FIBRES.items():
         bundle = {"kind": "product", "base": workloads.rp_product_doc((2,), ["b"]),
                   "fibre": fibre}
