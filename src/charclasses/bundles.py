@@ -31,6 +31,10 @@ from .rings import _NAME_RE, GradedPoly, Ring, tensor_ring, transport
 from .spaces import SpaceModel
 
 __all__ = [
+    "check_chern_class",
+    "check_projective_base",
+    "check_projective_rank",
+    "check_twist",
     "kappa",
     "product_bundle",
     "projectivize",
@@ -63,20 +67,13 @@ def projectivize(
     2(k-1).  Characteristic 0 only.
     """
     base_ring = base.ring if isinstance(base, SpaceModel) else base
-    if base_ring.characteristic != 0:
-        raise ValueError("projectivization is implemented over characteristic 0")
+    check_projective_base(base_ring)
     k = len(chern)
-    if k < 2:
-        raise ValueError("projectivization needs rank at least 2")
-    if twist in base_ring.names:
-        raise ValueError(
-            f"generator name {twist!r} already taken in the base ring; "
-            "pass a different twist name"
-        )
+    check_projective_rank(k)
+    check_twist(base_ring, twist)
     classes = [base_ring.poly(c) for c in chern]
     for i, c in enumerate(classes, start=1):
-        if not c.is_homogeneous(2 * i):
-            raise ValueError(f"c_{i} must be homogeneous of degree {2 * i}")
+        check_chern_class(i, c)
 
     # same generators plus t, with base rules kept, and the defining
     # relation t^k = -(c_1 t^{k-1} + ... + c_k), formed by Horner's rule in
@@ -106,6 +103,33 @@ def projectivize(
         euler=vertical_chern.graded_component(fibre_dim),
         base_ring=base_ring,
     )
+
+
+def check_projective_base(base_ring: Ring) -> None:
+    """Reject a projectivization base of characteristic other than 0."""
+    if base_ring.characteristic != 0:
+        raise ValueError("projectivization is implemented over characteristic 0")
+
+
+def check_projective_rank(k: int) -> None:
+    """Reject a projectivization of rank below 2."""
+    if k < 2:
+        raise ValueError("projectivization needs rank at least 2")
+
+
+def check_twist(base_ring: Ring, twist: str) -> None:
+    """Reject a twist generator name that the base ring already has."""
+    if twist in base_ring.names:
+        raise ValueError(
+            f"generator name {twist!r} already taken in the base ring; "
+            "pass a different twist name"
+        )
+
+
+def check_chern_class(i: int, c: GradedPoly) -> None:
+    """Reject a Chern class c_i that is not homogeneous of degree 2i."""
+    if not c.is_homogeneous(2 * i):
+        raise ValueError(f"c_{i} must be homogeneous of degree {2 * i}")
 
 
 def kappa(bundle: SpaceModel, cls: str) -> GradedPoly:

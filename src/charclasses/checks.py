@@ -276,7 +276,7 @@ def _check_l4_homogeneous_reading() -> str:
 
 def _check_section5_golden() -> str:
     report = counterexample.run(1)
-    ring = counterexample.build_total_space().ring
+    ring = report.p4.ring
     _ensure(
         report.p_low_unchanged == (True, True, True),
         f"low classes moved: {report.p_low_unchanged}",

@@ -31,9 +31,16 @@ the JSON shape itself and leaves every other check to the library, whose
 checks raise ``ValueError``: ``with _at(path):`` reports one raised inside
 it as a :class:`DocumentError` at ``path``.  Each such block wraps library
 calls on one field and no decoder code, so an error keeps the path of the
-field it was found in.  Checks that need no rewriting run first: a space's
-fundamental is checked against its dimension before its classes are
-parsed.  A product bundle is read for its kappa classes, so the decoder
+field it was found in.  A library check on one field is a function that
+the library and the decoder both call, the decoder inside that field's
+block after the field's shape checks: a space's fundamental
+(``check_fundamental``, before its classes are parsed, since it needs no
+rewriting), each of its classes (``check_total_p``, ``check_euler``,
+``check_total_w``), a projectivization's base characteristic, Chern
+classes, rank and twist (the ``check_*`` functions of
+:mod:`charclasses.bundles`), and a product fibre's characteristic and
+generator names (``check_tensor_characteristic``, ``check_tensor_names``).
+A product bundle is read for its kappa classes, so the decoder
 also rejects a base of characteristic other than 0 or 2, and, in
 characteristic 2, a fibre without "total_w": ``kappa`` would find either
 only when it runs, and the error would not name the field.  Only
@@ -46,10 +53,24 @@ here too.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Any, Iterator, Mapping
+from typing import Any, Callable, Iterator, Mapping
 
-from .rings import GradedPoly, Ring, validate_name
-from .spaces import SpaceModel, check_closed, check_fundamental, ring_to_document
+from .rings import (
+    GradedPoly,
+    Ring,
+    check_tensor_characteristic,
+    check_tensor_names,
+    validate_name,
+)
+from .spaces import (
+    SpaceModel,
+    check_closed,
+    check_euler,
+    check_fundamental,
+    check_total_p,
+    check_total_w,
+    ring_to_document,
+)
 
 __all__ = [
     "DocumentError",
@@ -101,11 +122,15 @@ def _str_field(doc: Mapping[str, Any], key: str, path: str) -> str:
 
 
 def _poly_field(
-    doc: Mapping[str, Any], key: str, path: str, ring: Ring
+    doc: Mapping[str, Any], key: str, path: str, ring: Ring,
+    check: Callable[..., None], *args: Any,
 ) -> GradedPoly:
+    """The class at ``key``, parsed and passed to ``check(cls, *args)``."""
     text = _str_field(doc, key, path)
     with _at(f"{path}/{key}"):
-        return ring.poly(text)
+        cls = ring.poly(text)
+        check(cls, *args)
+        return cls
 
 
 def ring_from_document(
@@ -156,11 +181,12 @@ def space_from_document(doc: Mapping[str, Any], path: str = "") -> SpaceModel:
     with _at(f"{path}/fundamental"):
         fundamental = ring.monomial(fundamental_text)
         check_fundamental(ring, fundamental, dimension)
-    total_p = _poly_field(doc, "total_p", path, ring)
-    euler = _poly_field(doc, "euler", path, ring)
+    total_p = _poly_field(doc, "total_p", path, ring, check_total_p)
+    euler = _poly_field(doc, "euler", path, ring, check_euler, dimension)
     total_w = None
     if "total_w" in doc:
-        total_w = _poly_field(doc, "total_w", path, ring)
+        total_w = _poly_field(doc, "total_w", path, ring, check_total_w,
+                              ring.characteristic)
     with _at(path):
         return SpaceModel(
             ring=ring,
@@ -199,7 +225,13 @@ def bundle_from_document(doc: Mapping[str, Any], path: str = "") -> SpaceModel:
         if characteristic not in (0, 2):
             raise DocumentError(f"{path}/base/characteristic", "no kappa classes in "
                                 f"characteristic {characteristic}; use 0 or 2")
-        fibre = space_from_document(_field(doc, "fibre", path), f"{path}/fibre")
+        fibre_path = f"{path}/fibre"
+        fibre = space_from_document(_field(doc, "fibre", path), fibre_path)
+        with _at(f"{fibre_path}/characteristic"):
+            check_tensor_characteristic(base.ring, fibre.ring.characteristic)
+        for i, name in enumerate(fibre.ring.names):
+            with _at(f"{fibre_path}/ring/generators/{i}/name"):
+                check_tensor_names(base.ring, (name,))
         with _at(path):
             bundle = bundles.product_bundle(base, fibre)
         if characteristic == 2 and bundle.total_w is None:
@@ -214,6 +246,8 @@ def bundle_from_document(doc: Mapping[str, Any], path: str = "") -> SpaceModel:
             base_ring = base.ring
         else:
             base = base_ring = _ring_field(base_doc, base_path)
+        with _at(f"{base_path}/characteristic"):
+            bundles.check_projective_base(base_ring)
         chern_docs = _field(doc, "chern", path)
         if not isinstance(chern_docs, list) or not chern_docs:
             raise DocumentError(f"{path}/chern", "expected a nonempty list")
@@ -223,12 +257,17 @@ def bundle_from_document(doc: Mapping[str, Any], path: str = "") -> SpaceModel:
             if not isinstance(text, str):
                 raise DocumentError(item_path, "expected a polynomial string")
             with _at(item_path):
-                classes.append(base_ring.poly(text))
+                c = base_ring.poly(text)
+                bundles.check_chern_class(i + 1, c)
+            classes.append(c)
+        with _at(f"{path}/chern"):
+            bundles.check_projective_rank(len(classes))
         twist = doc.get("twist", "t")
         if not isinstance(twist, str) or not twist:
             raise DocumentError(f"{path}/twist", "expected a generator name")
         with _at(f"{path}/twist"):
             validate_name(twist)
+            bundles.check_twist(base_ring, twist)
         with _at(path):
             return bundles.projectivize(base, classes, twist=twist)
     raise DocumentError(

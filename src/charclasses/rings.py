@@ -96,6 +96,8 @@ __all__ = [
     "GradedPoly",
     "Ring",
     "Terms",
+    "check_tensor_characteristic",
+    "check_tensor_names",
     "tensor_ring",
     "transport",
     "validate_name",
@@ -893,16 +895,26 @@ def tensor_ring(a: Ring, b: Ring) -> Ring:
     name; rules carry over unchanged, moved by :func:`transport`.  This is
     the Kunneth presentation for product spaces.
     """
-    if a.characteristic != b.characteristic:
-        raise ValueError("tensor factors have different characteristics")
-    overlap = set(a.names) & set(b.names)
-    if overlap:
-        raise ValueError(f"generator names collide in tensor product: {sorted(overlap)}; "
-                         "rename before combining")
+    check_tensor_characteristic(a, b.characteristic)
+    check_tensor_names(a, b.names)
     rules = [((r.names[i], k), GradedPoly(r, rhs))
              for r in (a, b) for i, (k, rhs) in r.rules.items()]
     gens = zip(a.names + b.names, a.degrees + b.degrees)
     return Ring(a.characteristic, gens, rules)
+
+
+def check_tensor_characteristic(a: Ring, characteristic: int) -> None:
+    """Reject a second tensor factor of another characteristic than ``a``."""
+    if a.characteristic != characteristic:
+        raise ValueError("tensor factors have different characteristics")
+
+
+def check_tensor_names(a: Ring, names: Iterable[str]) -> None:
+    """Reject second-factor generator names that ``a`` already has."""
+    overlap = sorted(name for name in names if name in a._index)
+    if overlap:
+        raise ValueError(f"generator names collide in tensor product: {overlap}; "
+                         "rename before combining")
 
 
 def transport(poly: GradedPoly, target: Ring) -> GradedPoly:

@@ -12,9 +12,8 @@ arithmetic: a polynomial stores its coefficients as Python ints (see
 :mod:`charclasses.rings`), and prints and substitutes on those ints.
 Scalars come in through ``Ring.poly``, and go out through a polynomial's
 ``coefficient``, ``constant_term`` and ``items``.  This module imports
-``fractions`` only to parse a rational (``Fraction`` is in ``__all__`` and
-resolves on first access), so a characteristic-p computation, which loads
-this module for its modulus, loads no ``fractions``.
+``fractions`` only to parse a rational, so a characteristic-p computation,
+which loads this module for its modulus, loads no ``fractions``.
 
 A modulus is validated once, where it enters: by :func:`validate_modulus`
 when a ``PrimeScalar`` is constructed and when a ``Ring`` of characteristic
@@ -40,7 +39,6 @@ if TYPE_CHECKING:
     from fractions import Fraction
 
 __all__ = [
-    "Fraction",
     "MAX_MODULUS",
     "PrimeScalar",
     "format_rational",
@@ -264,13 +262,3 @@ def parse_rational(text: str) -> Fraction:
 def format_rational(q: Fraction) -> str:
     """Render a Fraction in the machine form ``"a/b"`` (so 3 becomes "3/1")."""
     return f"{q.numerator}/{q.denominator}"
-
-
-def __getattr__(name: str):
-    # Fraction stays in __all__, and resolves here, without loading
-    # fractions with this module
-    if name == "Fraction":
-        from fractions import Fraction
-
-        return Fraction
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

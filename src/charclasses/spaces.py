@@ -38,7 +38,10 @@ __all__ = [
     "SpaceModel",
     "bso_presentation",
     "check_closed",
+    "check_euler",
     "check_fundamental",
+    "check_total_p",
+    "check_total_w",
     "chern_to_pontryagin",
     "cp",
     "hp",
@@ -114,23 +117,10 @@ class SpaceModel:
             raise ValueError(f"base ring {base!r} has other rules on its generators "
                              f"than the total ring {ring!r}")
         check_fundamental(ring, self.fundamental, self.dimension, n)
-        if not self.total_p.constant_term_is_one():
-            raise ValueError("total Pontryagin class must have constant term 1")
-        for degree in self.total_p.degrees():
-            if degree % 4:
-                raise ValueError(
-                    f"total Pontryagin class has a term of degree {degree}, "
-                    "not a multiple of 4"
-                )
-        if not self.euler.is_zero() and not self.euler.is_homogeneous(self.dimension):
-            raise ValueError(
-                f"Euler class must be homogeneous of degree {self.dimension}"
-            )
+        check_total_p(self.total_p)
+        check_euler(self.euler, self.dimension)
         if self.total_w is not None:
-            if self.ring.characteristic != 2:
-                raise ValueError("total_w only makes sense in characteristic 2")
-            if not self.total_w.constant_term_is_one():
-                raise ValueError("total Stiefel-Whitney class must start with 1")
+            check_total_w(self.total_w, ring.characteristic)
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__match_args__)
@@ -185,6 +175,34 @@ def check_fundamental(ring: Ring, fundamental: Monomial, dimension: int,
     degree = sum(e * d for e, d in zip(fundamental, degrees))
     if degree != dimension:
         raise ValueError(f"fundamental monomial has degree {degree}, expected {dimension}")
+
+
+def check_total_p(total_p: GradedPoly) -> None:
+    """Reject a total Pontryagin class without constant term 1 or with a
+    term of degree other than a multiple of 4."""
+    if not total_p.constant_term_is_one():
+        raise ValueError("total Pontryagin class must have constant term 1")
+    for degree in total_p.degrees():
+        if degree % 4:
+            raise ValueError(
+                f"total Pontryagin class has a term of degree {degree}, "
+                "not a multiple of 4"
+            )
+
+
+def check_euler(euler: GradedPoly, dimension: int) -> None:
+    """Reject a nonzero Euler class that is not homogeneous of the dimension."""
+    if not euler.is_zero() and not euler.is_homogeneous(dimension):
+        raise ValueError(f"Euler class must be homogeneous of degree {dimension}")
+
+
+def check_total_w(total_w: GradedPoly, characteristic: int) -> None:
+    """Reject a total Stiefel-Whitney class outside characteristic 2 or
+    without constant term 1."""
+    if characteristic != 2:
+        raise ValueError("total_w only makes sense in characteristic 2")
+    if not total_w.constant_term_is_one():
+        raise ValueError("total Stiefel-Whitney class must start with 1")
 
 
 def check_closed(space: SpaceModel) -> None:

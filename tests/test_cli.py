@@ -384,8 +384,39 @@ def test_signature_rejects_total_p_off_multiples_of_four(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err == (
-        "error: /: total Pontryagin class has a term of degree 2, not a multiple of 4\n"
+        "error: /total_p: total Pontryagin class has a term of degree 2, not a multiple of 4\n"
     )
+
+
+def hp2_with(**fields):
+    return dict(space_to_document(hp(2)), **fields)
+
+
+def rp2_with(**fields):
+    return dict(rp_product_doc((2,), ["a"]), **fields)
+
+
+@pytest.mark.parametrize(
+    "make, expected",
+    [
+        (lambda: hp2_with(total_p="2+2*y+7*y^2"),
+         "/total_p: total Pontryagin class must have constant term 1"),
+        (lambda: hp2_with(euler="3*y"),
+         "/euler: Euler class must be homogeneous of degree 8"),
+        (lambda: hp2_with(total_w="1"),
+         "/total_w: total_w only makes sense in characteristic 2"),
+        (lambda: rp2_with(total_w="a+a^2"),
+         "/total_w: total Stiefel-Whitney class must start with 1"),
+    ],
+    # a total_p term of degree 2: test_signature_rejects_total_p_off_multiples_of_four
+    ids=["total_p-constant", "euler-degree", "total_w-characteristic", "total_w-constant"],
+)
+def test_signature_reports_a_bad_class_at_its_field(capsys, monkeypatch, make, expected):
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(make())))
+    code, out, err = run_cli(capsys, "signature", "-")
+    assert code == 2
+    assert_one_error_line(out, err)
+    assert err == f"error: {expected}\n"
 
 
 # ----------------------------------------------------------------------
@@ -539,6 +570,52 @@ def test_kappa_reports_a_mod_2_fibre_without_total_w_at_the_fibre(capsys, tmp_pa
     assert out == ""
     assert err.startswith("error: /fibre/total_w: missing required field")
     assert_one_error_line(out, err)
+
+
+def projectivization_with(**fields):
+    return dict(projectivization_doc(), **fields)
+
+
+def projectivization_over_characteristic(characteristic):
+    doc = projectivization_doc()
+    doc["base"]["characteristic"] = characteristic
+    return doc
+
+
+@pytest.mark.parametrize(
+    "make, expected",
+    [
+        (lambda: projectivization_over_characteristic(2),
+         "/base/characteristic: projectivization is implemented over characteristic 0"),
+        (lambda: projectivization_over_characteristic(3),
+         "/base/characteristic: projectivization is implemented over characteristic 0"),
+        (lambda: projectivization_with(chern=["c1"]),
+         "/chern: projectivization needs rank at least 2"),
+        (lambda: projectivization_with(chern=["c1", "c1"]),
+         "/chern/1: c_2 must be homogeneous of degree 4"),
+        (lambda: projectivization_with(twist="c1"),
+         "/twist: generator name 'c1' already taken in the base ring; "
+         "pass a different twist name"),
+        (lambda: {"kind": "product", "base": space_to_document(sphere(12)),
+                  "fibre": rp_product_doc((2,), ["a"])},
+         "/fibre/characteristic: tensor factors have different characteristics"),
+        (lambda: {"kind": "product", "base": space_to_document(hp(2)),
+                  "fibre": space_to_document(product_space(cp(2), hp(2)))},
+         "/fibre/ring/generators/1/name: generator names collide in tensor product: "
+         "['y']; rename before combining"),
+        (lambda: {"kind": "product", "base": rp_product_doc((2,), ["b"]),
+                  "fibre": rp2_with(total_w="a+a^2")},
+         "/fibre/total_w: total Stiefel-Whitney class must start with 1"),
+    ],
+    ids=["base-characteristic-2", "base-characteristic-3", "rank-1", "c2-degree",
+         "twist-taken", "fibre-characteristic", "fibre-generator-name", "fibre-total_w"],
+)
+def test_kappa_reports_a_bad_bundle_at_its_field(capsys, monkeypatch, make, expected):
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(make())))
+    code, out, err = run_cli(capsys, "kappa", "--bundle", "-", "--class", "e")
+    assert code == 2
+    assert_one_error_line(out, err)
+    assert err == f"error: {expected}\n"
 
 
 @pytest.mark.parametrize(

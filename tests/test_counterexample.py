@@ -7,21 +7,18 @@ from pathlib import Path
 import pytest
 
 from charclasses.counterexample import (
-    build_total_space,
-    casson_obstruction,
-    fibre_signature,
     report_document,
     run,
     succeeded,
 )
 from charclasses.genus import l_sequence
-from charclasses.spaces import cp, product_space, sphere
+from charclasses.spaces import hp, product_space, sphere
 
 GOLDEN = Path(__file__).parent / "golden" / "section5_R1.json"
 
 
 def test_total_space_model():
-    space = build_total_space()
+    space = product_space(sphere(12, gen="x"), hp(2, gen="y"))
     assert space.dimension == 20
     assert space.ring.names == ("x", "y")
     assert space.total_p == space.ring.poly("1 + 2*y + 7*y^2")
@@ -29,7 +26,7 @@ def test_total_space_model():
 
 def test_golden_run_at_unit_perturbation():
     report = run(1)
-    ring = build_total_space().ring
+    ring = product_space(sphere(12, gen="x"), hp(2, gen="y")).ring
     assert report.p_low_unchanged == (True, True, True)
     assert report.p4 == ring.poly("4725/127*x*y")
     assert report.p5 == ring.poly("124065/9271*x*y^2")
@@ -66,7 +63,7 @@ def test_solved_classes_reproduce_the_target():
     # feeding the solved Pontryagin classes back through the sequence must
     # reproduce the perturbed signature class through weight 5
     seq = l_sequence()
-    space = build_total_space()
+    space = product_space(sphere(12, gen="x"), hp(2, gen="y"))
     ring = space.ring
     for r in (1, Fraction(-7, 3)):
         report = run(r)
@@ -82,36 +79,6 @@ def test_solved_classes_reproduce_the_target():
             + report.p5
         )
         assert seq.total_class(solved_total_p, 5) == target
-
-
-def test_fibre_signature_reads_degree_eight_slice():
-    space = build_total_space()
-    ring = space.ring
-    x = ring.gen("x")
-    y = ring.gen("y")
-    assert fibre_signature(y * y, space, x) == 1
-    assert fibre_signature(y * y * 9, space, x) == 9
-    assert fibre_signature(ring.zero(), space, x) == 0
-    assert fibre_signature(y * y, space, ring.zero()) == 0
-    # off-degree content is ignored
-    assert fibre_signature(y + y * y * 5 + x, space, x) == 5
-
-
-def test_fibre_signature_pairs_the_fibre_dimension():
-    # S^12 x CP^2: the fibre has dimension 4, so its signature is L_1 = p_1/3
-    space = product_space(sphere(12, gen="x"), cp(2, gen="h"))
-    total_l = l_sequence().total_class(space.total_p, 4)
-    assert fibre_signature(total_l, space, space.ring.gen("x")) == 1
-
-
-def test_casson_obstruction_edge_cases():
-    space = build_total_space()
-    ring = space.ring
-    x = ring.gen("x")
-    y = ring.gen("y")
-    assert casson_obstruction(y * y, space, x) == 0
-    assert casson_obstruction(y * y * 9, space, x) == 1
-    assert casson_obstruction(ring.zero(), space, x) == Fraction(-1, 8)
 
 
 def test_succeeded_fails_on_nonzero_obstruction():

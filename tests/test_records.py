@@ -79,6 +79,12 @@ def test_space_model_construction_validates():
         )
 
 
+def test_space_model_rejects_a_negative_dimension():
+    s = sphere(4)
+    with pytest.raises(ValueError, match="negative dimension -4"):
+        SpaceModel(s.ring, -4, s.fundamental, s.total_p, s.euler)
+
+
 def test_space_model_validation_runs_on_every_family():
     bundle = projectivize(cp(2), ["3*h", "3*h^2", "0"])  # fibre CP^2
     data = {name: getattr(bundle, name) for name in fields(bundle)}

@@ -196,6 +196,18 @@ def test_ring_structural_equality():
     assert r1.gen("a") + r2.gen("a") == r1.gen("a") * 2
 
 
+@pytest.mark.parametrize(
+    "make",
+    [free_ring, lambda: free_ring().gen("a").terms, lambda: free_ring().gen("a")],
+    ids=["Ring", "Terms", "GradedPoly"],
+)
+def test_equality_with_an_unrelated_type_is_false(make):
+    value = make()
+    assert (value == "a") is False
+    assert (value == object()) is False
+    assert value != "a"
+
+
 # ----------------------------------------------------------------------
 # normal form
 
@@ -364,6 +376,12 @@ def test_scalar_coercion_rules():
         x * PrimeScalar(2, 7)
     with pytest.raises(TypeError):
         x * Fraction(1, 2)
+
+
+@pytest.mark.parametrize("source", [True, object()], ids=["bool", "object"])
+def test_poly_rejects_a_source_of_another_type(source):
+    with pytest.raises(TypeError):
+        free_ring().poly(source)
 
 
 # ----------------------------------------------------------------------
@@ -681,6 +699,11 @@ def test_tensor_ring_combines_generators_and_rules():
     assert not (x * y * y).is_zero()
     with pytest.raises(ValueError):
         tensor_ring(left, Ring(0, [("x", 4)]))
+
+
+def test_tensor_ring_rejects_factors_of_other_characteristics():
+    with pytest.raises(ValueError, match="tensor factors have different characteristics"):
+        tensor_ring(Ring(0, [("x", 2)]), Ring(2, [("y", 1)]))
 
 
 def test_transport_matches_names():

@@ -96,6 +96,16 @@ def test_prime_scalar_rejects_mixing():
         a * 0.5
 
 
+@pytest.mark.parametrize(
+    "op",
+    [lambda a: "s" - a, lambda a: a / "s", lambda a: "s" / a],
+    ids=["str-minus-scalar", "scalar-over-str", "str-over-scalar"],
+)
+def test_prime_scalar_rejects_a_string_operand(op):
+    with pytest.raises(TypeError):
+        op(PrimeScalar(1, 5))
+
+
 def test_prime_scalar_defers_only_to_operand_types_it_does_not_know():
     # an unknown operand type gets NotImplemented, so Python tries the
     # polynomial's reflected method; Fractions and other moduli still raise

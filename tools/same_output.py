@@ -53,8 +53,15 @@ path (invalid JSON on stdin for ``signature`` and ``kappa``, a document
 error in a space, in a bundle and in a bundle's base, an unknown
 generator in ``kappa --class``, a product bundle of characteristic 3, and
 ``kappa --class w1`` on a characteristic 2 product bundle whose fibre has
-no ``total_w``), the bare ``python -m charclasses`` usage
-error, and ``--help`` at the top level and for each subcommand, each
+no ``total_w``), the bundle documents that ``kappa`` rejects for one
+field (a projectivization over F_2 and over F_3, of rank 1, with c_2 = c_1
+and with a twist naming a base generator, and a product bundle of
+characteristics 0 and 2, one whose base and fibre share a generator name
+and one whose fibre ``total_w`` is a + a^2) and the space documents that
+``signature`` rejects for one class (``total_p`` without constant term 1
+and with a term of degree 2, an Euler class of another degree, a
+``total_w`` in characteristic 0 and one without constant term 1), the
+bare ``python -m charclasses`` usage error, and ``--help`` at the top level and for each subcommand, each
 distinct call once.  The call past the exponent bound exits 2 since that
 bound exists and prints a signature in a tree before it, and ``bso
 --dimension 0`` names ``--dimension`` in its error since the change that
@@ -66,8 +73,14 @@ checks a family's base once, when its record is built, the characteristic
 3 product bundle is reported at ``/base/characteristic`` and the fibre
 without ``total_w`` at ``/fibre/total_w``, where trees before it blamed
 ``--class`` for both, and ``signature`` of RP^2 over F_2 names
-``/characteristic``.  Against trees before those changes, these are the
-intended differences.  Each runs as one
+``/characteristic``.  Since the change that reports bundle and class
+checks at their fields, each of those rejected bundle and space documents
+names its field (``/base/characteristic``, ``/chern``, ``/chern/1``,
+``/twist``, ``/fibre/characteristic``,
+``/fibre/ring/generators/1/name``, ``/fibre/total_w``, ``/total_p``,
+``/euler`` and ``/total_w``) with the same message, where trees before it
+wrote ``/`` or ``/fibre``.  Against trees before those changes, these are
+the intended differences.  Each runs as one
 ``python -m charclasses`` process with ``PYTHONPATH=<tree>/src`` and its document on
 stdin, one call at a time, first in PARENT_TREE and then in CHANGE_TREE.
 Exit code, stdout bytes and stderr bytes must be equal.  Prints the number of calls; exits 1 and names
@@ -236,6 +249,37 @@ BAD_FUNDAMENTAL = {
 HUGE_SIGNATURE = dict(BAD_FUNDAMENTAL, fundamental="y^2",
                       total_p="1 + " + "9" * 3000 + "*y + 7*y^2")
 
+HP2 = dict(BAD_FUNDAMENTAL, fundamental="y^2")
+RP2 = workloads.rp_product_doc((2,), ["a"])
+# Each exits 2; the field at fault is named since the change that reports
+# bundle and class checks at their fields.
+BAD_BUNDLES = {
+    "projectivization over F_2": dict(PROJECTIVIZATION, base=dict(
+        PROJECTIVIZATION["base"], characteristic=2)),
+    "projectivization over F_3": dict(PROJECTIVIZATION, base=dict(
+        PROJECTIVIZATION["base"], characteristic=3)),
+    "projectivization of rank 1": dict(PROJECTIVIZATION, chern=["c1"]),
+    "projectivization with c2 = c1": dict(PROJECTIVIZATION, chern=["c1", "c1"]),
+    "twist naming a base generator": dict(PROJECTIVIZATION, twist="c1"),
+    "product of characteristics 0 and 2": {
+        "kind": "product", "base": workloads.space_doc([Factor("s", 12)], ["x"]),
+        "fibre": RP2},
+    "product sharing a generator name": {
+        "kind": "product", "base": HP2,
+        "fibre": workloads.space_doc([Factor("cp", 2), Factor("hp", 2)], ["h", "y"])},
+    "product with a fibre total_w = a + a^2": {
+        "kind": "product", "base": workloads.rp_product_doc((2,), ["b"]),
+        "fibre": dict(RP2, total_w="a+a^2")},
+}
+BAD_CLASSES = {
+    "total_p = 2 + 2*y + 7*y^2": dict(HP2, total_p="2+2*y+7*y^2"),
+    "total_p with a degree-2 term": dict(
+        workloads.space_doc([Factor("cp", 2)], ["h"]), total_p="1 + 5*h + 3*h^2"),
+    "euler = 3*y on HP^2": dict(HP2, euler="3*y"),
+    "total_w in characteristic 0": dict(HP2, total_w="1"),
+    "total_w = a + a^2": dict(RP2, total_w="a+a^2"),
+}
+
 # Each exits 2 with one error line.
 INPUT_ERRORS = (
     Op("genus max-weight 13", ("genus", "--max-weight", "13")),
@@ -309,6 +353,10 @@ def calls() -> list[Op]:
         ops.append(Op(f"signature free y^{exponent}", ("signature", "-"),
                       stdin=workloads._encode(free_space(exponent))))
     ops += INPUT_ERRORS
+    ops += [Op(f"kappa {label}", ("kappa", "--bundle", "-", "--class", "e"),
+               stdin=workloads._encode(doc)) for label, doc in BAD_BUNDLES.items()]
+    ops += [Op(f"signature {label}", ("signature", "-"), stdin=workloads._encode(doc))
+            for label, doc in BAD_CLASSES.items()]
     for sub in ("", "genus", "signature", "kappa", "bso", "section5", "verify"):
         args = (sub, "--help") if sub else ("--help",)
         ops.append(Op(" ".join(args), args))
