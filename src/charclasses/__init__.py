@@ -35,6 +35,7 @@ _EXPORTS = {
     "l_leading_coefficient": "genus",
     "l_sequence": "genus",
     "weight_ring": "genus",
+    "FieldError": "rings",
     "GradedPoly": "rings",
     "Ring": "rings",
     "tensor_ring": "rings",

@@ -27,14 +27,19 @@ from __future__ import annotations
 from typing import Sequence
 
 from . import spaces  # chern_to_pontryagin is looked up there at each call
-from .rings import _NAME_RE, GradedPoly, Ring, tensor_ring, transport
+from .rings import (
+    _NAME_RE,
+    MAX_EXPONENT,
+    FieldError,
+    GradedPoly,
+    Ring,
+    tensor_ring,
+    transport,
+    validate_name,
+)
 from .spaces import SpaceModel
 
 __all__ = [
-    "check_chern_class",
-    "check_projective_base",
-    "check_projective_rank",
-    "check_twist",
     "kappa",
     "product_bundle",
     "projectivize",
@@ -43,9 +48,14 @@ __all__ = [
 
 def product_bundle(base: SpaceModel, fibre: SpaceModel) -> SpaceModel:
     """The trivial bundle base x fibre -> base, whose vertical classes are
-    the fibre's own."""
+    the fibre's own.  A fibre that does not fit the base raises
+    ``FieldError`` at its field under ``fibre/``, as ``tensor_ring`` names it."""
+    try:
+        ring = tensor_ring(base.ring, fibre.ring)
+    except FieldError as exc:
+        raise FieldError(f"fibre/{exc.field}", str(exc)) from exc
     return SpaceModel(
-        ring=tensor_ring(base.ring, fibre.ring),
+        ring=ring,
         dimension=fibre.dimension,
         fundamental=fibre.fundamental,
         total_p=fibre.total_p,
@@ -64,16 +74,30 @@ def projectivize(
 
     ``chern`` lists c_1..c_k in the base ring (strings are parsed there).
     The rank must be at least 2; the fibre is CP^{k-1} of dimension
-    2(k-1).  Characteristic 0 only.
+    2(k-1).  Characteristic 0 only.  Bad input raises ``FieldError`` at
+    ``base/characteristic``, ``chern`` (the rank), ``twist`` or ``chern/<i>``.
     """
     base_ring = base.ring if isinstance(base, SpaceModel) else base
-    check_projective_base(base_ring)
+    if base_ring.characteristic != 0:
+        raise FieldError("base/characteristic",
+                         "projectivization is implemented over characteristic 0")
     k = len(chern)
-    check_projective_rank(k)
-    check_twist(base_ring, twist)
-    classes = [base_ring.poly(c) for c in chern]
-    for i, c in enumerate(classes, start=1):
-        check_chern_class(i, c)
+    if k < 2:
+        raise FieldError("chern", "projectivization needs rank at least 2")
+    if k > MAX_EXPONENT:  # the exponent of the defining relation
+        raise FieldError("chern", f"rank {k} exceeds MAX_EXPONENT = {MAX_EXPONENT}")
+    validate_name(twist, "twist")
+    if twist in base_ring.names:
+        raise FieldError("twist", f"generator name {twist!r} already taken in the base "
+                         "ring; pass a different twist name")
+    classes = []
+    for i, c in enumerate(chern):
+        try:
+            classes.append(base_ring.poly(c))
+        except ValueError as exc:
+            raise FieldError(f"chern/{i}", str(exc)) from exc
+        if not classes[i].is_homogeneous(2 * i + 2):
+            raise FieldError(f"chern/{i}", f"c_{i + 1} must be homogeneous of degree {2 * i + 2}")
 
     # same generators plus t, with base rules kept, and the defining
     # relation t^k = -(c_1 t^{k-1} + ... + c_k), formed by Horner's rule in
@@ -103,33 +127,6 @@ def projectivize(
         euler=vertical_chern.graded_component(fibre_dim),
         base_ring=base_ring,
     )
-
-
-def check_projective_base(base_ring: Ring) -> None:
-    """Reject a projectivization base of characteristic other than 0."""
-    if base_ring.characteristic != 0:
-        raise ValueError("projectivization is implemented over characteristic 0")
-
-
-def check_projective_rank(k: int) -> None:
-    """Reject a projectivization of rank below 2."""
-    if k < 2:
-        raise ValueError("projectivization needs rank at least 2")
-
-
-def check_twist(base_ring: Ring, twist: str) -> None:
-    """Reject a twist generator name that the base ring already has."""
-    if twist in base_ring.names:
-        raise ValueError(
-            f"generator name {twist!r} already taken in the base ring; "
-            "pass a different twist name"
-        )
-
-
-def check_chern_class(i: int, c: GradedPoly) -> None:
-    """Reject a Chern class c_i that is not homogeneous of degree 2i."""
-    if not c.is_homogeneous(2 * i):
-        raise ValueError(f"c_{i} must be homogeneous of degree {2 * i}")
 
 
 def kappa(bundle: SpaceModel, cls: str) -> GradedPoly:

@@ -27,19 +27,20 @@ payloads use the text syntax of :mod:`charclasses.rings`.
 
 Validation failures raise :class:`DocumentError` whose message starts with
 the JSON-pointer-style path of the offending field.  The decoder checks
-the JSON shape itself and leaves every other check to the library, whose
-checks raise ``ValueError``: ``with _at(path):`` reports one raised inside
-it as a :class:`DocumentError` at ``path``.  Each such block wraps library
-calls on one field and no decoder code, so an error keeps the path of the
-field it was found in.  A library check on one field is a function that
-the library and the decoder both call, the decoder inside that field's
-block after the field's shape checks: a space's fundamental
-(``check_fundamental``, before its classes are parsed, since it needs no
-rewriting), each of its classes (``check_total_p``, ``check_euler``,
-``check_total_w``), a projectivization's base characteristic, Chern
-classes, rank and twist (the ``check_*`` functions of
-:mod:`charclasses.bundles`), and a product fibre's characteristic and
-generator names (``check_tensor_characteristic``, ``check_tensor_names``).
+the JSON shape only, and then calls each builder once (``Ring``,
+``SpaceModel``, ``product_bundle``, ``projectivize``), which checks the
+rest.  A builder names the field it rejects: it raises
+:class:`charclasses.rings.FieldError`, whose ``field`` is the path of the
+field in the builder's own document, and ``with _at(path):`` reports one
+raised inside it as a :class:`DocumentError` at ``path/field``, and any
+other ``ValueError`` at ``path``.  Each such block wraps library calls and
+no decoder code, so an error keeps the path of the field it was found in.
+The decoder runs two library checks itself: ``validate_modulus`` on a
+characteristic, which lies outside the {"generators", "relations"}
+document that ``Ring`` names its fields in, and ``check_fundamental``,
+before it parses a space's classes, since it needs no rewriting.  It
+parses each class of a space at its field, since ``SpaceModel`` takes
+them parsed.
 A product bundle is read for its kappa classes, so the decoder
 also rejects a base of characteristic other than 0 or 2, and, in
 characteristic 2, a fibre without "total_w": ``kappa`` would find either
@@ -53,24 +54,10 @@ here too.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Any, Callable, Iterator, Mapping
+from typing import Any, Iterator, Mapping
 
-from .rings import (
-    GradedPoly,
-    Ring,
-    check_tensor_characteristic,
-    check_tensor_names,
-    validate_name,
-)
-from .spaces import (
-    SpaceModel,
-    check_closed,
-    check_euler,
-    check_fundamental,
-    check_total_p,
-    check_total_w,
-    ring_to_document,
-)
+from .rings import FieldError, GradedPoly, Ring
+from .spaces import SpaceModel, check_closed, check_fundamental, ring_to_document
 
 __all__ = [
     "DocumentError",
@@ -92,9 +79,12 @@ class DocumentError(ValueError):
 
 @contextmanager
 def _at(path: str) -> Iterator[None]:
-    """Report a ``ValueError`` raised in the block as bad input at ``path``."""
+    """Report a ``FieldError`` raised in the block as bad input at its field
+    under ``path``, and any other ``ValueError`` at ``path``."""
     try:
         yield
+    except FieldError as exc:
+        raise DocumentError(f"{path}/{exc.field}", str(exc)) from exc
     except ValueError as exc:
         raise DocumentError(path, str(exc)) from exc
 
@@ -121,16 +111,11 @@ def _str_field(doc: Mapping[str, Any], key: str, path: str) -> str:
     return value
 
 
-def _poly_field(
-    doc: Mapping[str, Any], key: str, path: str, ring: Ring,
-    check: Callable[..., None], *args: Any,
-) -> GradedPoly:
-    """The class at ``key``, parsed and passed to ``check(cls, *args)``."""
+def _poly_field(doc: Mapping[str, Any], key: str, path: str, ring: Ring) -> GradedPoly:
+    """The class at ``key``, parsed."""
     text = _str_field(doc, key, path)
     with _at(f"{path}/{key}"):
-        cls = ring.poly(text)
-        check(cls, *args)
-        return cls
+        return ring.poly(text)
 
 
 def ring_from_document(
@@ -143,11 +128,8 @@ def ring_from_document(
     generators = []
     for i, gen_doc in enumerate(gen_docs):
         gen_path = f"{path}/generators/{i}"
-        name = _str_field(gen_doc, "name", gen_path)
-        with _at(f"{gen_path}/name"):
-            validate_name(name)
-        degree = _int_field(gen_doc, "degree", gen_path, minimum=1)
-        generators.append((name, degree))
+        generators.append((_str_field(gen_doc, "name", gen_path),
+                           _int_field(gen_doc, "degree", gen_path, minimum=1)))
     relation_docs = doc.get("relations", [])
     if not isinstance(relation_docs, list):
         raise DocumentError(f"{path}/relations", "expected a list")
@@ -180,13 +162,11 @@ def space_from_document(doc: Mapping[str, Any], path: str = "") -> SpaceModel:
     fundamental_text = _str_field(doc, "fundamental", path)
     with _at(f"{path}/fundamental"):
         fundamental = ring.monomial(fundamental_text)
+    with _at(path):
         check_fundamental(ring, fundamental, dimension)
-    total_p = _poly_field(doc, "total_p", path, ring, check_total_p)
-    euler = _poly_field(doc, "euler", path, ring, check_euler, dimension)
-    total_w = None
-    if "total_w" in doc:
-        total_w = _poly_field(doc, "total_w", path, ring, check_total_w,
-                              ring.characteristic)
+    total_p = _poly_field(doc, "total_p", path, ring)
+    euler = _poly_field(doc, "euler", path, ring)
+    total_w = _poly_field(doc, "total_w", path, ring) if "total_w" in doc else None
     with _at(path):
         return SpaceModel(
             ring=ring,
@@ -225,13 +205,7 @@ def bundle_from_document(doc: Mapping[str, Any], path: str = "") -> SpaceModel:
         if characteristic not in (0, 2):
             raise DocumentError(f"{path}/base/characteristic", "no kappa classes in "
                                 f"characteristic {characteristic}; use 0 or 2")
-        fibre_path = f"{path}/fibre"
-        fibre = space_from_document(_field(doc, "fibre", path), fibre_path)
-        with _at(f"{fibre_path}/characteristic"):
-            check_tensor_characteristic(base.ring, fibre.ring.characteristic)
-        for i, name in enumerate(fibre.ring.names):
-            with _at(f"{fibre_path}/ring/generators/{i}/name"):
-                check_tensor_names(base.ring, (name,))
+        fibre = space_from_document(_field(doc, "fibre", path), f"{path}/fibre")
         with _at(path):
             bundle = bundles.product_bundle(base, fibre)
         if characteristic == 2 and bundle.total_w is None:
@@ -243,33 +217,19 @@ def bundle_from_document(doc: Mapping[str, Any], path: str = "") -> SpaceModel:
         base_path = f"{path}/base"
         if isinstance(base_doc, Mapping) and "dimension" in base_doc:
             base: Ring | SpaceModel = space_from_document(base_doc, base_path)
-            base_ring = base.ring
         else:
-            base = base_ring = _ring_field(base_doc, base_path)
-        with _at(f"{base_path}/characteristic"):
-            bundles.check_projective_base(base_ring)
-        chern_docs = _field(doc, "chern", path)
-        if not isinstance(chern_docs, list) or not chern_docs:
+            base = _ring_field(base_doc, base_path)
+        chern = _field(doc, "chern", path)
+        if not isinstance(chern, list) or not chern:
             raise DocumentError(f"{path}/chern", "expected a nonempty list")
-        classes = []
-        for i, text in enumerate(chern_docs):
-            item_path = f"{path}/chern/{i}"
+        for i, text in enumerate(chern):
             if not isinstance(text, str):
-                raise DocumentError(item_path, "expected a polynomial string")
-            with _at(item_path):
-                c = base_ring.poly(text)
-                bundles.check_chern_class(i + 1, c)
-            classes.append(c)
-        with _at(f"{path}/chern"):
-            bundles.check_projective_rank(len(classes))
+                raise DocumentError(f"{path}/chern/{i}", "expected a polynomial string")
         twist = doc.get("twist", "t")
         if not isinstance(twist, str) or not twist:
             raise DocumentError(f"{path}/twist", "expected a generator name")
-        with _at(f"{path}/twist"):
-            validate_name(twist)
-            bundles.check_twist(base_ring, twist)
         with _at(path):
-            return bundles.projectivize(base, classes, twist=twist)
+            return bundles.projectivize(base, chern, twist=twist)
     raise DocumentError(
         f"{path}/kind", f"unknown bundle kind {kind!r}; "
         "expected 'product' or 'projectivization'"

@@ -93,11 +93,10 @@ if TYPE_CHECKING:
 
 __all__ = [
     "MAX_EXPONENT",
+    "FieldError",
     "GradedPoly",
     "Ring",
     "Terms",
-    "check_tensor_characteristic",
-    "check_tensor_names",
     "tensor_ring",
     "transport",
     "validate_name",
@@ -119,10 +118,21 @@ _FACTOR_RE = re.compile(
 )
 
 
-def validate_name(name: object) -> None:
-    """Reject a generator name that the text syntax cannot read back."""
+class FieldError(ValueError):
+    """Bad input to a builder, in one field: ``field`` is the field's path in
+    the builder's JSON document, such as ``"total_p"``, ``"chern/1"`` or
+    ``"generators/1/name"``, and ``str`` of the error is the bare message."""
+
+    def __init__(self, field: str, message: str) -> None:
+        super().__init__(message)
+        self.field = field
+
+
+def validate_name(name: object, field: str) -> None:
+    """Reject, at ``field``, a generator name that the text syntax cannot
+    read back."""
     if not isinstance(name, str) or not _NAME_RE.fullmatch(name):
-        raise ValueError(f"bad generator name {name!r}; expected a letter or _ "
+        raise FieldError(field, f"bad generator name {name!r}; expected a letter or _ "
                          "followed by letters, digits or _")
 
 
@@ -130,7 +140,9 @@ class Ring:
     """A graded-commutative polynomial ring presentation.
 
     Immutable once constructed; construction validates the presentation and
-    rejects bad input instead of repairing it.
+    rejects bad input instead of repairing it.  A bad generator or rule
+    raises ``FieldError`` at its field in the ring's {"generators",
+    "relations"} document, such as ``generators/0/degree``.
 
     ``characteristic`` is 0 for rational coefficients, or a prime p below
     ``scalars.MAX_MODULUS``, validated here once for every scalar of the
@@ -160,15 +172,18 @@ class Ring:
             validate_modulus(characteristic)
         index: dict[str, int] = {}
         degrees: list[int] = []
-        for name, degree in generators:
-            validate_name(name)
+        for i, (name, degree) in enumerate(generators):
+            if not isinstance(name, str) or not _NAME_RE.fullmatch(name):
+                validate_name(name, f"generators/{i}/name")  # the path is built only to report
             if not isinstance(degree, int) or isinstance(degree, bool) or degree < 1:
-                raise ValueError(f"generator {name!r} needs a positive integer degree")
+                raise FieldError(f"generators/{i}/degree",
+                                 f"generator {name!r} needs a positive integer degree")
             if degree % 2 == 1 and characteristic != 2:
-                raise ValueError(f"generator {name!r} has odd degree {degree}; odd degrees "
+                raise FieldError(f"generators/{i}/degree",
+                                 f"generator {name!r} has odd degree {degree}; odd degrees "
                                  "require characteristic 2 under strict commutativity")
             if name in index:
-                raise ValueError(f"duplicate generator name {name!r}")
+                raise FieldError(f"generators/{i}/name", f"duplicate generator name {name!r}")
             index[name] = len(degrees)
             degrees.append(degree)
         self.characteristic = characteristic
@@ -198,28 +213,38 @@ class Ring:
 
     def _build_rules(self, rules: Iterable[tuple[str | tuple[str, int], object]]
                      ) -> dict[int, tuple[int, Terms]]:
-        """The rule table, checked; it sets ``_offset``, which the check reads."""
+        """The rule table, checked; it sets ``_offset``, which the check reads.
+        A fault of the i-th rule alone is a ``FieldError`` at its field."""
         table: dict[int, tuple[int, Terms]] = {}
-        for lhs, rhs in rules:
-            name, power = _parse_rule_lhs(lhs) if isinstance(lhs, str) else lhs
-            if name not in self._index:
-                raise ValueError(f"rule on unknown generator {name!r}")
-            idx = self._index[name]
-            if type(power) is not int or power < 2:
-                raise ValueError(f"rule left-hand side must be g^k with an int k >= 2, "
-                                 f"got {name}^{power}")
-            if power > MAX_EXPONENT:
-                raise _exponent_error(f"rule exponent {power}")
-            if idx in table:
-                raise ValueError(f"more than one rule for generator {name!r}")
-            rhs_terms = (transport(rhs, self).terms if isinstance(rhs, GradedPoly)
-                         else Terms.reduced(*self._raw_terms(rhs), self.characteristic))
-            lhs_degree = power * self.degrees[idx]
-            for mon in rhs_terms.num:
-                if mon >> self._shift != lhs_degree:
-                    raise ValueError(f"rule {name}^{power} has an inhomogeneous right-hand side "
-                                     f"(degree {mon >> self._shift} term, expected {lhs_degree})")
+        position: dict[int, int] = {}  # ruled generator -> i
+        for i, (lhs, rhs) in enumerate(rules):
+            try:
+                name, power = _parse_rule_lhs(lhs) if isinstance(lhs, str) else lhs
+                if name not in self._index:
+                    raise ValueError(f"rule on unknown generator {name!r}")
+                idx = self._index[name]
+                if type(power) is not int or power < 2:
+                    raise ValueError(f"rule left-hand side must be g^k with an int k >= 2, "
+                                     f"got {name}^{power}")
+                if power > MAX_EXPONENT:
+                    raise _exponent_error(f"rule exponent {power}")
+                if idx in table:
+                    raise ValueError(f"more than one rule for generator {name!r}")
+            except ValueError as exc:
+                raise FieldError(f"relations/{i}/lhs", str(exc)) from exc
+            try:
+                rhs_terms = (transport(rhs, self).terms if isinstance(rhs, GradedPoly)
+                             else Terms.reduced(*self._raw_terms(rhs), self.characteristic))
+                lhs_degree = power * self.degrees[idx]
+                for mon in rhs_terms.num:
+                    if mon >> self._shift != lhs_degree:
+                        raise ValueError(f"rule {name}^{power} has an inhomogeneous right-hand "
+                                         f"side (degree {mon >> self._shift} term, expected "
+                                         f"{lhs_degree})")
+            except ValueError as exc:
+                raise FieldError(f"relations/{i}/rhs", str(exc)) from exc
             table[idx] = (power, rhs_terms)
+            position[idx] = i
         self._offset = offset = sum(MAX_EXPONENT + 1 - k << self._shift - _W * (i + 1)
                                     for i, (k, _) in table.items())
         # rhs monomials must be irreducible with respect to the whole table,
@@ -230,7 +255,8 @@ class Ring:
                 if hit := (mon + offset) & self._guard:
                     j, k = next((j, k) for j, (k, _) in table.items()
                                 if hit >> self._shift - _W * j - 1 & 1)
-                    raise ValueError(f"right-hand side of rule on {self.names[idx]!r} "
+                    raise FieldError(f"relations/{position[idx]}/rhs",
+                                     f"right-hand side of rule on {self.names[idx]!r} "
                                      f"contains a monomial divisible by {self.names[j]}^{k}")
         # i -> j when rewriting by i's rule can raise the exponent of another
         # ruled generator j; peel off rules with no edge left, and a cycle
@@ -893,28 +919,22 @@ def tensor_ring(a: Ring, b: Ring) -> Ring:
 
     Generator lists are concatenated (a's first) and must be disjoint by
     name; rules carry over unchanged, moved by :func:`transport`.  This is
-    the Kunneth presentation for product spaces.
+    the Kunneth presentation for product spaces.  A second factor that does
+    not fit raises ``FieldError`` at the field of its bare ring document,
+    {"characteristic": ..., "ring": {...}}: ``characteristic``, or
+    ``ring/generators/<i>/name`` for the first of its generator names that
+    ``a`` has too (the message lists them all).
     """
-    check_tensor_characteristic(a, b.characteristic)
-    check_tensor_names(a, b.names)
+    if a.characteristic != b.characteristic:
+        raise FieldError("characteristic", "tensor factors have different characteristics")
+    if overlap := [name for name in b.names if name in a._index]:
+        raise FieldError(f"ring/generators/{b._index[overlap[0]]}/name",
+                         f"generator names collide in tensor product: {sorted(overlap)}; "
+                         "rename before combining")
     rules = [((r.names[i], k), GradedPoly(r, rhs))
              for r in (a, b) for i, (k, rhs) in r.rules.items()]
     gens = zip(a.names + b.names, a.degrees + b.degrees)
     return Ring(a.characteristic, gens, rules)
-
-
-def check_tensor_characteristic(a: Ring, characteristic: int) -> None:
-    """Reject a second tensor factor of another characteristic than ``a``."""
-    if a.characteristic != characteristic:
-        raise ValueError("tensor factors have different characteristics")
-
-
-def check_tensor_names(a: Ring, names: Iterable[str]) -> None:
-    """Reject second-factor generator names that ``a`` already has."""
-    overlap = sorted(name for name in names if name in a._index)
-    if overlap:
-        raise ValueError(f"generator names collide in tensor product: {overlap}; "
-                         "rename before combining")
 
 
 def transport(poly: GradedPoly, target: Ring) -> GradedPoly:

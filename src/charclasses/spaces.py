@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-from .rings import GradedPoly, Monomial, Ring, tensor_ring, transport
+from .rings import FieldError, GradedPoly, Monomial, Ring, tensor_ring, transport
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -38,10 +38,7 @@ __all__ = [
     "SpaceModel",
     "bso_presentation",
     "check_closed",
-    "check_euler",
     "check_fundamental",
-    "check_total_p",
-    "check_total_w",
     "chern_to_pontryagin",
     "cp",
     "hp",
@@ -69,7 +66,8 @@ class SpaceModel:
     deleting an attribute raises ``AttributeError``.  ``__init__`` writes
     the fields into the instance ``__dict__``, which copies and pickles
     restore as it is, and where ``perfbench/tracer.py`` shadows ``gysin``
-    on each bundle.
+    on each bundle.  A bad dimension, fundamental monomial or class raises
+    ``FieldError`` at its field, ``total_p`` say.
     """
 
     __match_args__ = ("ring", "dimension", "fundamental", "total_p", "euler", "total_w",
@@ -101,7 +99,7 @@ class SpaceModel:
     # tests/test_tracer_targets.py checks that it is here
     def __post_init__(self) -> None:
         if self.dimension < 0:
-            raise ValueError(f"negative dimension {self.dimension}")
+            raise FieldError("dimension", f"negative dimension {self.dimension}")
         base, ring = self.base_ring, self.ring
         n = len(base.names)
         if (base.characteristic, base.names, base.degrees) != (
@@ -117,10 +115,20 @@ class SpaceModel:
             raise ValueError(f"base ring {base!r} has other rules on its generators "
                              f"than the total ring {ring!r}")
         check_fundamental(ring, self.fundamental, self.dimension, n)
-        check_total_p(self.total_p)
-        check_euler(self.euler, self.dimension)
+        if not self.total_p.constant_term_is_one():
+            raise FieldError("total_p", "total Pontryagin class must have constant term 1")
+        for degree in self.total_p.degrees():
+            if degree % 4:
+                raise FieldError("total_p", f"total Pontryagin class has a term of degree "
+                                 f"{degree}, not a multiple of 4")
+        if not self.euler.is_zero() and not self.euler.is_homogeneous(self.dimension):
+            raise FieldError("euler",
+                             f"Euler class must be homogeneous of degree {self.dimension}")
         if self.total_w is not None:
-            check_total_w(self.total_w, ring.characteristic)
+            if ring.characteristic != 2:
+                raise FieldError("total_w", "total_w only makes sense in characteristic 2")
+            if not self.total_w.constant_term_is_one():
+                raise FieldError("total_w", "total Stiefel-Whitney class must start with 1")
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__match_args__)
@@ -163,46 +171,20 @@ class SpaceModel:
 
 def check_fundamental(ring: Ring, fundamental: Monomial, dimension: int,
                       base_gens: int = 0) -> None:
-    """Reject a fundamental monomial whose degree, on the generators after
-    the first ``base_gens``, is not the dimension.
+    """Reject, at ``fundamental``, a fundamental monomial whose degree, on
+    the generators after the first ``base_gens``, is not the dimension.
 
     It needs no rewriting, so a document decoder can run it before it
     parses the space's classes.
     """
     degrees = ring.degrees[base_gens:]
     if len(fundamental) != len(degrees):
-        raise ValueError(f"expected {len(degrees)} exponents in the fundamental monomial")
+        raise FieldError("fundamental",
+                         f"expected {len(degrees)} exponents in the fundamental monomial")
     degree = sum(e * d for e, d in zip(fundamental, degrees))
     if degree != dimension:
-        raise ValueError(f"fundamental monomial has degree {degree}, expected {dimension}")
-
-
-def check_total_p(total_p: GradedPoly) -> None:
-    """Reject a total Pontryagin class without constant term 1 or with a
-    term of degree other than a multiple of 4."""
-    if not total_p.constant_term_is_one():
-        raise ValueError("total Pontryagin class must have constant term 1")
-    for degree in total_p.degrees():
-        if degree % 4:
-            raise ValueError(
-                f"total Pontryagin class has a term of degree {degree}, "
-                "not a multiple of 4"
-            )
-
-
-def check_euler(euler: GradedPoly, dimension: int) -> None:
-    """Reject a nonzero Euler class that is not homogeneous of the dimension."""
-    if not euler.is_zero() and not euler.is_homogeneous(dimension):
-        raise ValueError(f"Euler class must be homogeneous of degree {dimension}")
-
-
-def check_total_w(total_w: GradedPoly, characteristic: int) -> None:
-    """Reject a total Stiefel-Whitney class outside characteristic 2 or
-    without constant term 1."""
-    if characteristic != 2:
-        raise ValueError("total_w only makes sense in characteristic 2")
-    if not total_w.constant_term_is_one():
-        raise ValueError("total Stiefel-Whitney class must start with 1")
+        raise FieldError("fundamental",
+                         f"fundamental monomial has degree {degree}, expected {dimension}")
 
 
 def check_closed(space: SpaceModel) -> None:

@@ -396,6 +396,17 @@ def rp2_with(**fields):
     return dict(rp_product_doc((2,), ["a"]), **fields)
 
 
+Y, X = {"name": "y", "degree": 4}, {"name": "x", "degree": 4}
+
+
+def hp2_ring(generators=(Y,), relations=()):
+    return hp2_with(ring={"generators": list(generators), "relations": list(relations)})
+
+
+def rule(lhs, rhs="0"):
+    return {"lhs": lhs, "rhs": rhs}
+
+
 @pytest.mark.parametrize(
     "make, expected",
     [
@@ -407,9 +418,36 @@ def rp2_with(**fields):
          "/total_w: total_w only makes sense in characteristic 2"),
         (lambda: rp2_with(total_w="a+a^2"),
          "/total_w: total Stiefel-Whitney class must start with 1"),
+        (lambda: hp2_ring([Y, Y]), "/ring/generators/1/name: duplicate generator name 'y'"),
+        (lambda: hp2_ring([{"name": "y", "degree": 3}]),
+         "/ring/generators/0/degree: generator 'y' has odd degree 3; odd degrees "
+         "require characteristic 2 under strict commutativity"),
+        (lambda: hp2_ring(relations=[rule("y")]),
+         "/ring/relations/0/lhs: rule left-hand side must look like 'g^k', got 'y'"),
+        (lambda: hp2_ring(relations=[rule("z^3")]),
+         "/ring/relations/0/lhs: rule on unknown generator 'z'"),
+        (lambda: hp2_ring(relations=[rule("y^1")]),
+         "/ring/relations/0/lhs: rule left-hand side must be g^k with an int k >= 2, got y^1"),
+        (lambda: hp2_ring(relations=[rule(f"y^{MAX_EXPONENT + 1}")]),
+         f"/ring/relations/0/lhs: rule exponent {MAX_EXPONENT + 1} exceeds "
+         f"MAX_EXPONENT = {MAX_EXPONENT}"),
+        (lambda: hp2_ring(relations=[rule("y^3"), rule("y^4")]),
+         "/ring/relations/1/lhs: more than one rule for generator 'y'"),
+        (lambda: hp2_ring(relations=[rule("y^3", "q")]),
+         "/ring/relations/0/rhs: unknown generator 'q'"),
+        (lambda: hp2_ring(relations=[rule("y^3", "y")]),
+         "/ring/relations/0/rhs: rule y^3 has an inhomogeneous right-hand side "
+         "(degree 4 term, expected 12)"),
+        (lambda: hp2_ring([Y, X], [rule("x^2"), rule("y^3", "x^2*y")]),
+         "/ring/relations/1/rhs: right-hand side of rule on 'y' contains a monomial "
+         "divisible by x^2"),
     ],
     # a total_p term of degree 2: test_signature_rejects_total_p_off_multiples_of_four
-    ids=["total_p-constant", "euler-degree", "total_w-characteristic", "total_w-constant"],
+    # a cycle names two rules and stays at /ring: test_signature_rejects_cycling_relations
+    ids=["total_p-constant", "euler-degree", "total_w-characteristic", "total_w-constant",
+         "ring-duplicate-name", "ring-odd-degree", "ring-lhs-syntax", "ring-lhs-unknown",
+         "ring-lhs-power-1", "ring-lhs-past-max-exponent", "ring-second-rule",
+         "ring-rhs-unknown", "ring-rhs-inhomogeneous", "ring-rhs-divisible"],
 )
 def test_signature_reports_a_bad_class_at_its_field(capsys, monkeypatch, make, expected):
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(make())))
@@ -603,12 +641,18 @@ def projectivization_over_characteristic(characteristic):
                   "fibre": space_to_document(product_space(cp(2), hp(2)))},
          "/fibre/ring/generators/1/name: generator names collide in tensor product: "
          "['y']; rename before combining"),
+        (lambda: {"kind": "product",
+                  "base": space_to_document(product_space(cp(2), hp(2))),
+                  "fibre": space_to_document(product_space(cp(2), hp(2)))},
+         "/fibre/ring/generators/0/name: generator names collide in tensor product: "
+         "['h', 'y']; rename before combining"),
         (lambda: {"kind": "product", "base": rp_product_doc((2,), ["b"]),
                   "fibre": rp2_with(total_w="a+a^2")},
          "/fibre/total_w: total Stiefel-Whitney class must start with 1"),
     ],
     ids=["base-characteristic-2", "base-characteristic-3", "rank-1", "c2-degree",
-         "twist-taken", "fibre-characteristic", "fibre-generator-name", "fibre-total_w"],
+         "twist-taken", "fibre-characteristic", "fibre-generator-name",
+         "fibre-generator-names", "fibre-total_w"],
 )
 def test_kappa_reports_a_bad_bundle_at_its_field(capsys, monkeypatch, make, expected):
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(make())))

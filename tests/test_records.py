@@ -16,9 +16,9 @@ import pytest
 from charclasses.bundles import product_bundle, projectivize
 from charclasses.checks import CheckResult
 from charclasses.counterexample import CounterexampleReport
-from charclasses.rings import Ring
+from charclasses.rings import MAX_EXPONENT, FieldError, Ring
 from charclasses.scalars import PrimeScalar
-from charclasses.spaces import SpaceModel, cp, sphere
+from charclasses.spaces import SpaceModel, cp, hp, product_space, sphere
 
 
 def report(R):
@@ -83,6 +83,73 @@ def test_space_model_rejects_a_negative_dimension():
     s = sphere(4)
     with pytest.raises(ValueError, match="negative dimension -4"):
         SpaceModel(s.ring, -4, s.fundamental, s.total_p, s.euler)
+
+
+def with_field(space, **changes):
+    return SpaceModel(**{**{name: getattr(space, name) for name in fields(space)}, **changes})
+
+
+C1 = Ring(0, [("c1", 2)])
+RP2 = Ring(2, [("a", 1)], [(("a", 3), 0)])
+
+
+@pytest.mark.parametrize(
+    "build, field, message",
+    [
+        (lambda: with_field(sphere(4), dimension=-4), "dimension", "negative dimension -4"),
+        (lambda: with_field(sphere(4), fundamental=(2,)), "fundamental",
+         "fundamental monomial has degree 8, expected 4"),
+        (lambda: with_field(sphere(4), total_p=sphere(4).ring.one() * 2), "total_p",
+         "total Pontryagin class must have constant term 1"),
+        (lambda: with_field(cp(2), total_p=cp(2).ring.poly("1 + h")), "total_p",
+         "total Pontryagin class has a term of degree 2, not a multiple of 4"),
+        (lambda: with_field(sphere(4), euler=sphere(4).ring.one()), "euler",
+         "Euler class must be homogeneous of degree 4"),
+        (lambda: with_field(sphere(4), total_w=sphere(4).ring.one()), "total_w",
+         "total_w only makes sense in characteristic 2"),
+        (lambda: SpaceModel(RP2, 2, (2,), RP2.one(), RP2.poly("a^2"), RP2.poly("a")),
+         "total_w", "total Stiefel-Whitney class must start with 1"),
+        (lambda: projectivize(Ring(3, [("c1", 2)]), ["c1", "c1^2"]), "base/characteristic",
+         "projectivization is implemented over characteristic 0"),
+        (lambda: projectivize(C1, ["c1"]), "chern", "projectivization needs rank at least 2"),
+        (lambda: projectivize(C1, ["0"] * (MAX_EXPONENT + 1)), "chern",
+         f"rank {MAX_EXPONENT + 1} exceeds MAX_EXPONENT = {MAX_EXPONENT}"),
+        (lambda: projectivize(C1, ["c1", "c1^2"], twist="t t"), "twist",
+         "bad generator name 't t'; expected a letter or _ followed by letters, digits or _"),
+        (lambda: projectivize(C1, ["c1", "c1^2"], twist="c1"), "twist",
+         "generator name 'c1' already taken in the base ring; pass a different twist name"),
+        (lambda: projectivize(C1, ["c1", "c1 c1"]), "chern/1",
+         "bad factor 'c1 c1' in polynomial"),
+        (lambda: projectivize(C1, ["c1", "c1"]), "chern/1",
+         "c_2 must be homogeneous of degree 4"),
+        (lambda: product_bundle(sphere(12), SpaceModel(
+            RP2, 2, (2,), RP2.one(), RP2.poly("a^2"), RP2.poly("1 + a"))),
+         "fibre/characteristic", "tensor factors have different characteristics"),
+        (lambda: product_bundle(product_space(cp(2), hp(2)), product_space(cp(2), hp(2))),
+         "fibre/ring/generators/0/name",
+         "generator names collide in tensor product: ['h', 'y']; rename before combining"),
+        (lambda: Ring(0, [("y", 4), ("y", 4)]), "generators/1/name",
+         "duplicate generator name 'y'"),
+        (lambda: Ring(0, [("y", 3)]), "generators/0/degree",
+         "generator 'y' has odd degree 3; odd degrees require characteristic 2 "
+         "under strict commutativity"),
+        (lambda: Ring(0, [("y", 4)], [("y^3", "0"), ("y^4", "0")]), "relations/1/lhs",
+         "more than one rule for generator 'y'"),
+        (lambda: Ring(0, [("y", 4)], [("y^3", "y")]), "relations/0/rhs",
+         "rule y^3 has an inhomogeneous right-hand side (degree 4 term, expected 12)"),
+    ],
+    ids=["dimension", "fundamental", "total_p-constant", "total_p-degree", "euler",
+         "total_w-characteristic", "total_w-constant", "projectivize-base", "projectivize-rank",
+         "projectivize-rank-past-max-exponent", "projectivize-twist-name",
+         "projectivize-twist-taken", "projectivize-chern-parse", "projectivize-chern-degree",
+         "product-fibre-characteristic", "product-fibre-names",
+         "ring-duplicate-name", "ring-odd-degree", "ring-second-rule", "ring-rhs"],
+)
+def test_builders_name_the_field_they_reject(build, field, message):
+    with pytest.raises(FieldError) as info:
+        build()
+    assert info.value.field == field
+    assert str(info.value) == message
 
 
 def test_space_model_validation_runs_on_every_family():

@@ -56,11 +56,12 @@ generator in ``kappa --class``, a product bundle of characteristic 3, and
 no ``total_w``), the bundle documents that ``kappa`` rejects for one
 field (a projectivization over F_2 and over F_3, of rank 1, with c_2 = c_1
 and with a twist naming a base generator, and a product bundle of
-characteristics 0 and 2, one whose base and fibre share a generator name
-and one whose fibre ``total_w`` is a + a^2) and the space documents that
-``signature`` rejects for one class (``total_p`` without constant term 1
-and with a term of degree 2, an Euler class of another degree, a
-``total_w`` in characteristic 0 and one without constant term 1), the
+characteristics 0 and 2, one whose base and fibre share a generator name,
+one whose base and fibre share two, and one whose fibre ``total_w`` is a +
+a^2) and the space documents that ``signature`` rejects for one class
+(``total_p`` without constant term 1 and with a term of degree 2, an Euler
+class of another degree, a ``total_w`` in characteristic 0 and one without
+constant term 1) and for one generator or rule (the ten listed below), the
 bare ``python -m charclasses`` usage error, and ``--help`` at the top level and for each subcommand, each
 distinct call once.  The call past the exponent bound exits 2 since that
 bound exists and prints a signature in a tree before it, and ``bso
@@ -79,8 +80,19 @@ names its field (``/base/characteristic``, ``/chern``, ``/chern/1``,
 ``/twist``, ``/fibre/characteristic``,
 ``/fibre/ring/generators/1/name``, ``/fibre/total_w``, ``/total_p``,
 ``/euler`` and ``/total_w``) with the same message, where trees before it
-wrote ``/`` or ``/fibre``.  Against trees before those changes, these are
-the intended differences.  Each runs as one
+wrote ``/`` or ``/fibre``.  Since the change that has builders name the
+field they reject, the space documents that ``signature`` rejects for one
+generator or rule (a duplicate generator name, an odd degree in
+characteristic 0, a rule with left-hand side ``y``, on ``z^3`` with no z,
+on ``y^1``, on ``y^1048576`` and a second rule on y, and the rules y^3 ->
+q, y^3 -> y and y^3 -> x^2*y under x^2 -> 0) name it
+(``/ring/generators/1/name``, ``/ring/generators/0/degree``, and
+``/ring/relations/<i>/lhs`` or ``/rhs``) with the same message, where trees
+before it wrote ``/ring``; and a product bundle whose base and fibre share
+the generator names h and y is reported at ``/fibre/ring/generators/0/name``
+with the message listing both, where trees before it listed ``['h']``
+alone.  Against trees before those changes, these are the intended
+differences.  Each runs as one
 ``python -m charclasses`` process with ``PYTHONPATH=<tree>/src`` and its document on
 stdin, one call at a time, first in PARENT_TREE and then in CHANGE_TREE.
 Exit code, stdout bytes and stderr bytes must be equal.  Prints the number of calls; exits 1 and names
@@ -251,6 +263,7 @@ HUGE_SIGNATURE = dict(BAD_FUNDAMENTAL, fundamental="y^2",
 
 HP2 = dict(BAD_FUNDAMENTAL, fundamental="y^2")
 RP2 = workloads.rp_product_doc((2,), ["a"])
+CP2_HP2 = workloads.space_doc([Factor("cp", 2), Factor("hp", 2)], ["h", "y"])
 # Each exits 2; the field at fault is named since the change that reports
 # bundle and class checks at their fields.
 BAD_BUNDLES = {
@@ -266,10 +279,12 @@ BAD_BUNDLES = {
         "fibre": RP2},
     "product sharing a generator name": {
         "kind": "product", "base": HP2,
-        "fibre": workloads.space_doc([Factor("cp", 2), Factor("hp", 2)], ["h", "y"])},
+        "fibre": CP2_HP2},
     "product with a fibre total_w = a + a^2": {
         "kind": "product", "base": workloads.rp_product_doc((2,), ["b"]),
         "fibre": dict(RP2, total_w="a+a^2")},
+    "product sharing two generator names": {
+        "kind": "product", "base": CP2_HP2, "fibre": CP2_HP2},
 }
 BAD_CLASSES = {
     "total_p = 2 + 2*y + 7*y^2": dict(HP2, total_p="2+2*y+7*y^2"),
@@ -278,6 +293,28 @@ BAD_CLASSES = {
     "euler = 3*y on HP^2": dict(HP2, euler="3*y"),
     "total_w in characteristic 0": dict(HP2, total_w="1"),
     "total_w = a + a^2": dict(RP2, total_w="a+a^2"),
+}
+
+
+def hp2_ring(generators: list[dict], relations: list[tuple[str, str]]) -> dict:
+    return dict(HP2, ring={"generators": generators,
+                           "relations": [{"lhs": lhs, "rhs": rhs} for lhs, rhs in relations]})
+
+
+Y, X = {"name": "y", "degree": 4}, {"name": "x", "degree": 4}
+# Each exits 2; the generator or rule at fault is named since the change
+# that has builders name the field they reject.
+BAD_RINGS = {
+    "duplicate generator name": hp2_ring([Y, Y], []),
+    "odd degree in characteristic 0": hp2_ring([{"name": "y", "degree": 3}], []),
+    "rule with lhs y": hp2_ring([Y], [("y", "0")]),
+    "rule on z^3": hp2_ring([Y], [("z^3", "0")]),
+    "rule on y^1": hp2_ring([Y], [("y^1", "0")]),
+    "rule past MAX_EXPONENT": hp2_ring([Y], [(f"y^{MAX_EXPONENT + 1}", "0")]),
+    "second rule on y": hp2_ring([Y], [("y^3", "0"), ("y^4", "0")]),
+    "rule y^3 -> q": hp2_ring([Y], [("y^3", "q")]),
+    "rule y^3 -> y": hp2_ring([Y], [("y^3", "y")]),
+    "rule y^3 -> x^2*y under x^2 -> 0": hp2_ring([Y, X], [("x^2", "0"), ("y^3", "x^2*y")]),
 }
 
 # Each exits 2 with one error line.
@@ -356,7 +393,7 @@ def calls() -> list[Op]:
     ops += [Op(f"kappa {label}", ("kappa", "--bundle", "-", "--class", "e"),
                stdin=workloads._encode(doc)) for label, doc in BAD_BUNDLES.items()]
     ops += [Op(f"signature {label}", ("signature", "-"), stdin=workloads._encode(doc))
-            for label, doc in BAD_CLASSES.items()]
+            for label, doc in {**BAD_CLASSES, **BAD_RINGS}.items()]
     for sub in ("", "genus", "signature", "kappa", "bso", "section5", "verify"):
         args = (sub, "--help") if sub else ("--help",)
         ops.append(Op(" ".join(args), args))
