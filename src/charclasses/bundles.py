@@ -35,6 +35,7 @@ from .rings import (
     Ring,
     tensor_ring,
     transport,
+    under,
     validate_name,
 )
 from .spaces import SpaceModel
@@ -53,7 +54,7 @@ def product_bundle(base: SpaceModel, fibre: SpaceModel) -> SpaceModel:
     try:
         ring = tensor_ring(base.ring, fibre.ring)
     except FieldError as exc:
-        raise FieldError(f"fibre/{exc.field}", str(exc)) from exc
+        raise under("fibre", exc) from exc
     return SpaceModel(
         ring=ring,
         dimension=fibre.dimension,
@@ -95,7 +96,7 @@ def projectivize(
         try:
             classes.append(base_ring.poly(c))
         except ValueError as exc:
-            raise FieldError(f"chern/{i}", str(exc)) from exc
+            raise under(f"chern/{i}", exc) from exc
         if not classes[i].is_homogeneous(2 * i + 2):
             raise FieldError(f"chern/{i}", f"c_{i + 1} must be homogeneous of degree {2 * i + 2}")
 

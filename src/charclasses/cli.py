@@ -28,9 +28,10 @@ Every subcommand runs in its own process, so this module imports only
 what it runs after it has checked its own options: ``--help`` and a usage
 error load no other package module.  ``_decode`` reads and decodes a
 document for ``signature`` and ``kappa``: it imports ``json`` (in
-``_read_document``) and ``documents``, and turns a ``DocumentError`` into
-an ``_InputError`` with the same message, so ``main`` catches
-``_InputError`` only and imports ``json`` only for ``--format json``.
+``_read_document``) and ``documents``.  ``_rejected``, the one place a
+JSON pointer is written, leads an ``_InputError`` with ``/`` and the
+``field`` of a ``rings.FieldError``.  So ``main`` catches ``_InputError``
+only and imports ``json`` only for ``--format json``.
 ``genus`` loads ``genus`` (with ``rings``); ``signature`` adds
 ``documents``, ``spaces`` and ``scalars``; ``kappa`` loads ``documents``,
 ``bundles``, ``rings`` and ``spaces``, plus ``scalars`` in characteristic
@@ -115,12 +116,20 @@ def _decode(path: str, decoder: str) -> object:
     # is freed on return from _read_document, before the decoder builds
     # the model: kept alive, it costs about 1 MiB more.
     from . import documents
+    from .rings import FieldError
 
     doc = _read_document(path)
     try:
         return getattr(documents, decoder)(doc)
-    except documents.DocumentError as exc:
-        raise _InputError(str(exc)) from exc
+    except FieldError as exc:
+        raise _rejected(exc) from exc
+
+
+def _rejected(exc: ValueError) -> _InputError:
+    """``exc`` as an input error, led by the pointer of a ``FieldError``."""
+    from .rings import FieldError  # loaded by the module that raised
+
+    return _InputError(f"/{exc.field}: {exc}" if isinstance(exc, FieldError) else str(exc))
 
 
 def _printed(value: object) -> str:
@@ -168,8 +177,7 @@ def _cmd_signature(args: argparse.Namespace) -> Result:
     try:
         value = evaluate_genus(space, l_sequence())
     except ValueError as exc:
-        where = "/characteristic: " if space.ring.characteristic else ""
-        raise _InputError(f"{where}{exc}") from exc
+        raise _rejected(exc) from exc
     text = _printed(value)
     return 0, {"signature": format_rational(value)}, f"signature = {text}"
 

@@ -25,18 +25,17 @@ where a bare ring document is {"characteristic": ..., "ring": {...}} and
 "twist" (optional) names the appended degree-2 generator.  All polynomial
 payloads use the text syntax of :mod:`charclasses.rings`.
 
-Validation failures raise :class:`DocumentError` whose message starts with
-the JSON-pointer-style path of the offending field.  The decoder checks
-the JSON shape only, and then calls each builder once (``Ring``,
+Bad input raises :class:`charclasses.rings.FieldError`, as the builders
+do, at the path of the field in the document the function was given
+(``""`` for that document).  A reader of a sub-document puts its key in
+front on the way out with :func:`charclasses.rings.under`, through
+``_read`` for one call, or a ``try`` around a whole loop, so nothing is
+built per item that is not rejected.  A builder's ``ValueError`` that
+names no field is at the document the builder was given.  The decoder
+checks the JSON shape only, and then calls each builder once (``Ring``,
 ``SpaceModel``, ``product_bundle``, ``projectivize``), which checks the
-rest.  A builder names the field it rejects: it raises
-:class:`charclasses.rings.FieldError`, whose ``field`` is the path of the
-field in the builder's own document, and ``with _at(path):`` reports one
-raised inside it as a :class:`DocumentError` at ``path/field``, and any
-other ``ValueError`` at ``path``.  Each such block wraps library calls and
-no decoder code, so an error keeps the path of the field it was found in.
-The decoder runs two library checks itself: ``validate_modulus`` on a
-characteristic, which lies outside the {"generators", "relations"}
+rest.  The decoder runs two library checks itself: ``validate_modulus``
+on a characteristic, which lies outside the {"generators", "relations"}
 document that ``Ring`` names its fields in, and ``check_fundamental``,
 before it parses a space's classes, since it needs no rewriting.  It
 parses each class of a space at its field, since ``SpaceModel`` takes
@@ -53,14 +52,12 @@ here too.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Any, Iterator, Mapping
+from typing import Any, Callable, Mapping
 
-from .rings import FieldError, GradedPoly, Ring
+from .rings import FieldError, GradedPoly, Ring, under
 from .spaces import SpaceModel, check_closed, check_fundamental, ring_to_document
 
 __all__ = [
-    "DocumentError",
     "bundle_from_document",
     "ring_from_document",
     "ring_to_document",
@@ -69,113 +66,88 @@ __all__ = [
 ]
 
 
-class DocumentError(ValueError):
-    """A document failed validation; the message names the bad field."""
-
-    def __init__(self, path: str, message: str) -> None:
-        self.path = path or "/"
-        super().__init__(f"{self.path}: {message}")
-
-
-@contextmanager
-def _at(path: str) -> Iterator[None]:
-    """Report a ``FieldError`` raised in the block as bad input at its field
-    under ``path``, and any other ``ValueError`` at ``path``."""
+def _read(key: str, read: Callable, *args: Any) -> Any:
+    """``read(*args)``, which reads the value at ``key``: a ``ValueError``
+    it raises is reported under ``key``."""
     try:
-        yield
-    except FieldError as exc:
-        raise DocumentError(f"{path}/{exc.field}", str(exc)) from exc
+        return read(*args)
     except ValueError as exc:
-        raise DocumentError(path, str(exc)) from exc
+        raise under(key, exc) from exc
 
 
-def _field(doc: Mapping[str, Any], key: str, path: str) -> Any:
+def _field(doc: Mapping[str, Any], key: str) -> Any:
     if not isinstance(doc, Mapping):
-        raise DocumentError(path, "expected a JSON object")
+        raise FieldError("", "expected a JSON object")
     if key not in doc:
-        raise DocumentError(f"{path}/{key}", "missing required field")
+        raise FieldError(key, "missing required field")
     return doc[key]
 
 
-def _int_field(doc: Mapping[str, Any], key: str, path: str, minimum: int) -> int:
-    value = _field(doc, key, path)
+def _int_field(doc: Mapping[str, Any], key: str, minimum: int) -> int:
+    value = _field(doc, key)
     if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
-        raise DocumentError(f"{path}/{key}", f"expected an integer >= {minimum}")
+        raise FieldError(key, f"expected an integer >= {minimum}")
     return value
 
 
-def _str_field(doc: Mapping[str, Any], key: str, path: str) -> str:
-    value = _field(doc, key, path)
+def _str_field(doc: Mapping[str, Any], key: str) -> str:
+    value = _field(doc, key)
     if not isinstance(value, str) or not value.strip():
-        raise DocumentError(f"{path}/{key}", "expected a nonempty string")
+        raise FieldError(key, "expected a nonempty string")
     return value
 
 
-def _poly_field(doc: Mapping[str, Any], key: str, path: str, ring: Ring) -> GradedPoly:
+def _poly_field(doc: Mapping[str, Any], key: str, ring: Ring) -> GradedPoly:
     """The class at ``key``, parsed."""
-    text = _str_field(doc, key, path)
-    with _at(f"{path}/{key}"):
-        return ring.poly(text)
+    return _read(key, ring.poly, _str_field(doc, key))
 
 
-def ring_from_document(
-    doc: Mapping[str, Any], characteristic: int, path: str = ""
-) -> Ring:
+def ring_from_document(doc: Mapping[str, Any], characteristic: int) -> Ring:
     """Build a ring from {"generators": [...], "relations": [...]}."""
-    gen_docs = _field(doc, "generators", path)
+    gen_docs = _field(doc, "generators")
     if not isinstance(gen_docs, list):
-        raise DocumentError(f"{path}/generators", "expected a list")
+        raise FieldError("generators", "expected a list")
     generators = []
-    for i, gen_doc in enumerate(gen_docs):
-        gen_path = f"{path}/generators/{i}"
-        generators.append((_str_field(gen_doc, "name", gen_path),
-                           _int_field(gen_doc, "degree", gen_path, minimum=1)))
+    try:
+        for i, gen_doc in enumerate(gen_docs):
+            generators.append((_str_field(gen_doc, "name"),
+                               _int_field(gen_doc, "degree", minimum=1)))
+    except FieldError as exc:
+        raise under(f"generators/{i}", exc) from exc
     relation_docs = doc.get("relations", [])
     if not isinstance(relation_docs, list):
-        raise DocumentError(f"{path}/relations", "expected a list")
+        raise FieldError("relations", "expected a list")
     rules = []
-    for i, rel_doc in enumerate(relation_docs):
-        rel_path = f"{path}/relations/{i}"
-        rules.append((_str_field(rel_doc, "lhs", rel_path),
-                      _str_field(rel_doc, "rhs", rel_path)))
-    with _at(path):
-        return Ring(characteristic, generators, rules)
+    try:
+        for i, rel_doc in enumerate(relation_docs):
+            rules.append((_str_field(rel_doc, "lhs"), _str_field(rel_doc, "rhs")))
+    except FieldError as exc:
+        raise under(f"relations/{i}", exc) from exc
+    return _read("", Ring, characteristic, generators, rules)
 
 
-def _ring_field(doc: Mapping[str, Any], path: str) -> Ring:
+def _ring_field(doc: Mapping[str, Any]) -> Ring:
     """The ring of a document's "characteristic" and "ring" fields."""
-    value = _field(doc, "characteristic", path)
+    value = _field(doc, "characteristic")
     if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-        raise DocumentError(f"{path}/characteristic", "expected 0 or a prime")
+        raise FieldError("characteristic", "expected 0 or a prime")
     if value:
         from .scalars import validate_modulus
 
-        with _at(f"{path}/characteristic"):
-            validate_modulus(value)
-    return ring_from_document(_field(doc, "ring", path), value, f"{path}/ring")
+        _read("characteristic", validate_modulus, value)
+    return _read("ring", ring_from_document, _field(doc, "ring"), value)
 
 
-def space_from_document(doc: Mapping[str, Any], path: str = "") -> SpaceModel:
+def space_from_document(doc: Mapping[str, Any]) -> SpaceModel:
     """Build a SpaceModel from its JSON document."""
-    ring = _ring_field(doc, path)
-    dimension = _int_field(doc, "dimension", path, minimum=0)
-    fundamental_text = _str_field(doc, "fundamental", path)
-    with _at(f"{path}/fundamental"):
-        fundamental = ring.monomial(fundamental_text)
-    with _at(path):
-        check_fundamental(ring, fundamental, dimension)
-    total_p = _poly_field(doc, "total_p", path, ring)
-    euler = _poly_field(doc, "euler", path, ring)
-    total_w = _poly_field(doc, "total_w", path, ring) if "total_w" in doc else None
-    with _at(path):
-        return SpaceModel(
-            ring=ring,
-            dimension=dimension,
-            fundamental=fundamental,
-            total_p=total_p,
-            euler=euler,
-            total_w=total_w,
-        )
+    ring = _ring_field(doc)
+    dimension = _int_field(doc, "dimension", minimum=0)
+    fundamental = _read("fundamental", ring.monomial, _str_field(doc, "fundamental"))
+    check_fundamental(ring, fundamental, dimension)
+    total_p = _poly_field(doc, "total_p", ring)
+    euler = _poly_field(doc, "euler", ring)
+    total_w = _poly_field(doc, "total_w", ring) if "total_w" in doc else None
+    return _read("", SpaceModel, ring, dimension, fundamental, total_p, euler, total_w)
 
 
 def space_to_document(space: SpaceModel) -> dict:
@@ -194,43 +166,36 @@ def space_to_document(space: SpaceModel) -> dict:
     return doc
 
 
-def bundle_from_document(doc: Mapping[str, Any], path: str = "") -> SpaceModel:
+def bundle_from_document(doc: Mapping[str, Any]) -> SpaceModel:
     """Build a bundle, a SpaceModel over a base, from its JSON document."""
     from . import bundles  # its builders are looked up there at each call
 
-    kind = _str_field(doc, "kind", path)
+    kind = _str_field(doc, "kind")
     if kind == "product":
-        base = space_from_document(_field(doc, "base", path), f"{path}/base")
+        base = _read("base", space_from_document, _field(doc, "base"))
         characteristic = base.ring.characteristic
         if characteristic not in (0, 2):
-            raise DocumentError(f"{path}/base/characteristic", "no kappa classes in "
-                                f"characteristic {characteristic}; use 0 or 2")
-        fibre = space_from_document(_field(doc, "fibre", path), f"{path}/fibre")
-        with _at(path):
-            bundle = bundles.product_bundle(base, fibre)
+            raise FieldError("base/characteristic", "no kappa classes in "
+                             f"characteristic {characteristic}; use 0 or 2")
+        fibre = _read("fibre", space_from_document, _field(doc, "fibre"))
+        bundle = _read("", bundles.product_bundle, base, fibre)
         if characteristic == 2 and bundle.total_w is None:
-            raise DocumentError(f"{path}/fibre/total_w", "missing required field: "
-                                "kappa in characteristic 2 reads the fibre's w classes")
+            raise FieldError("fibre/total_w", "missing required field: "
+                             "kappa in characteristic 2 reads the fibre's w classes")
         return bundle
     if kind == "projectivization":
-        base_doc = _field(doc, "base", path)
-        base_path = f"{path}/base"
-        if isinstance(base_doc, Mapping) and "dimension" in base_doc:
-            base: Ring | SpaceModel = space_from_document(base_doc, base_path)
-        else:
-            base = _ring_field(base_doc, base_path)
-        chern = _field(doc, "chern", path)
+        base_doc = _field(doc, "base")
+        space = isinstance(base_doc, Mapping) and "dimension" in base_doc
+        base = _read("base", space_from_document if space else _ring_field, base_doc)
+        chern = _field(doc, "chern")
         if not isinstance(chern, list) or not chern:
-            raise DocumentError(f"{path}/chern", "expected a nonempty list")
+            raise FieldError("chern", "expected a nonempty list")
         for i, text in enumerate(chern):
             if not isinstance(text, str):
-                raise DocumentError(f"{path}/chern/{i}", "expected a polynomial string")
+                raise FieldError(f"chern/{i}", "expected a polynomial string")
         twist = doc.get("twist", "t")
         if not isinstance(twist, str) or not twist:
-            raise DocumentError(f"{path}/twist", "expected a generator name")
-        with _at(path):
-            return bundles.projectivize(base, chern, twist=twist)
-    raise DocumentError(
-        f"{path}/kind", f"unknown bundle kind {kind!r}; "
-        "expected 'product' or 'projectivization'"
-    )
+            raise FieldError("twist", "expected a generator name")
+        return _read("", bundles.projectivize, base, chern, twist)
+    raise FieldError("kind", f"unknown bundle kind {kind!r}; expected 'product' or "
+                     "'projectivization'")

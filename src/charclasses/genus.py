@@ -51,7 +51,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Callable, Sequence
 
-from .rings import GradedPoly, Ring
+from .rings import FieldError, GradedPoly, Ring
 
 __all__ = [
     "MultiplicativeSequence",
@@ -240,12 +240,13 @@ def ahat_sequence() -> MultiplicativeSequence:
 def evaluate_genus(space, seq: MultiplicativeSequence) -> Fraction:
     """Pair the top weight polynomial of the sequence with the fundamental
     class: the genus of a closed manifold.  Zero when the dimension is not
-    a multiple of four.
+    a multiple of four.  A space not over Q raises ``FieldError`` at
+    ``characteristic``.
     """
     from .spaces import integrate  # imported here: a genus table needs no space
 
     if space.ring.characteristic != 0:
-        raise ValueError("genus evaluation needs characteristic 0")
+        raise FieldError("characteristic", "genus evaluation needs characteristic 0")
     n, rest = divmod(space.dimension, 4)
     top = space.ring.zero() if rest else seq.weight_parts(space.total_p, n)[n]
     return integrate(space, top)

@@ -99,6 +99,7 @@ __all__ = [
     "Terms",
     "tensor_ring",
     "transport",
+    "under",
     "validate_name",
 ]
 
@@ -119,13 +120,24 @@ _FACTOR_RE = re.compile(
 
 
 class FieldError(ValueError):
-    """Bad input to a builder, in one field: ``field`` is the field's path in
-    the builder's JSON document, such as ``"total_p"``, ``"chern/1"`` or
-    ``"generators/1/name"``, and ``str`` of the error is the bare message."""
+    """Bad input in one field: ``field`` is its path in the JSON document of
+    the builder or decoder that raised it (``"total_p"``, ``"chern/1"``,
+    ``"generators/1/name"``, ``""`` for the document itself), and ``str`` is
+    the bare message.  ``args`` holds both, so the error pickles."""
 
     def __init__(self, field: str, message: str) -> None:
-        super().__init__(message)
+        super().__init__(field, message)
         self.field = field
+
+    def __str__(self) -> str:
+        return self.args[1]
+
+
+def under(key: str, exc: ValueError) -> FieldError:
+    """``exc``, raised on the sub-document at ``key``, at its field under
+    ``key``, or at ``key`` for a ``ValueError`` that is no ``FieldError``."""
+    field = exc.field if isinstance(exc, FieldError) else ""
+    return FieldError(f"{key}/{field}" if key and field else key or field, str(exc))
 
 
 def validate_name(name: object, field: str) -> None:
@@ -231,7 +243,7 @@ class Ring:
                 if idx in table:
                     raise ValueError(f"more than one rule for generator {name!r}")
             except ValueError as exc:
-                raise FieldError(f"relations/{i}/lhs", str(exc)) from exc
+                raise under(f"relations/{i}/lhs", exc) from exc
             try:
                 rhs_terms = (transport(rhs, self).terms if isinstance(rhs, GradedPoly)
                              else Terms.reduced(*self._raw_terms(rhs), self.characteristic))
@@ -242,7 +254,7 @@ class Ring:
                                          f"side (degree {mon >> self._shift} term, expected "
                                          f"{lhs_degree})")
             except ValueError as exc:
-                raise FieldError(f"relations/{i}/rhs", str(exc)) from exc
+                raise under(f"relations/{i}/rhs", exc) from exc
             table[idx] = (power, rhs_terms)
             position[idx] = i
         self._offset = offset = sum(MAX_EXPONENT + 1 - k << self._shift - _W * (i + 1)

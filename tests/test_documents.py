@@ -1,16 +1,18 @@
 """JSON document validation and round trips."""
 
+import pickle
+
 import pytest
 
 from charclasses.bundles import kappa
 from charclasses.documents import (
-    DocumentError,
     bundle_from_document,
     ring_from_document,
     ring_to_document,
     space_from_document,
     space_to_document,
 )
+from charclasses.rings import FieldError, Ring
 from charclasses.spaces import cp, hp, point, sphere
 
 
@@ -48,16 +50,16 @@ def test_ring_document_shape():
 
 
 def test_ring_document_errors_carry_paths():
-    with pytest.raises(DocumentError) as info:
+    with pytest.raises(FieldError) as info:
         ring_from_document({}, 0)
-    assert str(info.value).startswith("/generators:")
-    with pytest.raises(DocumentError) as info:
+    assert info.value.field == "generators"
+    with pytest.raises(FieldError) as info:
         ring_from_document({"generators": [{"name": "x"}]}, 0)
-    assert str(info.value).startswith("/generators/0/degree:")
-    with pytest.raises(DocumentError) as info:
+    assert info.value.field == "generators/0/degree"
+    with pytest.raises(FieldError) as info:
         ring_from_document({"generators": [{"name": "x", "degree": 0}]}, 0)
-    assert str(info.value).startswith("/generators/0/degree:")
-    with pytest.raises(DocumentError) as info:
+    assert info.value.field == "generators/0/degree"
+    with pytest.raises(FieldError) as info:
         ring_from_document(
             {
                 "generators": [{"name": "x", "degree": 2}],
@@ -65,9 +67,9 @@ def test_ring_document_errors_carry_paths():
             },
             0,
         )
-    assert str(info.value).startswith("/relations/0/rhs:")
+    assert info.value.field == "relations/0/rhs"
     # ring-level constraint violations surface at the ring path
-    with pytest.raises(DocumentError) as info:
+    with pytest.raises(FieldError) as info:
         ring_from_document({"generators": [{"name": "x", "degree": 3}]}, 0)
     assert "odd degree" in str(info.value)
 
@@ -112,47 +114,48 @@ def test_space_document_accepts_handwritten_form():
 def test_space_document_errors_carry_paths():
     doc = hp2_document()
     del doc["dimension"]
-    with pytest.raises(DocumentError) as info:
+    with pytest.raises(FieldError) as info:
         space_from_document(doc)
-    assert str(info.value).startswith("/dimension:")
+    assert info.value.field == "dimension"
 
     doc = hp2_document()
     doc["fundamental"] = "y + 1"
-    with pytest.raises(DocumentError) as info:
+    with pytest.raises(FieldError) as info:
         space_from_document(doc)
-    assert str(info.value).startswith("/fundamental:")
+    assert info.value.field == "fundamental"
 
     doc = hp2_document()
     doc["total_p"] = "1 + 2*q"
-    with pytest.raises(DocumentError) as info:
+    with pytest.raises(FieldError) as info:
         space_from_document(doc)
-    assert str(info.value).startswith("/total_p:")
+    assert info.value.field == "total_p"
 
     doc = hp2_document()
     doc["characteristic"] = -3
-    with pytest.raises(DocumentError) as info:
+    with pytest.raises(FieldError) as info:
         space_from_document(doc)
-    assert str(info.value).startswith("/characteristic:")
+    assert info.value.field == "characteristic"
 
     doc = hp2_document()
     doc["total_w"] = "1"
-    with pytest.raises(DocumentError):
+    with pytest.raises(FieldError):
         space_from_document(doc)
 
     # model-level inconsistency (fundamental degree vs dimension)
     doc = hp2_document()
     doc["dimension"] = 4
-    with pytest.raises(DocumentError) as info:
+    with pytest.raises(FieldError) as info:
         space_from_document(doc)
-    assert str(info.value) == "/fundamental: fundamental monomial has degree 8, expected 4"
+    assert info.value.field == "fundamental"
+    assert str(info.value) == "fundamental monomial has degree 8, expected 4"
 
 
 def test_space_document_nested_ring_errors_point_into_ring():
     doc = hp2_document()
     doc["ring"]["relations"][0]["lhs"] = "y"
-    with pytest.raises(DocumentError) as info:
+    with pytest.raises(FieldError) as info:
         space_from_document(doc)
-    assert str(info.value).startswith("/ring")
+    assert info.value.field.startswith("ring")
 
 
 # ----------------------------------------------------------------------
@@ -202,16 +205,16 @@ def test_projectivization_document_with_space_base_and_twist():
 
 
 def test_bundle_document_errors():
-    with pytest.raises(DocumentError) as info:
+    with pytest.raises(FieldError) as info:
         bundle_from_document({"kind": "mystery"})
-    assert str(info.value).startswith("/kind:")
+    assert info.value.field == "kind"
 
-    with pytest.raises(DocumentError) as info:
+    with pytest.raises(FieldError) as info:
         bundle_from_document({"kind": "product", "base": space_to_document(cp(2))})
-    assert str(info.value).startswith("/fibre:")
+    assert info.value.field == "fibre"
 
     # generator collision between product factors is a document error
-    with pytest.raises(DocumentError):
+    with pytest.raises(FieldError):
         bundle_from_document(
             {
                 "kind": "product",
@@ -220,7 +223,7 @@ def test_bundle_document_errors():
             }
         )
 
-    with pytest.raises(DocumentError) as info:
+    with pytest.raises(FieldError) as info:
         bundle_from_document(
             {
                 "kind": "projectivization",
@@ -231,9 +234,9 @@ def test_bundle_document_errors():
                 "chern": ["c1", "nope"],
             }
         )
-    assert str(info.value).startswith("/chern/1:")
+    assert info.value.field == "chern/1"
 
-    with pytest.raises(DocumentError) as info:
+    with pytest.raises(FieldError) as info:
         bundle_from_document(
             {
                 "kind": "projectivization",
@@ -244,4 +247,23 @@ def test_bundle_document_errors():
                 "chern": [],
             }
         )
-    assert str(info.value).startswith("/chern:")
+    assert info.value.field == "chern"
+
+
+# ----------------------------------------------------------------------
+# errors
+
+
+def test_field_errors_keep_type_field_and_message_through_pickle():
+    doc = hp2_document()
+    doc["ring"]["generators"][0]["degree"] = 3
+    with pytest.raises(FieldError) as from_decoder:
+        space_from_document(doc)
+    with pytest.raises(FieldError) as from_builder:
+        Ring(0, [("y", 3)])
+    for error, field in ((from_decoder.value, "ring/generators/0/degree"),
+                         (from_builder.value, "generators/0/degree")):
+        copy = pickle.loads(pickle.dumps(error))
+        assert type(copy) is FieldError
+        assert (copy.field, str(copy)) == (field, str(error))
+        assert str(copy).startswith("generator 'y' has odd degree 3")

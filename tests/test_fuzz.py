@@ -12,8 +12,12 @@ import io
 import json
 import random
 
+import pytest
+
 from charclasses.cli import main
 from charclasses.documents import space_to_document
+from charclasses.rings import MAX_EXPONENT
+from charclasses.scalars import MAX_MODULUS
 from charclasses.spaces import cp, hp, sphere
 
 BAD_VALUES = [
@@ -135,3 +139,33 @@ def test_one_bad_field_exits_cleanly(capsys, monkeypatch):
                             or err.count("\n") != 1):
             failures.append(f"{case}: exit 2 with {out!r}, {err!r}")
     assert failures == []
+
+
+# Large bad values, each in one field of HP^2, and the pointer of the field
+# it is reported at: moduli past the bound, a dimension the fundamental
+# monomial cannot have, exponents past the bound, and a coefficient past
+# CPython's int-digit limit.
+LARGE_BAD_VALUES = [
+    ("characteristic", MAX_MODULUS, "characteristic"),
+    ("characteristic", 10**30, "characteristic"),
+    ("characteristic", 3317044064679887385961979, "characteristic"),
+    ("dimension", int("7" * 4000), "fundamental"),
+    ("fundamental", f"y^{MAX_EXPONENT + 1}", "fundamental"),
+    ("fundamental", "y^" + "9" * 30, "fundamental"),
+    ("euler", f"3*y^{MAX_EXPONENT + 1}", "euler"),
+    ("euler", "3*y^" + "9" * 30, "euler"),
+    ("total_p", "1 + " + "9" * 5000 + "*y + 7*y^2", "total_p"),
+]
+
+
+@pytest.mark.parametrize(
+    "key, bad, field", LARGE_BAD_VALUES,
+    ids=[f"{key}-{i}" for i, (key, _, _) in enumerate(LARGE_BAD_VALUES)],
+)
+def test_a_large_bad_value_exits_at_its_field(capsys, monkeypatch, key, bad, field):
+    doc = dict(space_to_document(hp(2)), **{key: bad})
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    code = main(["signature", "-"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: /{field}: ") and err.count("\n") == 1

@@ -62,6 +62,10 @@ a^2) and the space documents that ``signature`` rejects for one class
 (``total_p`` without constant term 1 and with a term of degree 2, an Euler
 class of another degree, a ``total_w`` in characteristic 0 and one without
 constant term 1) and for one generator or rule (the ten listed below), the
+bundle documents rejected at a pointer that composes fields across two
+levels (``/base/fundamental``, ``/fibre/ring/relations/0/rhs``,
+``/base/characteristic``, ``/base/ring/generators/0/degree``, ``/base``
+for a base that is a JSON list, and ``/`` for a bundle that is one), the
 bare ``python -m charclasses`` usage error, and ``--help`` at the top level and for each subcommand, each
 distinct call once.  The call past the exponent bound exits 2 since that
 bound exists and prints a signature in a tree before it, and ``bso
@@ -295,6 +299,23 @@ BAD_CLASSES = {
     "total_w = a + a^2": dict(RP2, total_w="a+a^2"),
 }
 
+# Each exits 2 at a pointer that composes fields across two levels: a
+# field of a base or fibre space, of its ring, or of one of its rules or
+# generators, a base or bundle document that is no JSON object.
+NESTED_POINTERS = {
+    "space base of the wrong dimension": dict(PROJECTIVIZATION, base=BAD_FUNDAMENTAL),
+    "fibre rule y^3 -> q": {
+        "kind": "product", "base": workloads.space_doc([Factor("s", 12)], ["x"]),
+        "fibre": dict(HP2, ring={"generators": [{"name": "y", "degree": 4}],
+                                 "relations": [{"lhs": "y^3", "rhs": "q"}]})},
+    "bare ring base mod 6": dict(PROJECTIVIZATION, base=dict(
+        PROJECTIVIZATION["base"], characteristic=6)),
+    "bare ring base with an odd degree": dict(PROJECTIVIZATION, base={
+        "characteristic": 0, "ring": {"generators": [{"name": "c1", "degree": 3}]}}),
+    "base that is a list": dict(PROJECTIVIZATION, base=[]),
+    "bundle that is a list": [],
+}
+
 
 def hp2_ring(generators: list[dict], relations: list[tuple[str, str]]) -> dict:
     return dict(HP2, ring={"generators": generators,
@@ -391,7 +412,8 @@ def calls() -> list[Op]:
                       stdin=workloads._encode(free_space(exponent))))
     ops += INPUT_ERRORS
     ops += [Op(f"kappa {label}", ("kappa", "--bundle", "-", "--class", "e"),
-               stdin=workloads._encode(doc)) for label, doc in BAD_BUNDLES.items()]
+               stdin=workloads._encode(doc))
+            for label, doc in {**BAD_BUNDLES, **NESTED_POINTERS}.items()]
     ops += [Op(f"signature {label}", ("signature", "-"), stdin=workloads._encode(doc))
             for label, doc in {**BAD_CLASSES, **BAD_RINGS}.items()]
     for sub in ("", "genus", "signature", "kappa", "bso", "section5", "verify"):
