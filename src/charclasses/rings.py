@@ -164,11 +164,13 @@ class Ring:
     ring with the same-named generators, moved in by :func:`transport`.
 
     ``rules`` maps each ruled generator's index to (k, rhs as
-    :class:`Terms`); ``_rewrites`` lists them for the normal form as (guard
-    bit of g, packed g^k, rhs numerators over ``_scale``, the common
-    denominator of all).  ``_shift`` is the shift of the degree field,
-    ``_guard`` holds every guard bit, and adding ``_offset`` to a monomial
-    sets the guard bit of g when the exponent of g reaches its rule's k.
+    :class:`Terms`); ``_rewrites`` keys them for the normal form by the bit
+    length of g's guard bit, as (index of g, k, rhs numerators over
+    ``_scale``, the common denominator of all), so that a rule costs no int
+    as wide as a monomial beyond its right-hand side.  ``_shift`` is the
+    shift of the degree field, ``_guard`` holds every guard bit, and adding
+    ``_offset`` to a monomial sets the guard bit of g when the exponent of g
+    reaches its rule's k.
     """
 
     __slots__ = (
@@ -208,11 +210,11 @@ class Ring:
         self.rules: dict[int, tuple[int, Terms]] = {}  # == and transport read it while building
         self.rules = self._build_rules(rules)
         self._scale = lcm(*(rhs.den for _, rhs in self.rules.values()))
-        self._rewrites = [
-            (1 << self._shift - _W * i - 1, self._power(i, k),
-             {mon: c * (self._scale // rhs.den) for mon, c in rhs.num.items()})
+        self._rewrites = {
+            self._shift - _W * i: (i, k, {mon: c * (self._scale // rhs.den)
+                                          for mon, c in rhs.num.items()})
             for i, (k, rhs) in self.rules.items()
-        ]
+        }
 
     def __reduce__(self) -> tuple:
         # each rhs as text, which parses back to the same terms
@@ -409,14 +411,15 @@ class Ring:
         may come back as the result's, reduced in place; a dict already in
         normal form comes back unchanged.  Each round adds each irreducible
         term into the result and replaces each reducible one by its image
-        under the first rule that applies; the images are summed into the
-        next round, so like terms merge and cancelled ones drop out before
-        they are rewritten again.  An image past ``MAX_EXPONENT`` raises
-        ``ValueError``.  A rewriting round scales by the rules' common
-        denominator L unless L is 1.  The rounds end as every rewrite chain
-        ends (the ring rejects rules that cycle)."""
+        under the rule of its first generator that reaches its rule's power
+        (any order of rewrites lands on the same normal form); the images
+        are summed into the next round, so like terms merge and cancelled
+        ones drop out before they are rewritten again.  An image past
+        ``MAX_EXPONENT`` raises ``ValueError``.  A rewriting round scales by
+        the rules' common denominator L unless L is 1.  The rounds end as
+        every rewrite chain ends (the ring rejects rules that cycle)."""
         p = self.characteristic
-        rewrites = self._rewrites
+        rewrites, power = self._rewrites, self._power
         guard, offset = self._guard, self._offset
         scale = self._scale
         out: dict[int, int] = {}
@@ -435,10 +438,8 @@ class Ring:
                     acc = out.get(mon)
                     out[mon] = coeff if acc is None else acc + coeff
                     continue
-                for bit, lhs, rhs in rewrites:
-                    if hit & bit:
-                        break
-                lowered = mon - lhs
+                i, k, rhs = rewrites[hit.bit_length()]  # the highest guard bit set
+                lowered = mon - power(i, k)
                 for rmon, rcoeff in rhs.items():
                     pushed = lowered + rmon
                     c = coeff * rcoeff

@@ -882,6 +882,87 @@ def test_help_exits_zero(capsys):
     assert "genus" in out and "verify" in out
 
 
+K2_TABLE = "K1 = 1/3*p1\nK2 = 7/45*p2 - 1/45*p1^2\n"
+
+
+@pytest.mark.parametrize("argv, code, output", [
+    (["genus", "--max-weight", "2"], 0, K2_TABLE),
+    (["genus", "--max-weight=2"], 0, K2_TABLE),
+    (["genus", "--max", "2"], 0, K2_TABLE),
+    (["genus", "--max=2", "--form", "text"], 0, K2_TABLE),
+    (["genus", "--max-weight", "5", "--max-weight", "2"], 0, K2_TABLE),  # the last one wins
+    (["genus", "--series=Ahat", "--max-weight", "1"], 0, "K1 = -1/24*p1\n"),
+    # a negative number is a value, and the handler rejects it
+    (["genus", "--max-weight", "-2"], 2, "error: --max-weight must lie in 1..12, got -2\n"),
+    (["section5", "--R", "-5"], 0,
+     "R = -5\np1 p2 p3 unchanged: yes yes yes\np4 = -23625/127*x*y\np5 = -620325/9271*x*y^2\n"
+     "sign(F) = 1\ncasson obstruction = 0\np5 integral = -620325/9271\n"),
+    (["section5", "--R=-3/2"], 0,
+     "R = -3/2\np1 p2 p3 unchanged: yes yes yes\np4 = -14175/254*x*y\np5 = -372195/18542*x*y^2\n"
+     "sign(F) = 1\ncasson obstruction = 0\np5 integral = -372195/18542\n"),
+    (["signature", "-"], 0, "signature = 1\n"),
+    (["signature", "{hp2}", "--format", "json"], 0, '{\n  "signature": "1/1"\n}\n'),
+    (["signature", "--format", "json", "{hp2}"], 0, '{\n  "signature": "1/1"\n}\n'),
+    # a token with a space is a value even where it starts with "-"
+    (["kappa", "--class", "-e^3 + 3*e^3", "--bundle", "{proj}"], 0,
+     "kappa(-e^3 + 3*e^3) = 4*c1^2 - 16*c2\n"),
+    (["bso", "--dimension", "4", "--no-assume-euler-relation"], 0,
+     "characteristic 0\ngenerator e degree 4\ngenerator p1 degree 4\ngenerator p2 degree 8\n"),
+    (["bso", "--no-assume-euler-relation", "--dim=4", "--assume"], 0,
+     "characteristic 0\ngenerator e degree 4\ngenerator p1 degree 4\ngenerator p2 degree 8\n"
+     "relation e^2 = p2\n"),
+])
+def test_the_command_line_grammar_accepts(capsys, monkeypatch, tmp_path, argv, code, output):
+    paths = {"hp2": write_json(tmp_path, "hp2.json", space_to_document(hp(2))),
+             "proj": write_json(tmp_path, "proj.json", projectivization_doc())}
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(space_to_document(hp(2)))))
+    got, out, err = run_cli(capsys, *(arg.format(**paths) for arg in argv))
+    assert (got, out if code == 0 else err) == (code, output)
+
+
+TOP_USAGE = "usage: charclasses [-h] {genus,signature,kappa,bso,section5,verify} ..."
+CHOICES = "'genus', 'signature', 'kappa', 'bso', 'section5', 'verify'"
+
+
+@pytest.mark.parametrize("argv, error", [
+    ([], "charclasses: error: the following arguments are required: subcommand"),
+    (["-x"], "charclasses: error: the following arguments are required: subcommand"),
+    (["nonsense"], f"charclasses: error: argument subcommand: invalid choice: 'nonsense' "
+                   f"(choose from {CHOICES})"),
+    (["--max-weight", "2", "genus"], "charclasses: error: argument subcommand: invalid "
+                                     f"choice: '2' (choose from {CHOICES})"),
+    (["genus"], "charclasses genus: error: the following arguments are required: --max-weight"),
+    (["kappa"], "charclasses kappa: error: the following arguments are required: "
+                "--bundle, --class"),
+    (["genus", "--max-weight", "x"],
+     "charclasses genus: error: argument --max-weight: invalid int value: 'x'"),
+    (["genus", "--max-weight"], "charclasses genus: error: argument --max-weight: expected one "
+                                "argument"),
+    (["genus", "--max-weight", "2", "--format", "xml"],
+     "charclasses genus: error: argument --format: invalid choice: 'xml' "
+     "(choose from 'text', 'json')"),
+    (["bso", "--characteristic", "3"], "charclasses bso: error: argument --characteristic: "
+                                       "invalid choice: 3 (choose from 0, 2)"),
+    (["bso", "--dimension", "4", "--assume-euler-relation=no"],
+     "charclasses bso: error: argument --assume-euler-relation/--no-assume-euler-relation: "
+     "ignored explicit argument 'no'"),
+    (["section5", "--R", "-3/2"], "charclasses section5: error: argument --R: expected one "
+                                  "argument"),
+    (["genus", "--max-weight", "3", "extra"], "charclasses: error: unrecognized arguments: extra"),
+    (["signature", "-", "-x"], "charclasses: error: unrecognized arguments: -x"),
+    (["signature", "-x"], "charclasses signature: error: the following arguments are required: "
+                          "document"),
+])
+def test_the_command_line_grammar_rejects(capsys, argv, error):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    usage, *_, last = err.splitlines()
+    assert last == error
+    prog = error.split(": error: ")[0]
+    assert usage.startswith(f"usage: {prog} [-h]")
+    assert prog != "charclasses" or usage == TOP_USAGE
+
+
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect(tmp_path):
     # each subcommand runs in a fresh process, and these two (with ast, dis
     # and tokenize behind them) cost ~15 ms of its start-up; only modules
@@ -1036,10 +1117,9 @@ def rp_product_doc(ns, names):
 def test_the_garbage_a_run_leaves_does_not_grow_with_its_work(capsys, tmp_path):
     # run() keeps the collector off for the whole process, which is safe
     # only while the cyclic garbage is bounded by the input, not the work:
-    # the argument parser holds cycles, and no ring does (a rule keeps
-    # packed terms, not a polynomial that refers back to its ring); the
-    # kappa fibres compared have the same generators and rules, so only
-    # the work differs
+    # no ring holds a cycle (a rule keeps packed terms, not a polynomial
+    # that refers back to its ring); the kappa fibres compared have the
+    # same generators and rules, so only the work differs
     small = write_json(tmp_path, "small.json", free_abc_doc(40))
     large = write_json(tmp_path, "large.json", free_abc_doc(160))
     garbage_left_by(capsys, "signature", small)  # imports what it runs
@@ -1081,12 +1161,16 @@ def run_importtime(*argv, module="charclasses"):
 
 def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path):
     # cli imports no package module at load; each handler imports what it
-    # runs, and documents imports bundles only to decode a bundle
+    # runs, and documents imports bundles only to decode a bundle.  The
+    # command line is read off cli's own option table: argparse, with the
+    # gettext and locale it loads, cost each process ~5 ms of start-up
+    parser_modules = {"argparse", "gettext", "locale"}
     out, imported = run_importtime("--help")
     assert "verify" in out
     package = {name for name in imported if name.startswith("charclasses.")}
     assert package <= {"charclasses.cli", "charclasses.__main__"}
     assert not {"json", "fractions"} & imported
+    assert not parser_modules & imported
     out, imported = run_importtime("--help", module="charclasses.cli")
     assert "verify" in out
     assert {name for name in imported if name.startswith("charclasses")} == {
@@ -1097,6 +1181,7 @@ def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path):
     assert "charclasses.genus" in imported
     assert not {"charclasses.documents", "charclasses.bundles",
                 "charclasses.spaces"} & imported
+    assert not parser_modules & imported
     out, imported = run_importtime("section5")
     assert out.startswith("R = 1\n")
     assert "charclasses.counterexample" in imported
@@ -1106,10 +1191,12 @@ def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path):
     assert out == "signature = 1\n"
     assert "charclasses.documents" in imported
     assert "charclasses.bundles" not in imported
+    assert not parser_modules & imported
     out, imported = run_importtime("bso", "--dimension", "4")
     assert out.startswith("characteristic 0\ngenerator e degree 4\n")
     assert "charclasses.spaces" in imported
     assert not {"charclasses.documents", "charclasses.bundles"} & imported
+    assert not parser_modules & imported
 
 
 def test_kappa_bso_and_genus_load_the_scalar_layer_only_at_the_edge(tmp_path):

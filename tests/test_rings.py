@@ -625,6 +625,23 @@ def test_parse_scratch_does_not_grow_with_the_text():
     assert peak - kept < 2 * len(text)
 
 
+def test_a_ring_holds_no_int_as_wide_as_a_monomial_per_rule():
+    # each rule used to keep its packed g^k and its guard bit, ints as wide
+    # as a whole monomial (21 bits per generator): 8000 generators with a
+    # rule g^2 -> 0 each peaked at about 262 MiB, quadratic in the rules
+    n = 8000
+    tracemalloc.start()
+    try:
+        ring = Ring(2, [(f"g{i}", 1) for i in range(n)], [(f"g{i}^2", "0") for i in range(n)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    first, middle, last = (ring.gen(f"g{i}") for i in (0, n // 2, n - 1))
+    assert not (first * middle * last).is_zero()
+    assert (middle * middle).is_zero() and ((first + last) * (first + last)).is_zero()
+
+
 def test_exponent_vectors_must_be_nonnegative_ints():
     ring = Ring(0, [("x", 2)], [("x^3", "0")])
     # 0.5 printed as 1 without equalling it, and 1.5 as x^1.5, which does

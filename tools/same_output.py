@@ -66,8 +66,13 @@ bundle documents rejected at a pointer that composes fields across two
 levels (``/base/fundamental``, ``/fibre/ring/relations/0/rhs``,
 ``/base/characteristic``, ``/base/ring/generators/0/degree``, ``/base``
 for a base that is a JSON list, and ``/`` for a bundle that is one), the
-bare ``python -m charclasses`` usage error, and ``--help`` at the top level and for each subcommand, each
-distinct call once.  The call past the exponent bound exits 2 since that
+bare ``python -m charclasses`` usage error, ``--help`` at the top level and for each subcommand,
+and nine command lines that the parser rejects with exit 2 (an unknown
+subcommand, ``genus`` without ``--max-weight``, ``--max-weight x``, ``--max-weight``
+with no value, ``--format xml``, ``bso --characteristic 3``, ``section5 --R
+-3/2``, an extra ``genus`` argument and ``signature -x``), each distinct call
+once.  For those nine, the last line of stderr, the ``error:`` line, is
+compared in place of the whole of stderr.  The call past the exponent bound exits 2 since that
 bound exists and prints a signature in a tree before it, and ``bso
 --dimension 0`` names ``--dimension`` in its error since the change that
 made ``cli`` load no package module at import.  The two results past the
@@ -95,8 +100,16 @@ q, y^3 -> y and y^3 -> x^2*y under x^2 -> 0) name it
 before it wrote ``/ring``; and a product bundle whose base and fibre share
 the generator names h and y is reported at ``/fibre/ring/generators/0/name``
 with the message listing both, where trees before it listed ``['h']``
-alone.  Against trees before those changes, these are the intended
-differences.  Each runs as one
+alone.  Since the change that reads the command line off ``cli``'s own
+option table in place of argparse, the ``--help`` outputs of the program,
+``genus``, ``signature``, ``kappa`` and ``bso`` are laid out more simply,
+and a subcommand's ``usage:`` line is one line, with ``--class CLASS`` for
+``--class CLS``; the bare usage error and every ``error:`` line stay the
+same.  A ``--`` no longer ends the options (it is an unrecognized
+argument), and ``-h`` with text after it (``-hx``) is an unrecognized
+argument where argparse reported an ignored explicit argument.  Against
+trees before those changes, these are the intended differences.  Each runs
+as one
 ``python -m charclasses`` process with ``PYTHONPATH=<tree>/src`` and its document on
 stdin, one call at a time, first in PARENT_TREE and then in CHANGE_TREE.
 Exit code, stdout bytes and stderr bytes must be equal.  Prints the number of calls; exits 1 and names
@@ -374,6 +387,14 @@ INPUT_ERRORS = (
        stdin=workloads._encode(HUGE_SIGNATURE)),
 )
 
+# Command lines the parser rejects, each with exit 2 and an empty stdout;
+# only the last line of their stderr is compared.
+REJECTED_LINES = tuple(Op(f"rejected {' '.join(args)}", args) for args in (
+    ("nonsense",), ("genus",), ("genus", "--max-weight", "x"), ("genus", "--max-weight"),
+    ("genus", "--max-weight", "2", "--format", "xml"), ("bso", "--characteristic", "3"),
+    ("section5", "--R", "-3/2"), ("genus", "--max-weight", "3", "extra"), ("signature", "-x"),
+))
+
 
 def calls() -> list[Op]:
     """The distinct calls, in a fixed order."""
@@ -419,6 +440,7 @@ def calls() -> list[Op]:
     for sub in ("", "genus", "signature", "kappa", "bso", "section5", "verify"):
         args = (sub, "--help") if sub else ("--help",)
         ops.append(Op(" ".join(args), args))
+    ops += REJECTED_LINES
     unique: dict[str, Op] = {}
     for op in ops:
         unique.setdefault(op.key, op)
@@ -429,7 +451,8 @@ def run(tree: Path, op: Op) -> tuple[int, bytes, bytes]:
     done = subprocess.run([sys.executable, "-m", "charclasses", *op.args], input=op.stdin,
                           capture_output=True, cwd=tree,
                           env=dict(os.environ, PYTHONPATH=str(tree / "src")))
-    return done.returncode, done.stdout, done.stderr
+    stderr = b"".join(done.stderr.splitlines()[-1:]) if op in REJECTED_LINES else done.stderr
+    return done.returncode, done.stdout, stderr
 
 
 def main(argv: list[str] | None = None) -> int:
